@@ -25,11 +25,12 @@ race-online:
 	$(GO) test -race -v -run 'Refit|Panic|Degrad|Drift|Concurrent' ./internal/online/
 
 # The serving-engine suite under the race detector: snapshot/locked
-# bit-equivalence, torn-pair detection, single-flight coalescing, the
-# degradation soak, sharded-reservoir concurrency, and catalog snapshot
-# churn.
+# bit-equivalence (per record and run-batched), torn-pair detection,
+# single-flight coalescing, the degradation soak, sharded-reservoir
+# concurrency (per-element and run-batched admission), and catalog
+# snapshot churn.
 race-serve:
-	$(GO) test -race -run 'Snapshot|Torn|Coalesce|Soak|Sharded|Churn|SelectivityOK|InsertBatch' \
+	$(GO) test -race -run 'Snapshot|Torn|Coalesce|Soak|Sharded|Churn|SelectivityOK|InsertBatch|AddBatch' \
 		./internal/online/ ./internal/sample/ ./internal/catalog/
 
 # The service chaos suite under the race detector: refit-panic soak with

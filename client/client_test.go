@@ -12,6 +12,7 @@ import (
 
 	"selest/client"
 	"selest/internal/server"
+	"selest/internal/telemetry"
 	"selest/internal/wire"
 )
 
@@ -116,6 +117,7 @@ func TestClientParity(t *testing.T) {
 			for i := range vals {
 				vals[i] = (float64(i) + 0.5) / 256
 			}
+			inserted := insertedSince()
 			ing, err := c.Ingest(ctx, tenant, "price", vals)
 			if err != nil {
 				t.Fatalf("ingest: %v", err)
@@ -124,8 +126,10 @@ func TestClientParity(t *testing.T) {
 				t.Fatalf("ingest result: %+v", ing)
 			}
 
-			// fresh flushes the queue into a refit, so the answer is
-			// deterministic without polling.
+			// fresh refits from what the attribute's drainer has already
+			// inserted, so wait for the whole batch: then the answer is
+			// deterministic.
+			waitFor(t, "the ingest to drain", func() bool { return inserted() >= 256 })
 			res, err := c.Estimate(ctx, tenant, "price", 0.25, 0.75, client.WithFresh())
 			if err != nil {
 				t.Fatalf("estimate: %v", err)
@@ -369,6 +373,16 @@ func TestClientHealthCheck(t *testing.T) {
 	waitFor(t, "redial after silent peer", func() bool {
 		return c.Ping(ctx) == nil && c.Stats().Dials >= 2
 	})
+}
+
+// insertedSince returns a func reporting how many values the in-process
+// servers' drainers have inserted into reservoirs since the call — the
+// condition a fresh estimate must wait on, because it refits only from
+// values already drained (Server.Estimate).
+func insertedSince() func() int64 {
+	inserts := telemetry.Default.Counter("selest_online_inserts_total")
+	base := inserts.Value()
+	return func() int64 { return inserts.Value() - base }
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

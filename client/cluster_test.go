@@ -181,9 +181,13 @@ func TestClientClusterWriteFanout(t *testing.T) {
 	for i := range vals {
 		vals[i] = (float64(i) + 0.5) / 256
 	}
+	inserted := insertedSince()
 	if _, err := c.Ingest(ctx, "acme", "v", vals); err != nil {
 		t.Fatal(err)
 	}
+	// Both replicas must have drained the batch before their fresh
+	// estimates can agree.
+	waitFor(t, "both replicas to drain", func() bool { return inserted() >= 2*256 })
 	var answers []server.EstimateResult
 	for _, srv := range f.srvs {
 		res, err := srv.Estimate(ctx, "acme", "v", 0.25, 0.75, true)

@@ -57,7 +57,7 @@ func main() {
 		}
 
 		if i%refitEvery == 0 {
-			smp := res.Sample()
+			smp := res.Snapshot()
 			est, err := selest.Build(smp, selest.Options{
 				Method:   selest.Kernel,
 				Boundary: selest.BoundaryKernels,

@@ -76,6 +76,22 @@ func NormalScaleBinWidth(samples []float64) (float64, error) {
 	return nsBinWidthFromScale(len(samples), stats.Scale(samples))
 }
 
+// NormalScaleBinWidthWithSorted is NormalScaleBinWidth for a caller that
+// also holds sorted, a sorted copy of samples (an equi-depth build sorts
+// its sample anyway): the quartiles come from sorted instead of a fresh
+// sorting copy, the standard deviation still from samples in their own
+// order, so the width is bit-identical to NormalScaleBinWidth(samples).
+func NormalScaleBinWidthWithSorted(samples, sorted []float64) (float64, error) {
+	defer ruleNanosNSBinWidth.ObserveSince(time.Now())
+	if err := faultinject.Check("bandwidth.normal-scale-binwidth"); err != nil {
+		return 0, err
+	}
+	if len(samples) == 0 {
+		return 0, fmt.Errorf("bandwidth: empty sample set")
+	}
+	return nsBinWidthFromScale(len(samples), stats.ScaleWithSorted(samples, sorted))
+}
+
 // NormalScaleBinWidthSorted is NormalScaleBinWidth over already-sorted
 // input: the quartiles behind the scale estimate come straight from the
 // order statistics, with no sorting copy. Fit-path callers that hold a

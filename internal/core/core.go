@@ -11,6 +11,7 @@ import (
 
 	"selest/internal/bandwidth"
 	"selest/internal/faultinject"
+	"selest/internal/fsort"
 	"selest/internal/histogram"
 	"selest/internal/hybrid"
 	"selest/internal/kde"
@@ -186,31 +187,35 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 	case Uniform:
 		return histogram.BuildUniform(samples, opts.DomainLo, opts.DomainHi)
 	case EquiWidth:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildEquiWidth(samples, k, opts.DomainLo, opts.DomainHi)
 	case EquiDepth:
-		k, err := binCount(samples, opts, method)
+		// One radix sort serves the bin-width rule's quartiles and the
+		// histogram's boundaries.
+		sorted := append([]float64(nil), samples...)
+		fsort.Float64s(sorted)
+		k, err := binCount(samples, sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildEquiDepth(samples, k)
+		return histogram.BuildEquiDepthSorted(sorted, k)
 	case MaxDiff:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildMaxDiff(samples, k)
 	case VOptimal:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildVOptimal(samples, k, 0)
 	case EndBiased:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +231,7 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 			DomainHi:     opts.DomainHi,
 		})
 	case ASH:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +241,7 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		}
 		return histogram.BuildASH(samples, k, shifts, opts.DomainLo, opts.DomainHi)
 	case FrequencyPolygon:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -301,8 +306,11 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 }
 
 // binCount resolves the histogram bin count from Options, recording the
-// derived count for the method in the telemetry registry.
-func binCount(samples []float64, opts Options, method Method) (int, error) {
+// derived count for the method in the telemetry registry. sorted, when
+// non-nil, is a sorted copy of samples the caller holds anyway: the rules
+// then read their order statistics from it instead of sorting again, with
+// bit-identical results.
+func binCount(samples, sorted []float64, opts Options, method Method) (int, error) {
 	if opts.Bins > 0 {
 		recordBins(method, opts.Bins)
 		return opts.Bins, nil
@@ -321,13 +329,24 @@ func binCount(samples []float64, opts Options, method Method) (int, error) {
 	)
 	switch rule {
 	case NormalScale:
-		width, err = bandwidth.NormalScaleBinWidth(samples)
+		if sorted != nil {
+			width, err = bandwidth.NormalScaleBinWidthWithSorted(samples, sorted)
+		} else {
+			width, err = bandwidth.NormalScaleBinWidth(samples)
+		}
 	case DPI:
 		steps := opts.DPISteps
 		if steps == 0 {
 			steps = 2
 		}
-		width, err = bandwidth.DPIBinWidth(samples, steps, opts.DomainLo, opts.DomainHi)
+		if sorted != nil {
+			var ctx *kde.FitContext
+			if ctx, err = kde.NewFitContextSorted(sorted); err == nil {
+				width, err = bandwidth.DPIBinWidthContext(ctx, steps, opts.DomainLo, opts.DomainHi)
+			}
+		} else {
+			width, err = bandwidth.DPIBinWidth(samples, steps, opts.DomainLo, opts.DomainHi)
+		}
 	case LSCV, BetaClosedForm, ExactMISE:
 		return 0, fmt.Errorf("core: %s selects kernel bandwidths, not bin counts: %w", rule, ErrBadOption)
 	default:

@@ -12,7 +12,9 @@ package kde
 //
 // What stays per-estimator: the reflection buffer and its moment index
 // (mirror membership depends on the bandwidth) and the boundary-strip log
-// prefixes (they depend on the domain). Both are O(boundary samples), not
+// prefixes (they depend on the domain and the bandwidth). Both cover only
+// the samples within reach of a boundary — h·support for the mirrors, 2h
+// for the strip prefixes — so they cost O(boundary samples), not
 // O(n log n).
 
 import (

@@ -219,7 +219,7 @@ func (e *Estimator) buildMoments(shared *momentIndex) {
 		}
 	}
 	if e.mode == BoundaryKernels {
-		e.strips = newStripLogs(e.sorted, e.lo, e.hi)
+		e.strips = newStripLogs(e.sorted, e.lo, e.hi, e.h)
 	}
 }
 

@@ -116,15 +116,20 @@ type momentIndex struct {
 }
 
 // stripLogs holds the boundary-strip log prefixes for one (domain,
-// sample-set) pair: prefix sums of ln(x − lo) and ln(hi − x), built only
-// for BoundaryKernels mode (the strip closed form needs Σ ln s over the
-// samples whose strip integral is clipped at v = s). Entries for x ≤ lo
-// (resp. x ≥ hi) are 0 — such samples never fall inside a clipped group,
-// so the substitution never reaches a range sum. The prefixes depend on
-// the estimator's domain, so they are owned by the Estimator rather than
-// the (shareable) momentIndex.
+// sample-set) pair, built only for BoundaryKernels mode: the strip closed
+// form needs Σ ln s over the samples whose strip integral is clipped at
+// v = s, and those lie within 2h of their boundary (s < 2). So lnLo
+// prefix-sums ln(x − lo) over the left reach only — the samples with
+// x ≤ lo + 2h, indices [0, len(lnLo)−1) — and lnHi prefix-sums ln(hi − x)
+// over the right reach only — the samples with x ≥ hi − 2h, indices
+// [hiStart, n) — which is the reach the edge-scan path walks. Entries for
+// x ≤ lo (resp. x ≥ hi) add 0: such samples never fall inside a clipped
+// group, so the substitution never reaches a range sum. The prefixes
+// depend on the estimator's domain and bandwidth, so they are owned by
+// the Estimator rather than the (shareable) momentIndex.
 type stripLogs struct {
 	lnLo, lnHi []dd
+	hiStart    int // sorted index of lnHi[0]
 }
 
 // newMomentIndex builds the index, or returns nil when the closed form
@@ -164,23 +169,31 @@ func newMomentIndex(xs []float64) *momentIndex {
 }
 
 // newStripLogs builds the boundary-strip log prefixes for the domain
-// [lo, hi] over the sorted samples (BoundaryKernels mode only).
-func newStripLogs(xs []float64, lo, hi float64) *stripLogs {
-	n := len(xs)
+// [lo, hi] and bandwidth h over the sorted samples (BoundaryKernels mode
+// only). It takes one logarithm per sample within reach of a boundary,
+// not two per sample: the interior between the reaches never enters a
+// strip sum.
+func newStripLogs(xs []float64, lo, hi, h float64) *stripLogs {
+	loEnd := sort.Search(len(xs), func(i int) bool { return xs[i] > lo+2*h })
+	hiStart := sort.SearchFloat64s(xs, hi-2*h)
 	s := &stripLogs{
-		lnLo: make([]dd, n+1),
-		lnHi: make([]dd, n+1),
+		lnLo:    make([]dd, loEnd+1),
+		lnHi:    make([]dd, len(xs)-hiStart+1),
+		hiStart: hiStart,
 	}
-	var sLo, sHi dd
-	for i, x := range xs {
+	var sum dd
+	for i, x := range xs[:loEnd] {
 		if x > lo {
-			sLo = sLo.add(dd{math.Log(x - lo), 0})
+			sum = sum.add(dd{math.Log(x - lo), 0})
 		}
+		s.lnLo[i+1] = sum
+	}
+	sum = dd{}
+	for i, x := range xs[hiStart:] {
 		if x < hi {
-			sHi = sHi.add(dd{math.Log(hi - x), 0})
+			sum = sum.add(dd{math.Log(hi - x), 0})
 		}
-		s.lnLo[i+1] = sLo
-		s.lnHi[i+1] = sHi
+		s.lnHi[i+1] = sum
 	}
 	return s
 }
@@ -363,7 +376,8 @@ func (e *Estimator) stripGSum(m *momentIndex, l, r int, v float64, left bool) fl
 
 // stripLogSum returns Σ (−3 ln sᵢ − 9) over index range [l, r) — the
 // lower-limit term of group B — using the estimator's log prefixes:
-// Σ ln s = Σ ln(X−lo) − k·ln h (left; mirrored on the right).
+// Σ ln s = Σ ln(X−lo) − k·ln h (left; mirrored on the right). Group B
+// has s < 2, so [l, r) lies inside the prefixes' reach.
 func (e *Estimator) stripLogSum(l, r int, left bool) float64 {
 	k := r - l
 	if k <= 0 {
@@ -373,7 +387,8 @@ func (e *Estimator) stripLogSum(l, r int, left bool) float64 {
 	if left {
 		lnSum = e.strips.lnLo[r].sub(e.strips.lnLo[l])
 	} else {
-		lnSum = e.strips.lnHi[r].sub(e.strips.lnHi[l])
+		off := e.strips.hiStart
+		lnSum = e.strips.lnHi[r-off].sub(e.strips.lnHi[l-off])
 	}
 	return -3*(lnSum.val()-float64(k)*math.Log(e.h)) - 9*float64(k)
 }

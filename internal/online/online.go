@@ -197,23 +197,74 @@ func New(build Builder, cfg Config) (*Estimator, error) {
 	}, nil
 }
 
-// Insert offers one stream record, refitting when the cadence or the
-// drift detector says so. The first refit happens once the reservoir is
-// full (or at the first cadence boundary for short streams). The insert
-// that crosses a refit boundary runs the build itself — off-lock, so
-// concurrent inserts and queries proceed underneath it — and returns any
-// build error; inserts that cross a boundary while a build is already in
-// flight coalesce into it and return nil.
+// Insert offers one stream record; it is InsertBatch of that one record.
 func (e *Estimator) Insert(v float64) error {
-	_, evicted := e.reservoir.Add(v)
-	e.inserts.Add(1)
-	since := e.sinceRefit.Add(1)
-	checks := e.sinceCheck.Add(1)
-	if telemetry.Enabled() {
-		onlineInserts.Inc()
-		if evicted {
-			onlineEvictions.Inc()
+	return e.InsertBatch([]float64{v})
+}
+
+// InsertBatch offers a batch of stream records, refitting when the
+// cadence or the drift detector says so, and reports the first refit
+// error encountered, if any. The first refit happens once the reservoir
+// is full (or at the first cadence boundary for short streams).
+//
+// The batch is admitted in runs that end exactly where a per-record check
+// could fire — at the record that fills the reservoir before the first
+// fit, at the next RefitEvery boundary, at the next DriftCheckEvery
+// boundary — and each run enters the reservoir through one
+// ShardedReservoir.AddBatch, with one update of each counter. The checks
+// run at the end of each run, so a single writer gets the same reservoir,
+// the same refits and the same fits as feeding the records one at a time.
+// The insert that crosses a refit boundary runs the build itself —
+// off-lock, so concurrent inserts and queries proceed underneath it — and
+// returns any build error; inserts that cross a boundary while a build is
+// already in flight coalesce into it and return nil.
+func (e *Estimator) InsertBatch(vs []float64) error {
+	var firstErr error
+	for len(vs) > 0 {
+		m := e.runLength(len(vs))
+		if err := e.admitRun(vs[:m]); err != nil && firstErr == nil {
+			firstErr = err
 		}
+		vs = vs[m:]
+	}
+	return firstErr
+}
+
+// runLength returns how many of the next n records can be admitted as
+// one run: up to and including the first record at which a trigger check
+// could fire, and never fewer than one.
+func (e *Estimator) runLength(n int) int {
+	if e.snap.Load() == nil {
+		// Only the fill check runs before the first fit; while the
+		// reservoir fills, every record adds exactly one resident.
+		return clampRun(n, e.cfg.ReservoirSize-e.reservoir.Len())
+	}
+	if e.cfg.RefitEvery > 0 {
+		n = clampRun(n, e.cfg.RefitEvery-int(e.sinceRefit.Load()))
+	}
+	if e.cfg.DriftAlpha > 0 {
+		n = clampRun(n, e.cfg.DriftCheckEvery-int(e.sinceCheck.Load()))
+	}
+	return n
+}
+
+// clampRun caps a run of n records at the distance to a trigger
+// boundary; a boundary already reached leaves a run of one record.
+func clampRun(n, toBoundary int) int {
+	return max(1, min(n, toBoundary))
+}
+
+// admitRun inserts one run of records and then runs the trigger checks
+// once, as of its last record.
+func (e *Estimator) admitRun(run []float64) error {
+	m := int64(len(run))
+	_, evicted := e.reservoir.AddBatch(run)
+	e.inserts.Add(m)
+	since := e.sinceRefit.Add(m)
+	checks := e.sinceCheck.Add(m)
+	if telemetry.Enabled() {
+		onlineInserts.Add(m)
+		onlineEvictions.Add(int64(evicted))
 	}
 
 	snap := e.snap.Load()
@@ -234,20 +285,6 @@ func (e *Estimator) Insert(v float64) error {
 		}
 	}
 	return nil
-}
-
-// InsertBatch offers a batch of stream records and reports the first
-// refit error encountered, if any. The per-record work is identical to
-// Insert; batching amortises the trigger checks and keeps the caller's
-// loop tight for high-throughput ingest.
-func (e *Estimator) InsertBatch(vs []float64) error {
-	var firstErr error
-	for _, v := range vs {
-		if err := e.Insert(v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // Flush forces a refit from the current reservoir (e.g. before a batch of
@@ -467,13 +504,22 @@ func (e *Estimator) LastError() error {
 	return nil
 }
 
-// ReservoirValues returns a copy of the current reservoir contents. This
-// is the serving path's cheapest data rung: when no fit has been
-// published yet (or a caller explicitly wants the raw sample), the
-// fraction of reservoir values inside a range is a consistent
-// pure-sampling estimate that needs no build at all.
+// ReservoirValues returns a copy of the current reservoir contents.
+// Callers that only need a count should use ReservoirLen or
+// ReservoirCount, which copy nothing.
 func (e *Estimator) ReservoirValues() []float64 {
 	return e.reservoir.Snapshot()
+}
+
+// ReservoirLen returns how many records the reservoir currently holds.
+func (e *Estimator) ReservoirLen() int { return e.reservoir.Len() }
+
+// ReservoirCount returns how many reservoir records lie in [lo, hi] and
+// how many the reservoir holds, counted in place. This is the serving
+// path's cheapest data rung: when no fit has been published yet, in/total
+// is a consistent pure-sampling estimate that needs no build and no copy.
+func (e *Estimator) ReservoirCount(lo, hi float64) (in, total int) {
+	return e.reservoir.Count(lo, hi)
 }
 
 // ResetReservoir drops the reservoir contents — e.g. after an upstream

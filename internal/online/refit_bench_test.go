@@ -6,7 +6,9 @@ package online
 //   - Refit measures one end-to-end builder invocation per rule on a
 //     fresh snapshot copy — exactly what the serving engine pays inside
 //     refit() after the reservoir copy. The sort dominates every rule
-//     here; the closed-form win is the gap to the dpi row.
+//     here; the closed-form win is the gap to the dpi row. The
+//     equi-depth row is the service's first fallback rung: one sort
+//     serves both its bin-width rule and its boundaries.
 //   - RefitSelector isolates the bandwidth stage on a prebuilt context:
 //     the part the closed-form engine collapses from a pilot cascade to
 //     O(1) arithmetic (≥10× at n = 10⁶; in practice ~10⁴×).
@@ -48,7 +50,8 @@ var refitSizes = []int{10_000, 100_000, 1_000_000}
 // refitBuilders are the rules a refit can run under, each as the Builder
 // the serving engine would invoke. The core-built rows go through
 // core.Build (sort + rule + estimator), the closed-form row through
-// ClosedFormBuilder (in-place sort + O(1) rule + estimator).
+// ClosedFormBuilder (in-place sort + O(1) rule + estimator). The
+// equi-depth row runs the normal-scale bin-width rule.
 func refitBuilders() []struct {
 	name string
 	mk   Builder
@@ -66,6 +69,7 @@ func refitBuilders() []struct {
 		{"exact-mise", coreBuilder(core.Options{Method: core.BetaKernel, Rule: core.ExactMISE, DomainLo: 0, DomainHi: 1e6})},
 		{"normal-scale", coreBuilder(core.Options{Method: core.Kernel, Rule: core.NormalScale, Boundary: kde.BoundaryKernels, DomainLo: 0, DomainHi: 1e6})},
 		{"dpi", coreBuilder(core.Options{Method: core.Kernel, Rule: core.DPI, Boundary: kde.BoundaryKernels, DomainLo: 0, DomainHi: 1e6})},
+		{"equi-depth", coreBuilder(core.Options{Method: core.EquiDepth, DomainLo: 0, DomainHi: 1e6})},
 	}
 }
 

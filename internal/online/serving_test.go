@@ -53,58 +53,102 @@ func TestSelectivityOKAndReady(t *testing.T) {
 // preserved RWMutex implementation through the same drifting stream
 // (same seed, one shard) and pins that every probed answer is identical
 // bit for bit — the snapshot design changes the concurrency story, not
-// one bit of the estimate.
+// one bit of the estimate. The reference always takes the stream one
+// Insert at a time; the engine takes it the same way, or as InsertBatch
+// runs of 1–700 records that cross the fill, RefitEvery and
+// DriftCheckEvery boundaries, which must not move a bit either.
 func TestSnapshotMatchesLockedBitForBit(t *testing.T) {
 	cfg := Config{
-		ReservoirSize: 200, RefitEvery: 300,
+		ReservoirSize: 200, RefitEvery: 600,
 		DriftAlpha: 0.05, DriftCheckEvery: 70, Seed: 42,
 	}
-	engine, err := New(kernelBuilder, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	locked := newLocked(kernelBuilder, cfg)
-
 	r := xrand.New(7)
+	stream := make([]float64, 6000)
+	for i := range stream {
+		// Regimes alternate every 500 records — the whole domain, its top
+		// tenth, its bottom tenth — so cadence AND drift refits both fire.
+		stream[i] = r.Float64() * 1000
+		switch (i / 500) % 3 {
+		case 1:
+			stream[i] = 900 + r.Float64()*100
+		case 2:
+			stream[i] = r.Float64() * 100
+		}
+	}
+	// Run lengths: one record at a time, or random runs of 1–700.
+	perRecord := func() int { return 1 }
+	rl := xrand.New(11)
+	randomRuns := func() int { return 1 + rl.Intn(700) }
+
 	probes := []struct{ a, b float64 }{{0, 1000}, {100, 250}, {400, 401}, {900, 1000}, {0, 0}}
-	for i := 0; i < 6000; i++ {
-		// A drifting mixture so cadence AND drift refits both fire.
-		v := r.Float64() * 1000
-		if i > 3000 {
-			v = 500 + r.NormalMeanStd(0, 1)*80
-		}
-		errA := engine.Insert(v)
-		errB := locked.Insert(v)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("insert %d: error mismatch: %v vs %v", i, errA, errB)
-		}
-		if i%37 == 0 {
-			for _, p := range probes {
-				a := engine.Selectivity(p.a, p.b)
-				b := locked.Selectivity(p.a, p.b)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("insert %d probe (%g,%g): %v != %v", i, p.a, p.b, a, b)
+	for _, mode := range []struct {
+		name string
+		run  func() int
+	}{{"Insert", perRecord}, {"InsertBatch", randomRuns}} {
+		t.Run(mode.name, func(t *testing.T) {
+			engine, err := New(kernelBuilder, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locked := newLocked(kernelBuilder, cfg)
+			check := func(at int) {
+				t.Helper()
+				for _, p := range probes {
+					a := engine.Selectivity(p.a, p.b)
+					b := locked.Selectivity(p.a, p.b)
+					if math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("after %d records, probe (%g,%g): %v != %v", at, p.a, p.b, a, b)
+					}
+				}
+				if engine.Refits() != locked.Refits() || engine.Generation() != uint64(locked.Refits()) {
+					t.Fatalf("after %d records: refits %d (generation %d) vs %d",
+						at, engine.Refits(), engine.Generation(), locked.Refits())
 				}
 			}
-		}
-	}
-	if engine.Refits() != locked.Refits() {
-		t.Fatalf("refit counts diverged: %d vs %d", engine.Refits(), locked.Refits())
-	}
-	if engine.Refits() < 5 {
-		t.Fatalf("stream exercised only %d refits", engine.Refits())
-	}
-	if err := engine.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := locked.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range probes {
-		a, b := engine.Selectivity(p.a, p.b), locked.Selectivity(p.a, p.b)
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("post-flush probe (%g,%g): %v != %v", p.a, p.b, a, b)
-		}
+			driftBefore := onlineDriftRefits.Value()
+			runs := 0
+			for i := 0; i < len(stream); {
+				m := min(mode.run(), len(stream)-i)
+				run := stream[i : i+m]
+				var errA error
+				if m == 1 {
+					errA = engine.Insert(run[0])
+				} else {
+					errA = engine.InsertBatch(run)
+				}
+				var errB error
+				for _, v := range run {
+					if err := locked.Insert(v); err != nil && errB == nil {
+						errB = err
+					}
+				}
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("records [%d, %d): error mismatch: %v vs %v", i, i+m, errA, errB)
+				}
+				i += m
+				runs++
+				if m > 1 || i%37 == 0 {
+					check(i)
+				}
+			}
+			check(len(stream))
+			if engine.Refits() < 5 {
+				t.Fatalf("stream exercised only %d refits", engine.Refits())
+			}
+			if onlineDriftRefits.Value() == driftBefore {
+				t.Fatal("stream exercised no drift refit")
+			}
+			if mode.name == "InsertBatch" && runs > len(stream)/100 {
+				t.Fatalf("%d runs over %d records: runs too short to cross boundaries", runs, len(stream))
+			}
+			if err := engine.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := locked.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check(len(stream))
+		})
 	}
 }
 

@@ -90,14 +90,6 @@ func (rv *Reservoir) AppendTo(dst []float64) []float64 {
 	return append(dst, rv.items...)
 }
 
-// Sample returns a copy of the current reservoir contents.
-//
-// Deprecated: Sample is Snapshot under its pre-serving-engine name; new
-// code should call Snapshot.
-func (rv *Reservoir) Sample() []float64 {
-	return rv.Snapshot()
-}
-
 // Clone returns a deep copy of the reservoir — contents, seen count, and
 // RNG state — so the copy evolves exactly as the original would from this
 // point, without sharing any mutable state.

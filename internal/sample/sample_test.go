@@ -106,7 +106,7 @@ func TestReservoirUniformity(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			rv.Add(float64(i))
 		}
-		for _, v := range rv.Sample() {
+		for _, v := range rv.Snapshot() {
 			counts[int(v)]++
 		}
 	}
@@ -121,10 +121,10 @@ func TestReservoirUniformity(t *testing.T) {
 func TestReservoirSampleIsCopy(t *testing.T) {
 	rv := NewReservoir(xrand.New(7), 3)
 	rv.Add(1)
-	s := rv.Sample()
+	s := rv.Snapshot()
 	s[0] = 99
-	if rv.Sample()[0] == 99 {
-		t.Fatal("Sample must return a copy")
+	if rv.Snapshot()[0] == 99 {
+		t.Fatal("Snapshot must return a copy")
 	}
 }
 

@@ -85,6 +85,39 @@ func (s *ShardedReservoir) Add(x float64) (kept, evicted bool) {
 	return kept, kept && wasFull
 }
 
+// AddBatch offers a run of stream elements and reports how many were
+// kept and how many of those evicted a resident element. It admits the
+// run with one cursor reservation, one lock per shard it touches, and
+// one update of each counter, where repeated Adds pay all three per
+// element. Element j of the run goes to the shard the cursor would have
+// dealt it to, and each shard takes its elements in stream order, so a
+// single writer's AddBatch leaves every shard — contents, seen count and
+// RNG state — exactly as the same Adds one by one would.
+func (s *ShardedReservoir) AddBatch(xs []float64) (kept, evicted int) {
+	n := uint64(len(xs))
+	if n == 0 {
+		return 0, 0
+	}
+	nShards := uint64(len(s.shards))
+	start := s.cursor.Add(n) - n
+	grew := 0
+	for k := uint64(0); k < min(n, nShards); k++ {
+		sh := &s.shards[(start+k)%nShards]
+		sh.mu.Lock()
+		before := sh.res.Len()
+		for j := k; j < n; j += nShards {
+			if sh.res.Add(xs[j]) {
+				kept++
+			}
+		}
+		grew += sh.res.Len() - before
+		sh.mu.Unlock()
+	}
+	s.seen.Add(int64(n))
+	s.held.Add(int64(grew))
+	return kept, kept - grew
+}
+
 // Snapshot returns a copy of the merged reservoir contents, shard by
 // shard. Each shard is locked only for its own copy, so a snapshot stalls
 // any one writer for at most one shard's memcpy — this is the only point
@@ -98,6 +131,24 @@ func (s *ShardedReservoir) Snapshot() []float64 {
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// Count returns how many resident elements lie in [lo, hi] and how many
+// are resident in all, scanning each shard in place under its lock: the
+// pure-sampling estimate in/total without Snapshot's copy.
+func (s *ShardedReservoir) Count(lo, hi float64) (in, total int) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, v := range sh.res.items {
+			if v >= lo && v <= hi {
+				in++
+			}
+		}
+		total += len(sh.res.items)
+		sh.mu.Unlock()
+	}
+	return in, total
 }
 
 // Len returns how many elements are currently resident across all shards.

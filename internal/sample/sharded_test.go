@@ -179,3 +179,134 @@ func TestShardedConcurrentAdds(t *testing.T) {
 		t.Fatal("reset did not drain the sharded reservoir")
 	}
 }
+
+// TestAddBatchMatchesAdd pins run-batched admission against the
+// per-element path: the same seeded stream fed as random-length AddBatch
+// runs and as one Add per element leaves identical contents, counts and
+// RNG state, and the kept/evicted tallies agree.
+func TestAddBatchMatchesAdd(t *testing.T) {
+	const capacity, n = 97, 6000
+	for _, shards := range []int{1, 3} {
+		r := xrand.New(21)
+		stream := make([]float64, n)
+		for i := range stream {
+			stream[i] = r.Float64()
+		}
+		one := NewSharded(17, capacity, shards)
+		batched := NewSharded(17, capacity, shards)
+		var keptOne, evictedOne, keptBatch, evictedBatch int
+		for _, v := range stream {
+			kept, evicted := one.Add(v)
+			if kept {
+				keptOne++
+			}
+			if evicted {
+				evictedOne++
+			}
+		}
+		runs := xrand.New(5)
+		for i := 0; i < n; {
+			m := min(1+runs.Intn(300), n-i)
+			kept, evicted := batched.AddBatch(stream[i : i+m])
+			keptBatch += kept
+			evictedBatch += evicted
+			i += m
+		}
+		if keptOne != keptBatch || evictedOne != evictedBatch {
+			t.Fatalf("shards %d: kept/evicted %d/%d by Add, %d/%d by AddBatch",
+				shards, keptOne, evictedOne, keptBatch, evictedBatch)
+		}
+		// Identical RNG state shows in what the next elements displace.
+		for i := 0; i < 500; i++ {
+			one.Add(float64(-i))
+			batched.AddBatch([]float64{float64(-i)})
+		}
+		if one.Seen() != batched.Seen() || one.Len() != batched.Len() {
+			t.Fatalf("shards %d: seen %d/%d len %d/%d", shards, one.Seen(), batched.Seen(), one.Len(), batched.Len())
+		}
+		a, b := one.Snapshot(), batched.Snapshot()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("shards %d: contents diverge at %d: %v vs %v", shards, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// TestAddBatchConcurrentSnapshot runs AddBatch writers against Snapshot
+// and Count readers under the race detector: readers never see more than
+// capacity, and the counters add up once the writers finish.
+func TestAddBatchConcurrentSnapshot(t *testing.T) {
+	const writers, perWriter, capacity = 4, 20000, 512
+	s := NewSharded(5, capacity, 3)
+	var writing, reading sync.WaitGroup
+	var keptTotal, evictedTotal [writers]int
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			r := xrand.New(uint64(w))
+			buf := make([]float64, 0, 700)
+			for i := 0; i < perWriter; {
+				m := min(1+r.Intn(700), perWriter-i)
+				buf = buf[:0]
+				for j := 0; j < m; j++ {
+					buf = append(buf, r.Float64())
+				}
+				kept, evicted := s.AddBatch(buf)
+				keptTotal[w] += kept
+				evictedTotal[w] += evicted
+				i += m
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := len(s.Snapshot()); got > capacity {
+					t.Errorf("snapshot of %d elements exceeds capacity %d", got, capacity)
+					return
+				}
+				if in, total := s.Count(0.25, 0.75); in > total || total > capacity {
+					t.Errorf("Count = (%d, %d) with capacity %d", in, total, capacity)
+					return
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	if s.Seen() != writers*perWriter {
+		t.Fatalf("Seen = %d, want %d", s.Seen(), writers*perWriter)
+	}
+	if s.Len() != capacity || len(s.Snapshot()) != capacity {
+		t.Fatalf("Len = %d, snapshot %d, want full at %d", s.Len(), len(s.Snapshot()), capacity)
+	}
+	kept, evicted := 0, 0
+	for w := range keptTotal {
+		kept += keptTotal[w]
+		evicted += evictedTotal[w]
+	}
+	if kept-evicted != capacity {
+		t.Fatalf("kept %d − evicted %d = %d residents, want %d", kept, evicted, kept-evicted, capacity)
+	}
+	in, total := s.Count(0.25, 0.75)
+	want := 0
+	for _, v := range s.Snapshot() {
+		if v >= 0.25 && v <= 0.75 {
+			want++
+		}
+	}
+	if in != want || total != capacity {
+		t.Fatalf("Count = (%d, %d), snapshot count (%d, %d)", in, total, want, capacity)
+	}
+}

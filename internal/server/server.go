@@ -452,8 +452,8 @@ func (s *Server) Estimate(ctx context.Context, tenantName, attrName string, lo, 
 func (s *Server) answer(a *attribute, lo, hi float64, r, requested rung) EstimateResult {
 	sel, ok := a.est.SelectivityOK(lo, hi)
 	if !ok {
-		if vals := a.est.ReservoirValues(); len(vals) > 0 {
-			sel = reservoirFraction(vals, lo, hi)
+		if in, total := a.est.ReservoirCount(lo, hi); total > 0 {
+			sel = float64(in) / float64(total)
 			r = rungReservoir
 		} else {
 			sel = uniformFraction(a.cfg.DomainLo, a.cfg.DomainHi, lo, hi)
@@ -498,18 +498,6 @@ func (s *Server) EstimateBatch(ctx context.Context, tenantName, attrName string,
 		out[i] = res
 	}
 	return out, nil
-}
-
-// reservoirFraction is the pure-sampling rung: the fraction of reservoir
-// values inside [lo, hi].
-func reservoirFraction(vals []float64, lo, hi float64) float64 {
-	n := 0
-	for _, v := range vals {
-		if v >= lo && v <= hi {
-			n++
-		}
-	}
-	return float64(n) / float64(len(vals))
 }
 
 // uniformFraction is the bottom rung: the covered fraction of the domain
@@ -644,7 +632,7 @@ func (s *Server) Close(ctx context.Context, snapshotPath string) error {
 		firstErr = fmt.Errorf("server: shutdown drain abandoned: %w", ctx.Err())
 	}
 	for _, a := range attrs {
-		if len(a.est.ReservoirValues()) == 0 {
+		if a.est.ReservoirLen() == 0 {
 			continue
 		}
 		if err := a.est.FlushContext(ctx); err != nil && firstErr == nil && ctx.Err() != nil {

@@ -130,6 +130,42 @@ func TestWireFastPathEstimateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWireFastPathReservoirRungZeroAllocs pins the reservoir rung — an
+// attribute with ingested values but no fit yet — at 0 allocs/op on the
+// inline path: the pure-sampling fraction is counted in place under the
+// shard locks, never from a copy of the reservoir.
+func TestWireFastPathReservoirRungZeroAllocs(t *testing.T) {
+	s := New(Config{})
+	cfg := testAttrCfg()
+	cfg.ReservoirSize, cfg.Shards = 4096, 3
+	if err := s.CreateAttr("acme", "price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest("acme", "price", seq(1000)); err != nil {
+		t.Fatal(err)
+	}
+	waitInserted(t, s, "acme", "price", 1000)
+	fp, mc, _ := newMemFastPath(s)
+	payload := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0.25, Hi: 0.75}.Append(nil)
+
+	if !fp.serve(wire.OpEstimate, 1, payload, true) {
+		t.Fatal("estimate not served inline")
+	}
+	res, err := wire.DecodeEstimateRes(readResponse(t, mc).Payload)
+	if err != nil || res.Rung != "reservoir" || res.Selectivity != 0.5 {
+		t.Fatalf("unfitted attribute answered %+v, %v (want reservoir rung, 500 of 1000)", res, err)
+	}
+
+	if a := testing.AllocsPerRun(200, func() {
+		mc.buf.Reset()
+		if !fp.serve(wire.OpEstimate, 2, payload, true) {
+			t.Fatal("estimate fell off the fast path")
+		}
+	}); a != 0 {
+		t.Fatalf("inline reservoir-rung estimate allocates %v/op, want 0", a)
+	}
+}
+
 func TestWireFastPathPingAndBatchZeroAllocs(t *testing.T) {
 	s := primedServer(t)
 	fp, mc, _ := newMemFastPath(s)

@@ -2,7 +2,8 @@ package stats
 
 import (
 	"math"
-	"sort"
+
+	"selest/internal/fsort"
 )
 
 // KolmogorovSmirnov returns the two-sample Kolmogorov–Smirnov statistic
@@ -18,8 +19,8 @@ func KolmogorovSmirnov(xs, ys []float64) float64 {
 	}
 	a := append([]float64(nil), xs...)
 	b := append([]float64(nil), ys...)
-	sort.Float64s(a)
-	sort.Float64s(b)
+	fsort.Float64s(a)
+	fsort.Float64s(b)
 
 	var d float64
 	i, j := 0, 0

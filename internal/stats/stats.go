@@ -7,6 +7,8 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"selest/internal/fsort"
 )
 
 // iqrToSigma converts an interquartile range to a normal-equivalent
@@ -82,7 +84,7 @@ func Quantile(xs []float64, p float64) float64 {
 		return math.NaN()
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	fsort.Float64s(sorted)
 	return QuantileSorted(sorted, p)
 }
 
@@ -113,7 +115,13 @@ func IQR(xs []float64) float64 {
 		return math.NaN()
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	fsort.Float64s(sorted)
+	return iqrSorted(sorted)
+}
+
+// iqrSorted is IQR for already-sorted input, avoiding the copy (NaN for
+// empty input, through QuantileSorted).
+func iqrSorted(sorted []float64) float64 {
 	return QuantileSorted(sorted, 0.75) - QuantileSorted(sorted, 0.25)
 }
 
@@ -129,14 +137,21 @@ func Scale(xs []float64) float64 {
 	return combineScale(StdDev(xs), IQR(xs)/iqrToSigma)
 }
 
+// ScaleWithSorted is Scale for callers that also hold sorted, a sorted
+// copy of xs: the quartiles come from sorted instead of a fresh sorting
+// copy, while the standard deviation is still accumulated over xs in its
+// own order — so the result is bit-identical to Scale(xs).
+func ScaleWithSorted(xs, sorted []float64) float64 {
+	return combineScale(StdDev(xs), iqrSorted(sorted)/iqrToSigma)
+}
+
 // ScaleSorted is Scale for already-sorted input: the quartiles come
 // straight from the order statistics with no sorting copy. The standard
 // deviation is accumulated in sorted order, so the result can differ from
 // Scale on the same (unsorted) sample by a few ulps of summation
 // rounding — the fit-path engine's callers tolerate 1e-12.
 func ScaleSorted(sorted []float64) float64 {
-	iqr := QuantileSorted(sorted, 0.75) - QuantileSorted(sorted, 0.25)
-	return combineScale(StdDev(sorted), iqr/iqrToSigma)
+	return ScaleWithSorted(sorted, sorted)
 }
 
 // combineScale applies the paper's min(sd, IQR/1.348) rule with the
@@ -164,7 +179,7 @@ type ECDF struct {
 // NewECDF builds an ECDF from xs (copied and sorted).
 func NewECDF(xs []float64) *ECDF {
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	fsort.Float64s(sorted)
 	return &ECDF{sorted: sorted}
 }
 
@@ -200,7 +215,7 @@ func Summarize(xs []float64) Summary {
 		return Summary{N: 0, Mean: math.NaN(), Std: math.NaN(), Min: math.NaN(), Max: math.NaN(), Q25: math.NaN(), Q50: math.NaN(), Q75: math.NaN(), IQR: math.NaN()}
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	fsort.Float64s(sorted)
 	distinct := 1
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] != sorted[i-1] {
@@ -219,7 +234,7 @@ func Summarize(xs []float64) Summary {
 		Q50:            QuantileSorted(sorted, 0.5),
 		Q75:            q75,
 		IQR:            q75 - q25,
-		ScaleEst:       Scale(xs),
+		ScaleEst:       ScaleWithSorted(xs, sorted),
 		DistinctValues: distinct,
 	}
 }

@@ -202,3 +202,48 @@ func TestQuickECDFMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRadixSortedStatsBitIdentical pins the statistics that now sort
+// with internal/fsort against the comparison sort they used before: the
+// order is the same (NaNs first), so quartiles, the scale estimate and
+// the KS statistic agree bit for bit — including ScaleWithSorted, which
+// takes its quartiles from a caller's sorted copy instead of sorting.
+func TestRadixSortedStatsBitIdentical(t *testing.T) {
+	r := xrand.New(17)
+	for _, n := range []int{10, 300, 5000} {
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Floor(r.Exponential(0.01))
+			ys[i] = r.Normal()*40 + 100
+		}
+		ref := append([]float64(nil), xs...)
+		sort.Float64s(ref)
+		same := func(what string, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d %s = %v, comparison-sort reference %v", n, what, got, want)
+			}
+		}
+		same("Quantile", Quantile(xs, 0.37), QuantileSorted(ref, 0.37))
+		iqr := QuantileSorted(ref, 0.75) - QuantileSorted(ref, 0.25)
+		same("IQR", IQR(xs), iqr)
+		same("iqrSorted", iqrSorted(ref), iqr)
+		scale := combineScale(StdDev(xs), iqr/iqrToSigma)
+		same("Scale", Scale(xs), scale)
+		same("ScaleWithSorted", ScaleWithSorted(xs, ref), scale)
+		same("Summarize.ScaleEst", Summarize(xs).ScaleEst, scale)
+
+		// KolmogorovSmirnov against a direct sup-gap walk over
+		// comparison-sorted copies.
+		refY := append([]float64(nil), ys...)
+		sort.Float64s(refY)
+		var d float64
+		for _, v := range append(append([]float64(nil), ref...), refY...) {
+			fx := float64(sort.Search(len(ref), func(i int) bool { return ref[i] > v })) / float64(n)
+			fy := float64(sort.Search(len(refY), func(i int) bool { return refY[i] > v })) / float64(n)
+			d = math.Max(d, math.Abs(fx-fy))
+		}
+		same("KolmogorovSmirnov", KolmogorovSmirnov(xs, ys), d)
+	}
+}

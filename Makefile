@@ -26,11 +26,13 @@ race-online:
 
 # The serving-engine suite under the race detector: snapshot/locked
 # bit-equivalence (per record and run-batched), torn-pair detection,
-# single-flight coalescing, the degradation soak, sharded-reservoir
-# concurrency (per-element and run-batched admission), and catalog
-# snapshot churn.
+# single-flight coalescing, the degradation soak, cadence counting of
+# inserts that land during a build, sharded-reservoir concurrency
+# (per-element and run-batched admission), sorted views (merge and full
+# paths against a sorted snapshot, and under concurrent AddBatch), and
+# catalog snapshot churn.
 race-serve:
-	$(GO) test -race -run 'Snapshot|Torn|Coalesce|Soak|Sharded|Churn|SelectivityOK|InsertBatch|AddBatch' \
+	$(GO) test -race -run 'Snapshot|Torn|Coalesce|Soak|Sharded|Churn|SelectivityOK|InsertBatch|AddBatch|Sorted|DuringBuild' \
 		./internal/online/ ./internal/sample/ ./internal/catalog/
 
 # The service chaos suite under the race detector: refit-panic soak with
@@ -170,7 +172,8 @@ benchstat-hotpath:
 	fi
 
 # The closed-form refit ladder: end-to-end online refit per bandwidth
-# rule at n = 1e4/1e5/1e6, the selector stage alone on a prebuilt
+# rule at n = 1e4/1e5/1e6, the steady-state refit that merges a 4% delta
+# into a 2^18-value sorted sample, the selector stage alone on a prebuilt
 # context, the copy+sort+index floor, and the 0-alloc query pin. Writes
 # the raw output to BENCH_refit.txt (the committed benchstat baseline)
 # and the parsed records to BENCH_refit.json — the committed evidence

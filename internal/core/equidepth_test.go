@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"selest/internal/bandwidth"
 	"selest/internal/dataset"
+	"selest/internal/fsort"
 	"selest/internal/histogram"
+	"selest/internal/sample"
 	"selest/internal/xrand"
 )
 
@@ -89,22 +93,71 @@ func TestEquiDepthBuildMatchesTwoSortPath(t *testing.T) {
 					t.Fatalf("%s/%s: core.Build reordered the caller's sample at %d", c.name, rule, i)
 				}
 			}
-			got := est.(*histogram.Histogram)
-			wb, gb := want.Bounds(), got.Bounds()
-			if len(wb) != len(gb) {
-				t.Fatalf("%s/%s: %d bounds, two-sort path %d", c.name, rule, len(gb), len(wb))
+			checkSameHistogram(t, fmt.Sprintf("%s/%s: two-sort path", c.name, rule), est.(*histogram.Histogram), want)
+		}
+	}
+}
+
+// checkSameHistogram pins got to want: the same bounds bit for bit and
+// the same bin counts.
+func checkSameHistogram(t *testing.T, label string, got, want *histogram.Histogram) {
+	t.Helper()
+	wb, gb := want.Bounds(), got.Bounds()
+	if len(wb) != len(gb) {
+		t.Fatalf("%s: %d bounds, want %d", label, len(gb), len(wb))
+	}
+	for i := range wb {
+		if math.Float64bits(wb[i]) != math.Float64bits(gb[i]) {
+			t.Fatalf("%s: bound %d = %v, want %v", label, i, gb[i], wb[i])
+		}
+	}
+	wc, gc := want.Counts(), got.Counts()
+	for i := range wc {
+		if wc[i] != gc[i] {
+			t.Fatalf("%s: bin %d count %d, want %d", label, i, gc[i], wc[i])
+		}
+	}
+}
+
+// TestEquiDepthBuildSortedInput pins the equi-depth fit of a sample in
+// sorted order, as an online refit hands it over, to the fit of the same
+// sample in reservoir order. The normal-scale bin width then sums the
+// standard deviation in sorted order, which may move its last bits, but
+// the bin count, bounds and counts must not move. Besides the corpus
+// above it covers the eight attribute streams of the repository
+// benchmark's ingest-refit workload (perfbench/workload.go), each as the
+// set-up ingest leaves its 2^18-value reservoir (the stream's first
+// 2^18 values) and after the rest of the stream has passed through it.
+func TestEquiDepthBuildSortedInput(t *testing.T) {
+	const reservoir = 1 << 18
+	corpus := equiDepthCorpus()
+	gens := []func(p, n int, seed uint64) *dataset.File{dataset.NormalFile, dataset.ExponentialFile, dataset.UniformFile}
+	for k := 0; k < 8; k++ {
+		f := gens[k%len(gens)](20-5*(k/4), 2*reservoir, uint64(k)*7919+1)
+		lo, hi := f.Domain()
+		rv := sample.NewSharded(uint64(k)+1, reservoir, 1)
+		rv.AddBatch(f.Records)
+		corpus = append(corpus,
+			histCase{fmt.Sprintf("ingest-refit/a%d/set-up", k), f.Records[:reservoir], lo, hi},
+			histCase{fmt.Sprintf("ingest-refit/a%d/passed", k), rv.Snapshot(), lo, hi})
+	}
+	for _, c := range corpus {
+		sorted := append([]float64(nil), c.samples...)
+		fsort.Float64s(sorted)
+		for _, rule := range []BandwidthRule{NormalScale, DPI} {
+			if strings.HasPrefix(c.name, "ingest-refit/") && rule != NormalScale {
+				continue // the workload's equi-depth attributes run the default rule
 			}
-			for i := range wb {
-				if math.Float64bits(wb[i]) != math.Float64bits(gb[i]) {
-					t.Fatalf("%s/%s: bound %d = %v, two-sort path %v", c.name, rule, i, gb[i], wb[i])
-				}
+			opts := Options{Method: EquiDepth, Rule: rule, DomainLo: c.lo, DomainHi: c.hi}
+			want, err := Build(c.samples, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: reservoir order: %v", c.name, rule, err)
 			}
-			wc, gc := want.Counts(), got.Counts()
-			for i := range wc {
-				if wc[i] != gc[i] {
-					t.Fatalf("%s/%s: bin %d count %d, two-sort path %d", c.name, rule, i, gc[i], wc[i])
-				}
+			got, err := Build(sorted, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: sorted: %v", c.name, rule, err)
 			}
+			checkSameHistogram(t, fmt.Sprintf("%s/%s: sorted input", c.name, rule), got.(*histogram.Histogram), want.(*histogram.Histogram))
 		}
 	}
 }

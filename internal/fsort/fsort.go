@@ -8,13 +8,17 @@
 // across the slice — common for data of limited range — are skipped),
 // which is several times faster at the sample sizes the experiments run.
 //
-// Ordering is identical to sort.Float64s for every slice free of NaNs:
-// the key transform (flip the sign bit of non-negatives, flip every bit
-// of negatives) makes unsigned byte order agree with float order,
-// including -Inf, +Inf and signed zeros (-0 and +0 compare equal, so
-// either placement is a valid sort). Slices containing NaNs fall back to
-// sort.Float64s to preserve its NaNs-first convention, as do short
-// slices where the counting passes cannot pay for themselves.
+// For every slice free of NaNs the result is the radix-key order: the
+// key transform (flip the sign bit of non-negatives, flip every bit of
+// negatives) makes unsigned key order agree with float order, including
+// -Inf and +Inf, and it places -0 before +0. That is a valid ascending
+// sort (-0 and +0 compare equal) and it is unique, so callers that merge
+// sorted runs by key get bit for bit what a fresh sort would give.
+// Slices already in that order come back after one linear check. Short
+// slices, where the counting passes cannot pay for themselves, are
+// comparison-sorted and then put their zeros in key order. Slices
+// containing NaNs fall back to sort.Float64s to preserve its NaNs-first
+// convention.
 package fsort
 
 import (
@@ -30,17 +34,52 @@ const radixMin = 256
 // Float64s sorts xs in ascending order. It is a drop-in replacement for
 // sort.Float64s (same ordering, NaNs first), faster for large slices.
 func Float64s(xs []float64) {
-	if len(xs) < radixMin {
-		sort.Float64s(xs)
-		return
-	}
+	inOrder := true
+	var prev uint64
 	for _, x := range xs {
 		if math.IsNaN(x) {
 			sort.Float64s(xs)
 			return
 		}
+		k := Key(x)
+		inOrder = inOrder && k >= prev
+		prev = k
 	}
-	radixSortFloat64s(xs)
+	switch {
+	case inOrder:
+	case len(xs) < radixMin:
+		sort.Float64s(xs)
+		zerosInKeyOrder(xs)
+	default:
+		radixSortFloat64s(xs)
+	}
+}
+
+// Key is the order-preserving transform of a float64 to the unsigned
+// key the radix passes sort by: non-negatives flip the sign bit,
+// negatives flip every bit. It is a bijection, so two values share a key
+// exactly when they share a bit pattern.
+func Key(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// zerosInKeyOrder rewrites the zero run of a sorted NaN-free slice so its
+// -0s precede its +0s, as the radix keys order them.
+func zerosInKeyOrder(xs []float64) {
+	lo := sort.SearchFloat64s(xs, 0)
+	neg, hi := 0, lo
+	for ; hi < len(xs) && xs[hi] == 0; hi++ {
+		if math.Signbit(xs[hi]) {
+			neg++
+		}
+	}
+	for i := lo; i < hi; i++ {
+		xs[i] = 0
+	}
+	for i := lo; i < lo+neg; i++ {
+		xs[i] = math.Copysign(0, -1)
+	}
 }
 
 // radixSortFloat64s sorts a NaN-free slice by LSD radix passes over the
@@ -49,9 +88,7 @@ func radixSortFloat64s(xs []float64) {
 	n := len(xs)
 	keys := make([]uint64, n)
 	for i, x := range xs {
-		b := math.Float64bits(x)
-		// Non-negative: flip the sign bit. Negative: flip all bits.
-		keys[i] = b ^ (uint64(int64(b)>>63) | 1<<63)
+		keys[i] = Key(x)
 	}
 
 	// All eight byte histograms in one pass over the keys.

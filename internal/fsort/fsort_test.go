@@ -140,3 +140,105 @@ func BenchmarkFitSortStdlib(b *testing.B) {
 		sort.Float64s(scratch)
 	}
 }
+
+// radixOrder returns xs in radix-key order by the radix path itself, the
+// reference for the bit-exact order Float64s promises on NaN-free input.
+func radixOrder(xs []float64) []float64 {
+	out := append([]float64(nil), xs...)
+	if len(out) > 0 {
+		radixSortFloat64s(out)
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFloat64sKeyOrder pins the order Float64s returns on NaN-free input
+// to the radix path's bit for bit, at every length: −0 before +0 on the
+// comparison-sort path for short slices too, and an input that is sorted
+// as floats but puts +0 before −0 is not mistaken for already sorted.
+func TestFloat64sKeyOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	long := make([]float64, 0, 2*radixMin)
+	for i := 0; i < radixMin; i++ {
+		long = append(long, float64(i-radixMin))
+	}
+	long = append(long, 0, negZero, 0, negZero)
+	for i := 0; i < radixMin; i++ {
+		long = append(long, float64(i+1))
+	}
+	r := xrand.New(9)
+	mixed := make([]float64, 300)
+	for i := range mixed {
+		mixed[i] = float64(r.Intn(7) - 3)
+		if mixed[i] == 0 && r.Intn(2) == 0 {
+			mixed[i] = negZero
+		}
+	}
+	for name, xs := range map[string][]float64{
+		"pair":              {0, negZero},
+		"short-zeros":       {3, 0, -1, negZero, 0, negZero, 2},
+		"float-sorted-long": long,
+		"mixed-zeros":       mixed,
+		"short-mixed-zeros": mixed[:40],
+	} {
+		got := append([]float64(nil), xs...)
+		Float64s(got)
+		if want := radixOrder(xs); !sameBits(got, want) {
+			t.Fatalf("%s: got %v, want the radix order %v", name, got, want)
+		}
+	}
+}
+
+// TestFloat64sSortedInputUntouched pins the sorted-input fast path: a
+// slice already in key order is left as it is, with one scan and no
+// allocation — what a refit's sorted sample costs core.Build's sort.
+func TestFloat64sSortedInputUntouched(t *testing.T) {
+	r := xrand.New(4)
+	for _, n := range []int{10, 1 << 12} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Round((r.Float64() - 0.5) * 100)
+		}
+		xs = append(xs, math.Inf(-1), math.Copysign(0, -1), math.Inf(1))
+		Float64s(xs)
+		want := append([]float64(nil), xs...)
+		if allocs := testing.AllocsPerRun(10, func() { Float64s(xs) }); allocs != 0 {
+			t.Fatalf("n=%d: sorted input cost %v allocs, want 0", n, allocs)
+		}
+		if !sameBits(xs, want) {
+			t.Fatalf("n=%d: sorted input was reordered", n)
+		}
+	}
+}
+
+// TestFloat64sNaNMatchesSort pins the NaN fallback on inputs whose keys
+// are otherwise in order: a +NaN keys above +Inf and a −NaN below −Inf,
+// yet sort.Float64s puts every NaN first, so the key-order check must
+// not accept them.
+func TestFloat64sNaNMatchesSort(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	for _, n := range []int{8, 1000} {
+		xs := []float64{negNaN}
+		for i := 0; i < n; i++ {
+			xs = append(xs, float64(i))
+		}
+		xs = append(xs, math.Inf(1), math.NaN())
+		checkMatchesSort(t, xs)
+		got := append([]float64(nil), xs...)
+		Float64s(got)
+		if !math.IsNaN(got[0]) || !math.IsNaN(got[1]) || got[2] != 0 {
+			t.Fatalf("n=%d: NaNs not first: %v", n, got[:3])
+		}
+	}
+}

@@ -1,17 +1,14 @@
 package online
 
-// The closed-form refit path: a Builder whose whole fit is one radix
-// sort plus O(1) arithmetic. The serving engine hands each builder a
-// private copy of the reservoir (Snapshot allocates), so the builder may
-// sort it in place — the engine keeps the slice afterwards only as the
-// drift baseline, and the Kolmogorov–Smirnov check is order-invariant.
-// With the search stage gone, refit wall time is the sort plus the
-// moment-index build; the refit bench pins the ratio against the DPI
-// builder.
+// The closed-form refit path: a Builder whose whole fit is the
+// moment-index build over the sorted sample plus O(1) arithmetic. The
+// serving engine hands each builder the reservoir's sorted view, which
+// is immutable, so the fit context aliases it without a copy. With the
+// search stage gone, refit wall time is producing the sorted view plus
+// the index; the refit bench pins the ratio against the DPI builder.
 
 import (
 	"selest/internal/bandwidth"
-	"selest/internal/fsort"
 	"selest/internal/kde"
 )
 
@@ -21,7 +18,6 @@ import (
 // stream, where a fixed domain would eventually reject the reservoir.
 func ClosedFormBuilder(lo, hi float64) Builder {
 	return func(samples []float64) (Fitted, error) {
-		fsort.Float64s(samples)
 		ctx, err := kde.NewFitContextSorted(samples)
 		if err != nil {
 			return nil, err

@@ -5,21 +5,30 @@ import (
 	"sync"
 	"testing"
 
+	"selest/internal/fsort"
 	"selest/internal/kde"
 	"selest/internal/xrand"
 )
 
 // TestClosedFormBuilderFits pins the builder's contract: a fit over the
-// snapshot it owns, correct selectivities, and hull-domain defaulting.
+// sorted sample it is handed, which it leaves as it was, correct
+// selectivities, and hull-domain defaulting.
 func TestClosedFormBuilderFits(t *testing.T) {
 	r := xrand.New(17)
 	xs := make([]float64, 4000)
 	for i := range xs {
 		xs[i] = r.Float64() * 1000
 	}
-	fit, err := ClosedFormBuilder(0, 0)(append([]float64(nil), xs...))
+	fsort.Float64s(xs)
+	orig := append([]float64(nil), xs...)
+	fit, err := ClosedFormBuilder(0, 0)(xs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("builder modified its sample at %d", i)
+		}
 	}
 	if _, ok := fit.(*kde.BetaEstimator); !ok {
 		t.Fatalf("builder fitted %T, want *kde.BetaEstimator", fit)
@@ -29,7 +38,7 @@ func TestClosedFormBuilderFits(t *testing.T) {
 	}
 	// A fixed domain is honoured too: the upper half holds no data, so
 	// only the one-bandwidth kernel spill past the hull lands there.
-	fit, err = ClosedFormBuilder(0, 2000)(append([]float64(nil), xs...))
+	fit, err = ClosedFormBuilder(0, 2000)(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +54,7 @@ func TestClosedFormBuilderFits(t *testing.T) {
 // function of the reservoir multiset: with the stream length equal to
 // the reservoir capacity no shard ever evicts, so every shard count and
 // any concurrent insert interleaving retains the same records — and the
-// builder (which sorts before fitting) must answer bit-identically.
+// builder (handed the sorted view) must answer bit-identically.
 // Run under -race this also exercises the ingest/refit paths for data
 // races (the race-refit make target).
 func TestClosedFormShardDeterminism(t *testing.T) {

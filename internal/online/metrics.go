@@ -21,10 +21,10 @@ var (
 	onlineRefitNanos   = telemetry.Default.Histogram("selest_online_refit_nanos")
 )
 
-// Serving-engine telemetry. A refit "stall" is the reservoir-copy
-// critical section — the only interval where a refit holds any lock an
-// inserter can contend on; queries never stall at all, which is the
-// point. Swaps count published snapshots, coalesced counts insert-path
+// Serving-engine telemetry. A refit "stall" is the time the refit spends
+// reading the reservoir's shards (their replacement logs, or a full
+// copy) — the only interval where a refit holds any lock an inserter can
+// contend on; queries never stall at all, which is the point. Swaps count published snapshots, coalesced counts insert-path
 // triggers absorbed by an in-flight build, and the rung gauge mirrors
 // DegradationLevel so dashboards see ladder position without polling.
 var (
@@ -38,4 +38,16 @@ var (
 	// signal.
 	onlinePromotions     = telemetry.Default.Counter("selest_online_promotions_total")
 	onlineFlushAbandoned = telemetry.Default.Counter("selest_online_flush_abandoned_total")
+)
+
+// Refit-sort telemetry: how each refit got its sorted sample. The merge
+// path folds the records the reservoir replaced since the last refit
+// into the previous sorted sample; the full path copies and sorts the
+// whole reservoir (the first refit, a reset, or more churn than merging
+// pays for). The histogram counts the admitted and evicted values each
+// merge folded in.
+var (
+	onlineRefitSortsMerge   = telemetry.Default.Counter(telemetry.Label("selest_online_refit_sorts_total", "path", "merge"))
+	onlineRefitSortsFull    = telemetry.Default.Counter(telemetry.Label("selest_online_refit_sorts_total", "path", "full"))
+	onlineRefitMergedValues = telemetry.Default.Histogram("selest_online_refit_merged_values")
 )

@@ -12,9 +12,10 @@ import (
 
 // TestServingMetricsStructural drives the serving engine through refits
 // and a degradation, then checks the serving-engine series — the stall
-// histogram, the swap and coalesced counters, and the builder-rung
-// gauge — through the same snapshot/exposition surface the /metrics
-// endpoint serves. Values are compared as deltas: the registry is the
+// histogram, the swap and coalesced counters, the builder-rung gauge,
+// and the refit-sort path counters with the merged-values histogram —
+// through the same snapshot/exposition surface the /metrics endpoint
+// serves. Values are compared as deltas: the registry is the
 // process-global Default shared with every other test in the binary.
 func TestServingMetricsStructural(t *testing.T) {
 	before := telemetry.Default.Snapshot()
@@ -47,6 +48,11 @@ func TestServingMetricsStructural(t *testing.T) {
 	if e.DegradationLevel() != 1 {
 		t.Fatalf("ladder never degraded (level %d); the rung gauge has nothing to show", e.DegradationLevel())
 	}
+	// Nothing landed since the last refit, so this one merges an empty
+	// delta into the previous sorted sample.
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	after := telemetry.Default.Snapshot()
 
@@ -68,6 +74,17 @@ func TestServingMetricsStructural(t *testing.T) {
 	if rung := after.Gauges["selest_online_builder_rung"]; rung != 1 {
 		t.Fatalf("builder rung gauge = %v, want 1 after degradation", rung)
 	}
+	mergeName := telemetry.Label("selest_online_refit_sorts_total", "path", "merge")
+	fullName := telemetry.Label("selest_online_refit_sorts_total", "path", "full")
+	merges := after.Counters[mergeName] - before.Counters[mergeName]
+	fulls := after.Counters[fullName] - before.Counters[fullName]
+	if merges == 0 || fulls == 0 {
+		t.Fatalf("refit sorts moved merge %d, full %d; both paths must show", merges, fulls)
+	}
+	merged := after.Histograms["selest_online_refit_merged_values"]
+	if delta := merged.Count - before.Histograms["selest_online_refit_merged_values"].Count; delta != merges {
+		t.Fatalf("merged-values histogram moved %d, want one per merge (%d)", delta, merges)
+	}
 
 	// The exposition surface must render every serving series with its
 	// type line, exactly as a scraper would see them.
@@ -83,6 +100,11 @@ func TestServingMetricsStructural(t *testing.T) {
 		"# TYPE selest_online_refit_coalesced_total counter",
 		"# TYPE selest_online_builder_rung gauge",
 		"selest_online_builder_rung 1",
+		"# TYPE selest_online_refit_sorts_total counter",
+		`selest_online_refit_sorts_total{path="merge"}`,
+		`selest_online_refit_sorts_total{path="full"}`,
+		"# TYPE selest_online_refit_merged_values histogram",
+		"selest_online_refit_merged_values_count",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q", want)

@@ -16,8 +16,10 @@
 // published through an atomic.Pointer. A query is one atomic load plus
 // the fit's own Selectivity — no locks, no allocations, and no way to
 // observe a fit paired with another fit's sample. Refits build the
-// replacement estimator entirely off-lock from a copy of the reservoir
-// and publish it with a single pointer swap; Go's garbage collector
+// replacement estimator entirely off-lock from a sorted view of the
+// reservoir (the reservoir merges the records it replaced since the last
+// view into that view rather than sorting every record again) and
+// publish it with a single pointer swap; Go's garbage collector
 // retires the old snapshot once the last in-flight reader drops it,
 // which is the whole memory-reclamation story RCU schemes labour over.
 // A single-flight guard coalesces concurrent refit triggers into one
@@ -45,7 +47,11 @@ type Fitted interface {
 	Name() string
 }
 
-// Builder constructs a fresh estimator from the current sample.
+// Builder constructs a fresh estimator from the current sample. The
+// samples arrive sorted ascending (in fsort's radix-key order) and are
+// shared: the snapshot keeps them as its drift baseline and the
+// reservoir as the base it merges the next sorted view from, so a
+// builder must not modify them. A fit may alias them.
 type Builder func(samples []float64) (Fitted, error)
 
 // Config parameterises an online estimator.
@@ -356,11 +362,23 @@ func (e *Estimator) tryRefit() error {
 // toward the primary builder.
 func (e *Estimator) refit() error {
 	start := time.Now()
-	// The reservoir copy is the only section that touches the ingest
+	// An insert bumps these counts after it reaches the reservoir, so
+	// the counts read before the sample is captured are inserts the
+	// sample holds; only those are taken off when the refit settles, and
+	// inserts that land while the build runs count toward the next one.
+	seenRefit, seenCheck := e.sinceRefit.Load(), e.sinceCheck.Load()
+	// Reading the shards is the only section that touches the ingest
 	// locks — the sole stall any writer can observe from a refit. Record
 	// it as the serving engine's stall number.
-	smp := e.reservoir.Snapshot()
-	onlineRefitStallNanos.ObserveSince(start)
+	view := e.reservoir.Sorted()
+	onlineRefitStallNanos.ObserveDuration(view.Capture)
+	if view.Merged < 0 {
+		onlineRefitSortsFull.Inc()
+	} else {
+		onlineRefitSortsMerge.Inc()
+		onlineRefitMergedValues.Observe(int64(view.Merged))
+	}
+	smp := view.Values
 
 	degradedThisRefit := false
 	fit, err := e.buildSafe(smp)
@@ -373,8 +391,8 @@ func (e *Estimator) refit() error {
 		if e.cfg.DegradeAfter <= 0 || fails < int64(e.cfg.DegradeAfter) || int(e.builderIdx.Load())+1 >= len(e.builders) {
 			// Back off until the next cadence boundary instead of
 			// retrying the failed fit on every insert.
-			e.sinceRefit.Store(0)
-			e.sinceCheck.Store(0)
+			e.sinceRefit.Add(-seenRefit)
+			e.sinceCheck.Add(-seenCheck)
 			onlineBackoffs.Inc()
 			return fmt.Errorf("online: refit (fit kept serving): %w", err)
 		}
@@ -394,8 +412,8 @@ func (e *Estimator) refit() error {
 	// One atomic swap publishes the (fit, sample, generation) triple;
 	// readers either see the old snapshot whole or the new one whole.
 	e.snap.Store(&snapshot{fit: fit, fitSample: smp, generation: gen})
-	e.sinceRefit.Store(0)
-	e.sinceCheck.Store(0)
+	e.sinceRefit.Add(-seenRefit)
+	e.sinceCheck.Add(-seenCheck)
 	e.refits.Add(1)
 	e.consecFails.Store(0)
 	onlineRefits.Inc()

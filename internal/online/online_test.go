@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"selest/internal/core"
 	"selest/internal/kde"
+	"selest/internal/sample"
 	"selest/internal/xrand"
 )
 
@@ -93,6 +95,58 @@ func TestCadenceRefits(t *testing.T) {
 	}
 }
 
+// TestCadenceKeepsInsertsDuringBuild pins that a publish keeps the
+// inserts that landed while its build ran: they count toward the next
+// cadence refit, which fires RefitEvery − N inserts after the publish
+// rather than a full RefitEvery.
+func TestCadenceKeepsInsertsDuringBuild(t *testing.T) {
+	const K, every, during = 64, 100, 30
+	var block atomic.Bool
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	build := func(samples []float64) (Fitted, error) {
+		if block.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		return sample.NewPureEstimator(samples), nil
+	}
+	e, err := New(build, Config{ReservoirSize: K, RefitEvery: every, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(5)
+	insert := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := e.Insert(r.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(K + every - 1) // the fill fit, then one short of the cadence
+	block.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- e.Insert(0.5) }() // crosses the boundary and builds
+	<-entered
+	block.Store(false)
+	insert(during) // coalesce into the blocked build
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if e.Refits() != 2 {
+		t.Fatalf("Refits = %d after the blocked build published, want 2", e.Refits())
+	}
+	insert(every - during - 1)
+	if e.Refits() != 2 {
+		t.Fatalf("Refits = %d, %d inserts after the publish; the next cadence refit fired early", e.Refits(), every-1)
+	}
+	insert(1)
+	if e.Refits() != 3 {
+		t.Fatalf("Refits = %d: no cadence refit %d inserts after the publish that saw %d inserts land", e.Refits(), every-during, during)
+	}
+}
 func TestDriftTriggersRefit(t *testing.T) {
 	// Cadence disabled; only drift detection may refit.
 	e, err := New(kernelBuilder, Config{

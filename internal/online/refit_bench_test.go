@@ -3,12 +3,17 @@ package online
 // BenchmarkRefit* — the committed evidence for the closed-form refit
 // path (BENCH_refit.json via `make bench-refit`). Two views:
 //
-//   - Refit measures one end-to-end builder invocation per rule on a
-//     fresh snapshot copy — exactly what the serving engine pays inside
-//     refit() after the reservoir copy. The sort dominates every rule
-//     here; the closed-form win is the gap to the dpi row. The
-//     equi-depth row is the service's first fallback rung: one sort
-//     serves both its bin-width rule and its boundaries.
+//   - Refit measures a refit that sorts in full, per rule: a fresh copy
+//     of an unsorted sample, its sort, and one builder invocation on the
+//     sorted result — what the serving engine pays when the reservoir
+//     re-sorts its whole sample. The sort dominates every rule here; the
+//     closed-form win is the gap to the dpi row. The equi-depth row is
+//     the service's first fallback rung.
+//   - RefitSteady measures the refit the engine runs in steady state:
+//     Flush on a 2^18-value reservoir that has seen about 10^6 values,
+//     after one batch that replaced about 4% of its sample, so the
+//     reservoir merges the replacements into its previous sorted sample
+//     instead of sorting all of it.
 //   - RefitSelector isolates the bandwidth stage on a prebuilt context:
 //     the part the closed-form engine collapses from a pilot cascade to
 //     O(1) arithmetic (≥10× at n = 10⁶; in practice ~10⁴×).
@@ -30,8 +35,13 @@ import (
 )
 
 func refitBenchSamples(n int) []float64 {
-	r := xrand.New(uint64(n) + 3)
 	xs := make([]float64, n)
+	fillRefitBench(xrand.New(uint64(n)+3), xs)
+	return xs
+}
+
+// fillRefitBench fills xs from the refit benches' three-part mixture.
+func fillRefitBench(r *xrand.RNG, xs []float64) {
 	for i := range xs {
 		switch i % 3 {
 		case 0:
@@ -42,7 +52,6 @@ func refitBenchSamples(n int) []float64 {
 			xs[i] = 5e5 + r.Float64()*5e5
 		}
 	}
-	return xs
 }
 
 var refitSizes = []int{10_000, 100_000, 1_000_000}
@@ -80,15 +89,63 @@ func BenchmarkRefit(b *testing.B) {
 			snap := make([]float64, n)
 			b.Run(fmt.Sprintf("rule=%s/n=%d", builder.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					// The engine hands each builder a fresh Snapshot copy;
-					// reproduce that so in-place sorting stays honest.
+					// A full-path refit copies the reservoir and sorts the
+					// copy before the builder runs. Each fit is dropped at
+					// once, so the copy's buffer can be reused.
 					copy(snap, samples)
+					fsort.Float64s(snap)
 					if _, err := builder.mk(snap); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRefitSteady times Flush in steady state. Each iteration
+// first feeds, untimed, one batch of a twenty-fifth of the values seen
+// so far, which replaces ln(1 + 1/25) ≈ 4% of the reservoir; the
+// estimator is primed afresh with 10^6 values whenever it has seen
+// 1.5·10^6, so the share stays near 4% at any b.N.
+func BenchmarkRefitSteady(b *testing.B) {
+	const k, prime, reprime = 1 << 18, 1_000_000, 1_500_000
+	for _, builder := range refitBuilders() {
+		if builder.name != "normal-scale" && builder.name != "equi-depth" {
+			continue
+		}
+		b.Run(fmt.Sprintf("rule=%s/n=%d", builder.name, k), func(b *testing.B) {
+			r := xrand.New(5)
+			batch := make([]float64, reprime/25)
+			feed := func(e *Estimator, n int) {
+				for ; n > 0; n -= len(batch) {
+					xs := batch[:min(n, len(batch))]
+					fillRefitBench(r, xs)
+					if err := e.InsertBatch(xs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			var e *Estimator
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if e == nil || e.Inserts() >= reprime {
+					var err error
+					if e, err = New(builder.mk, Config{ReservoirSize: k, RefitEvery: -1, Seed: 3}); err != nil {
+						b.Fatal(err)
+					}
+					feed(e, prime)
+					if err := e.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				feed(e, e.Inserts()/25)
+				b.StartTimer()
+				if err := e.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -144,7 +201,9 @@ func BenchmarkRefitSortBaseline(b *testing.B) {
 // BenchmarkRefitQuery pins the query path of the closed-form fit at
 // zero allocations (the b.ReportAllocs line in BENCH_refit is the pin).
 func BenchmarkRefitQuery(b *testing.B) {
-	fit, err := ClosedFormBuilder(0, 0)(refitBenchSamples(100_000))
+	samples := refitBenchSamples(100_000)
+	fsort.Float64s(samples)
+	fit, err := ClosedFormBuilder(0, 0)(samples)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"selest/internal/fsort"
 	"selest/internal/sample"
 	"selest/internal/xrand"
 )
@@ -56,14 +57,19 @@ func TestSelectivityOKAndReady(t *testing.T) {
 // one bit of the estimate. The reference always takes the stream one
 // Insert at a time; the engine takes it the same way, or as InsertBatch
 // runs of 1–700 records that cross the fill, RefitEvery and
-// DriftCheckEvery boundaries, which must not move a bit either.
+// DriftCheckEvery boundaries, which must not move a bit either. The
+// stream runs long enough that late refits merge the few records the
+// reservoir replaced into the previous sorted sample, while the
+// reference hands its builder reservoir-order copies, as the engine did
+// before it kept a sorted view. Kernel, beta-kernel and sampling fits
+// are all pinned.
 func TestSnapshotMatchesLockedBitForBit(t *testing.T) {
 	cfg := Config{
 		ReservoirSize: 200, RefitEvery: 600,
 		DriftAlpha: 0.05, DriftCheckEvery: 70, Seed: 42,
 	}
 	r := xrand.New(7)
-	stream := make([]float64, 6000)
+	stream := make([]float64, 18000)
 	for i := range stream {
 		// Regimes alternate every 500 records — the whole domain, its top
 		// tenth, its bottom tenth — so cadence AND drift refits both fire.
@@ -81,74 +87,94 @@ func TestSnapshotMatchesLockedBitForBit(t *testing.T) {
 	randomRuns := func() int { return 1 + rl.Intn(700) }
 
 	probes := []struct{ a, b float64 }{{0, 1000}, {100, 250}, {400, 401}, {900, 1000}, {0, 0}}
-	for _, mode := range []struct {
-		name string
-		run  func() int
-	}{{"Insert", perRecord}, {"InsertBatch", randomRuns}} {
-		t.Run(mode.name, func(t *testing.T) {
-			engine, err := New(kernelBuilder, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			locked := newLocked(kernelBuilder, cfg)
-			check := func(at int) {
-				t.Helper()
-				for _, p := range probes {
-					a := engine.Selectivity(p.a, p.b)
-					b := locked.Selectivity(p.a, p.b)
-					if math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("after %d records, probe (%g,%g): %v != %v", at, p.a, p.b, a, b)
+	sampling := func(samples []float64) (Fitted, error) { return sample.NewPureEstimator(samples), nil }
+	for _, bld := range []struct {
+		suffix            string // of the subtest names; the kernel's are the bare mode names
+		engine, reference Builder
+	}{
+		{"", kernelBuilder, kernelBuilder},
+		// The closed-form builder sorted its private reservoir copy in
+		// place before it was handed sorted samples; the reference does
+		// the same.
+		{"-beta-closed-form", ClosedFormBuilder(0, 1000), func(samples []float64) (Fitted, error) {
+			fsort.Float64s(samples)
+			return ClosedFormBuilder(0, 1000)(samples)
+		}},
+		{"-sampling", sampling, sampling},
+	} {
+		for _, mode := range []struct {
+			name string
+			run  func() int
+		}{{"Insert", perRecord}, {"InsertBatch", randomRuns}} {
+			t.Run(mode.name+bld.suffix, func(t *testing.T) {
+				engine, err := New(bld.engine, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				locked := newLocked(bld.reference, cfg)
+				check := func(at int) {
+					t.Helper()
+					for _, p := range probes {
+						a := engine.Selectivity(p.a, p.b)
+						b := locked.Selectivity(p.a, p.b)
+						if math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("after %d records, probe (%g,%g): %v != %v", at, p.a, p.b, a, b)
+						}
+					}
+					if engine.Refits() != locked.Refits() || engine.Generation() != uint64(locked.Refits()) {
+						t.Fatalf("after %d records: refits %d (generation %d) vs %d",
+							at, engine.Refits(), engine.Generation(), locked.Refits())
 					}
 				}
-				if engine.Refits() != locked.Refits() || engine.Generation() != uint64(locked.Refits()) {
-					t.Fatalf("after %d records: refits %d (generation %d) vs %d",
-						at, engine.Refits(), engine.Generation(), locked.Refits())
-				}
-			}
-			driftBefore := onlineDriftRefits.Value()
-			runs := 0
-			for i := 0; i < len(stream); {
-				m := min(mode.run(), len(stream)-i)
-				run := stream[i : i+m]
-				var errA error
-				if m == 1 {
-					errA = engine.Insert(run[0])
-				} else {
-					errA = engine.InsertBatch(run)
-				}
-				var errB error
-				for _, v := range run {
-					if err := locked.Insert(v); err != nil && errB == nil {
-						errB = err
+				driftBefore := onlineDriftRefits.Value()
+				mergesBefore := onlineRefitSortsMerge.Value()
+				runs := 0
+				for i := 0; i < len(stream); {
+					m := min(mode.run(), len(stream)-i)
+					run := stream[i : i+m]
+					var errA error
+					if m == 1 {
+						errA = engine.Insert(run[0])
+					} else {
+						errA = engine.InsertBatch(run)
+					}
+					var errB error
+					for _, v := range run {
+						if err := locked.Insert(v); err != nil && errB == nil {
+							errB = err
+						}
+					}
+					if (errA == nil) != (errB == nil) {
+						t.Fatalf("records [%d, %d): error mismatch: %v vs %v", i, i+m, errA, errB)
+					}
+					i += m
+					runs++
+					if m > 1 || i%37 == 0 {
+						check(i)
 					}
 				}
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("records [%d, %d): error mismatch: %v vs %v", i, i+m, errA, errB)
+				check(len(stream))
+				if engine.Refits() < 5 {
+					t.Fatalf("stream exercised only %d refits", engine.Refits())
 				}
-				i += m
-				runs++
-				if m > 1 || i%37 == 0 {
-					check(i)
+				if onlineDriftRefits.Value() == driftBefore {
+					t.Fatal("stream exercised no drift refit")
 				}
-			}
-			check(len(stream))
-			if engine.Refits() < 5 {
-				t.Fatalf("stream exercised only %d refits", engine.Refits())
-			}
-			if onlineDriftRefits.Value() == driftBefore {
-				t.Fatal("stream exercised no drift refit")
-			}
-			if mode.name == "InsertBatch" && runs > len(stream)/100 {
-				t.Fatalf("%d runs over %d records: runs too short to cross boundaries", runs, len(stream))
-			}
-			if err := engine.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := locked.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			check(len(stream))
-		})
+				if onlineRefitSortsMerge.Value() == mergesBefore {
+					t.Fatal("no refit merged into the previous sorted sample")
+				}
+				if mode.name == "InsertBatch" && runs > len(stream)/100 {
+					t.Fatalf("%d runs over %d records: runs too short to cross boundaries", runs, len(stream))
+				}
+				if err := engine.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := locked.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				check(len(stream))
+			})
+		}
 	}
 }
 

@@ -47,6 +47,16 @@ type Reservoir struct {
 	capacity int
 	seen     int
 	items    []float64
+
+	// The replacement log: the values Add admitted and the residents they
+	// evicted since the last sorted view (ShardedReservoir.Sorted), so the
+	// next view can merge them into the previous one instead of sorting
+	// every item again. It is off until the first view, and it stops
+	// once it passes capacity/mergeDivisor admissions, until the next
+	// view restarts it, so it never holds more than twice that in values.
+	logging  bool
+	admitted []float64
+	evicted  []float64
 }
 
 // NewReservoir returns a reservoir holding at most capacity items.
@@ -65,20 +75,51 @@ func NewReservoir(r *xrand.RNG, capacity int) *Reservoir {
 func (rv *Reservoir) Add(x float64) bool {
 	rv.seen++
 	if len(rv.items) < rv.capacity {
+		if rv.logging {
+			rv.logAdmission(x)
+		}
 		rv.items = append(rv.items, x)
 		return true
 	}
 	if j := rv.rng.Intn(rv.seen); j < rv.capacity {
+		if rv.logging && rv.logAdmission(x) {
+			rv.evicted = append(rv.evicted, rv.items[j])
+		}
 		rv.items[j] = x
 		return true
 	}
 	return false
 }
 
+// mergeDivisor bounds the replacement log and the merge path: a log
+// stops at capacity/mergeDivisor admissions, and Sorted merges only when
+// the admissions are at most 1/mergeDivisor of the contents. Beyond that
+// sorting the delta and merging it costs about what a full sort does.
+const mergeDivisor = 8
+
+// logAdmission records an admitted value, or stops the log when it
+// already holds capacity/mergeDivisor admissions, and reports whether
+// the log is still running.
+func (rv *Reservoir) logAdmission(x float64) bool {
+	if len(rv.admitted) >= rv.capacity/mergeDivisor {
+		rv.logging = false
+		return false
+	}
+	rv.admitted = append(rv.admitted, x)
+	return true
+}
+
+// restartLog empties the replacement log and turns it on: the contents
+// as they stand are the base the log records changes against.
+func (rv *Reservoir) restartLog() {
+	rv.logging = true
+	rv.admitted, rv.evicted = rv.admitted[:0], rv.evicted[:0]
+}
+
 // Snapshot returns a copy of the current reservoir contents. The copy is
 // independent of the reservoir: later Adds never show through it, so
-// callers (the online refit path, drift checks) can hand it to a builder
-// that runs while the reservoir keeps absorbing the stream.
+// callers (drift checks, persistence) can read it while the reservoir
+// keeps absorbing the stream.
 func (rv *Reservoir) Snapshot() []float64 {
 	return append([]float64(nil), rv.items...)
 }
@@ -111,6 +152,7 @@ func (rv *Reservoir) Seen() int { return rv.seen }
 func (rv *Reservoir) Reset() {
 	rv.seen = 0
 	rv.items = rv.items[:0]
+	rv.logging = false
 }
 
 // Len returns how many elements the reservoir currently holds.

@@ -1,9 +1,12 @@
 package sample
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"selest/internal/fsort"
 	"selest/internal/xrand"
 )
 
@@ -33,6 +36,14 @@ type ShardedReservoir struct {
 	cursor atomic.Uint64 // round-robin assignment of inserts to shards
 	seen   atomic.Int64
 	held   atomic.Int64 // total elements currently resident across shards
+
+	// viewMu serialises Sorted, which owns the fields below: the last
+	// view it returned (the base of the next merge) and the buffers it
+	// gathers the shards' replacement logs into.
+	viewMu   sync.Mutex
+	view     []float64
+	admitted []float64
+	evicted  []float64
 }
 
 // reservoirShard pads each shard onto its own cache lines so neighbouring
@@ -120,17 +131,9 @@ func (s *ShardedReservoir) AddBatch(xs []float64) (kept, evicted int) {
 
 // Snapshot returns a copy of the merged reservoir contents, shard by
 // shard. Each shard is locked only for its own copy, so a snapshot stalls
-// any one writer for at most one shard's memcpy — this is the only point
-// where the refit path touches the ingest locks.
+// any one writer for at most one shard's memcpy.
 func (s *ShardedReservoir) Snapshot() []float64 {
-	out := make([]float64, 0, s.held.Load()+int64(len(s.shards)))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out = sh.res.AppendTo(out)
-		sh.mu.Unlock()
-	}
-	return out
+	return s.copyShards(false)
 }
 
 // Count returns how many resident elements lie in [lo, hi] and how many
@@ -149,6 +152,162 @@ func (s *ShardedReservoir) Count(lo, hi float64) (in, total int) {
 		sh.mu.Unlock()
 	}
 	return in, total
+}
+
+// copyShards copies the contents shard by shard, each under its own
+// lock, and with restartLogs also restarts each shard's replacement log
+// at the moment its contents are copied.
+func (s *ShardedReservoir) copyShards(restartLogs bool) []float64 {
+	out := make([]float64, 0, s.held.Load()+int64(len(s.shards)))
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		out = sh.res.AppendTo(out)
+		if restartLogs {
+			sh.res.restartLog()
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// A View is the reservoir's contents in sorted order, as Sorted returns
+// them, with how Sorted produced them.
+type View struct {
+	// Values holds the contents in radix-key order: the order
+	// fsort.Float64s gives them, −0 before +0. The slice is shared with
+	// the reservoir, which keeps it as the base of the next merge, so it
+	// must not be modified.
+	Values []float64
+	// Merged counts the logged admissions and evictions merged into the
+	// previous view to make this one, or is −1 when the contents were
+	// copied and sorted in full.
+	Merged int
+	// Capture is how long Sorted spent reading the shards: the only part
+	// of it that holds their locks, and so all a writer can stall on.
+	Capture time.Duration
+}
+
+// Sorted returns the contents in radix-key order. Between two calls each
+// shard logs what it admits and evicts; when every log is intact and
+// the admissions number at most an eighth of the contents, Sorted sorts
+// only the logged values and merges them into the previous view in one
+// linear pass. Otherwise, or on the first call, it copies and sorts the
+// contents in full. Either way Values is bit for bit what
+// fsort.Float64s would make of a Snapshot taken at the same moments, so
+// a fit built from it is the fit a sorted Snapshot would give. Each
+// shard is locked only while its log or its contents are read, and
+// concurrent calls are serialised.
+func (s *ShardedReservoir) Sorted() View {
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	var capture time.Duration
+	if s.view != nil {
+		start := time.Now()
+		intact := s.gatherLogs()
+		capture = time.Since(start)
+		if intact {
+			if v, ok := s.mergeLogs(); ok {
+				v.Capture = capture
+				return v
+			}
+		}
+	}
+	start := time.Now()
+	out := s.copyShards(true)
+	capture += time.Since(start)
+	fsort.Float64s(out)
+	s.view = out
+	return View{Values: out, Merged: -1, Capture: capture}
+}
+
+// mergeLogs makes the next view from the previous one and the gathered
+// logs. It reports false, leaving the view alone, when the admissions
+// exceed 1/mergeDivisor of the contents, or when the view or the
+// admissions hold a NaN: NaNs sort first in sort.Float64s order rather
+// than by key.
+func (s *ShardedReservoir) mergeLogs() (View, bool) {
+	merged := len(s.admitted) + len(s.evicted)
+	if merged == 0 {
+		return View{Values: s.view}, true
+	}
+	if n := len(s.view) + len(s.admitted) - len(s.evicted); len(s.admitted) > n/mergeDivisor {
+		return View{}, false
+	}
+	fsort.Float64s(s.admitted)
+	fsort.Float64s(s.evicted)
+	if startsWithNaN(s.view) || startsWithNaN(s.admitted) {
+		return View{}, false
+	}
+	s.view = mergeSorted(s.view, s.admitted, s.evicted)
+	return View{Values: s.view, Merged: merged}, true
+}
+
+// gatherLogs moves every shard's replacement log into s.admitted and
+// s.evicted, restarting each under its shard's lock. It reports false,
+// having gathered only part of them, when some shard's log has stopped.
+func (s *ShardedReservoir) gatherLogs() bool {
+	s.admitted, s.evicted = s.admitted[:0], s.evicted[:0]
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		rv := sh.res
+		intact := rv.logging
+		if intact {
+			s.admitted = append(s.admitted, rv.admitted...)
+			s.evicted = append(s.evicted, rv.evicted...)
+			rv.restartLog()
+		}
+		sh.mu.Unlock()
+		if !intact {
+			return false
+		}
+	}
+	return true
+}
+
+func startsWithNaN(sorted []float64) bool {
+	return len(sorted) > 0 && math.IsNaN(sorted[0])
+}
+
+// mergeSorted returns base with admitted merged in and evicted taken
+// out, in one pass. All three are in radix-key order and evicted is a
+// sub-multiset of base and admitted together. A key identifies a bit
+// pattern, so equal keys are interchangeable values: an admission and an
+// eviction of the same value cancel, and any other eviction removes the
+// first base value with its key. Between two such events the base is
+// copied run by run.
+func mergeSorted(base, admitted, evicted []float64) []float64 {
+	out := make([]float64, 0, len(base)+len(admitted)-len(evicted))
+	i, j, k := 0, 0, 0
+	for j < len(admitted) || k < len(evicted) {
+		ka, ke := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		if j < len(admitted) {
+			ka = fsort.Key(admitted[j])
+		}
+		if k < len(evicted) {
+			ke = fsort.Key(evicted[k])
+		}
+		next := min(ka, ke)
+		p := i
+		for p < len(base) && fsort.Key(base[p]) < next {
+			p++
+		}
+		out = append(out, base[i:p]...)
+		i = p
+		switch {
+		case ka == ke:
+			j++
+			k++
+		case ka < ke:
+			out = append(out, admitted[j])
+			j++
+		default:
+			i++
+			k++
+		}
+	}
+	return append(out, base[i:]...)
 }
 
 // Len returns how many elements are currently resident across all shards.

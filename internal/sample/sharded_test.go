@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"selest/internal/fsort"
 	"selest/internal/xrand"
 )
 
@@ -309,4 +310,173 @@ func TestAddBatchConcurrentSnapshot(t *testing.T) {
 	if in != want || total != capacity {
 		t.Fatalf("Count = (%d, %d), snapshot count (%d, %d)", in, total, want, capacity)
 	}
+}
+
+// checkSorted takes a Sorted view and pins it bit for bit to what
+// fsort.Float64s makes of a Snapshot of the same contents.
+func checkSorted(t *testing.T, s *ShardedReservoir, step string) View {
+	t.Helper()
+	v := s.Sorted()
+	want := s.Snapshot()
+	fsort.Float64s(want)
+	if len(v.Values) != len(want) {
+		t.Fatalf("%s: view holds %d values, snapshot %d", step, len(v.Values), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(v.Values[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: view[%d] = %v, sorted snapshot has %v (merged %d)", step, i, v.Values[i], want[i], v.Merged)
+		}
+	}
+	return v
+}
+
+// readmissions counts values the shards' logs show were admitted and then
+// evicted again since the last view. It needs a stream of distinct
+// values to tell one admission from another.
+func readmissions(s *ShardedReservoir) int {
+	n := 0
+	for i := range s.shards {
+		rv := s.shards[i].res
+		admitted := make(map[float64]bool, len(rv.admitted))
+		for _, x := range rv.admitted {
+			admitted[x] = true
+		}
+		for _, x := range rv.evicted {
+			if admitted[x] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestSortedMatchesSnapshot pins Sorted to a sorted Snapshot bit for bit
+// on both of its paths, at one shard and three: integer data with heavy
+// duplicates, −0, +0 and ±Inf; values admitted and evicted again between
+// two views; merges of admissions alone while the reservoir fills; a
+// Reset between views; deltas past the merge bound; and a NaN, which
+// sorts first and so is never merged by key.
+func TestSortedMatchesSnapshot(t *testing.T) {
+	const capacity = 400
+	negZero := math.Copysign(0, -1)
+	for _, shards := range []int{1, 3} {
+		s := NewSharded(3, capacity, shards)
+		r := xrand.New(uint64(10 + shards))
+		dups := func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch r.Intn(40) {
+				case 0:
+					xs[i] = negZero
+				case 1:
+					xs[i] = 0
+				case 2:
+					xs[i] = math.Inf(1)
+				case 3:
+					xs[i] = math.Inf(-1)
+				default:
+					xs[i] = float64(r.Intn(25) - 12)
+				}
+			}
+			return xs
+		}
+		distinct := 0.0
+		unique := func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				distinct++
+				xs[i] = distinct + 0.5
+			}
+			return xs
+		}
+		merges, fulls, readmitted := 0, 0, 0
+		step := func(name string, xs []float64) {
+			s.AddBatch(xs)
+			if v := checkSorted(t, s, name); v.Merged < 0 {
+				fulls++
+			} else {
+				merges++
+			}
+		}
+
+		step("half full", dups(capacity/2))
+		step("filling", dups(20))
+		step("past the bound", dups(25*capacity))
+		for round := 0; round < 40; round++ {
+			step("steady", dups(1+r.Intn(1500)))
+		}
+		s.Reset()
+		step("after reset", dups(10))
+		step("refilling", dups(140))
+		step("refilled", dups(10))
+		// While the reservoir fills every value is admitted.
+		step("NaN admitted", []float64{math.NaN(), 3})
+		step("NaN resident", dups(10))
+		step("distinct fill", unique(20*capacity))
+		for round := 0; round < 20; round++ {
+			s.AddBatch(unique(300 + r.Intn(600)))
+			readmitted += readmissions(s)
+			step("distinct", nil)
+		}
+		if merges == 0 || fulls == 0 {
+			t.Fatalf("shards %d: %d merges and %d full sorts; both paths must run", shards, merges, fulls)
+		}
+		if readmitted == 0 {
+			t.Fatalf("shards %d: no value was admitted and evicted again between two views", shards)
+		}
+	}
+}
+
+// TestSortedDuringAddBatch takes Sorted views while AddBatch writers run,
+// under the race detector: every view is in key order and never holds
+// more than capacity values, and once the writers stop a last view
+// matches the sorted Snapshot bit for bit.
+func TestSortedDuringAddBatch(t *testing.T) {
+	const writers, perWriter, capacity = 3, 20000, 4096
+	s := NewSharded(8, capacity, 3)
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			r := xrand.New(uint64(w))
+			buf := make([]float64, 0, 200)
+			for i := 0; i < perWriter; {
+				m := min(1+r.Intn(200), perWriter-i)
+				buf = buf[:0]
+				for j := 0; j < m; j++ {
+					buf = append(buf, float64(r.Intn(1000)))
+				}
+				s.AddBatch(buf)
+				i += m
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := s.Sorted()
+			if len(v.Values) > capacity {
+				t.Errorf("view of %d values exceeds capacity %d", len(v.Values), capacity)
+				return
+			}
+			for i := 1; i < len(v.Values); i++ {
+				if fsort.Key(v.Values[i]) < fsort.Key(v.Values[i-1]) {
+					t.Errorf("view out of key order at %d", i)
+					return
+				}
+			}
+		}
+	}()
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	checkSorted(t, s, "after the writers")
 }

@@ -76,11 +76,16 @@ fuzz:
 fuzz-query:
 	$(GO) test -run '^$$' -fuzz FuzzMomentMatchesLinear -fuzztime 30s ./internal/kde/
 
-# Short fuzz pass over the service's HTTP request decoders: malformed
-# JSON, NaN/Inf spellings, inverted ranges — always a typed 4xx, never a
-# panic.
+# Short fuzz passes over the service's two fronts: malformed JSON,
+# NaN/Inf spellings and inverted ranges through the HTTP decoders (always
+# a typed 4xx, never a panic), then arbitrary op bytes and payloads
+# through the wire front (a well-formed response or a non-internal error
+# frame, never a panic). The wire front's coverage depends on goroutine
+# scheduling, so minimizing a new corpus entry rarely converges; a 1 s
+# minimize bound keeps the 30 s on new inputs.
 fuzz-server:
-	$(GO) test -run '^$$' -fuzz FuzzHTTPDecoders -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTPDecoders$$' -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireRequests$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/server/
 
 # Short fuzz pass over the selestwire codec: arbitrary bytes through
 # ReadFrame never panic or over-allocate, and every frame that round-trips

@@ -364,11 +364,15 @@ func TestClientFetchSnapshotParity(t *testing.T) {
 	for i := range vals {
 		vals[i] = (float64(i) + 0.5) / 128
 	}
+	inserted := insertedSince()
 	if _, err := cw.Ingest(ctx, "acme", "v", vals); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh estimate forces the pending queue into a fitted snapshot so
-	// the fetched envelope is non-trivial.
+	// A fresh estimate forces the drained values into a fitted snapshot so
+	// the fetched envelope is non-trivial. Wait for the drain first: a
+	// value still queued would reach the reservoir between the two
+	// fetches and make the envelopes differ.
+	waitFor(t, "the ingest to drain", func() bool { return inserted() >= 128 })
 	if _, err := cw.Estimate(ctx, "acme", "v", 0.2, 0.8, client.WithFresh()); err != nil {
 		t.Fatal(err)
 	}

@@ -440,10 +440,23 @@ func TestServeSoakThroughDegradation(t *testing.T) {
 
 	wgDone := make(chan struct{})
 	go func() { writersWG.Wait(); close(wgDone) }()
+	wedged := time.After(120 * time.Second)
 	select {
 	case <-wgDone:
-	case <-time.After(120 * time.Second):
+	case <-wedged:
 		t.Fatal("soak wedged")
+	}
+	// The writers can finish before the primary has failed twice: the
+	// goroutine holding the refit slot may be descheduled while every
+	// trigger coalesces into it, and then no insert is left to trigger
+	// another. Keep flushing until the ladder has degraded.
+	for e.DegradationLevel() != 1 {
+		select {
+		case <-wedged:
+			t.Fatal("soak wedged")
+		default:
+			e.Flush() // errors expected while the ladder degrades
+		}
 	}
 	close(stop)
 	auxWG.Wait()

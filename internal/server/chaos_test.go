@@ -46,7 +46,7 @@ func waitCond(t *testing.T, what string, timeout time.Duration, cond func() bool
 // and not a single query errors at any point.
 func TestChaosRefitPanicSoak(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
 	cfg.DegradeAfter = 2
 	cfg.PromoteAfter = 2
@@ -147,7 +147,7 @@ func TestChaosKillAndRestart(t *testing.T) {
 	path1 := filepath.Join(dir, "snap1.selest")
 	path2 := filepath.Join(dir, "snap2.selest")
 
-	s1 := New(Config{})
+	s1 := mustServer(t, Options{})
 	cfgA, cfgB := testAttrCfg(), testAttrCfg()
 	cfgB.ReservoirSize = 32
 	cfgB.RefitEvery = 32
@@ -177,7 +177,7 @@ func TestChaosKillAndRestart(t *testing.T) {
 	}
 	// s1 is now "killed": no Close, its goroutines simply stop mattering.
 
-	s2 := New(Config{})
+	s2 := mustServer(t, Options{})
 	if err := s2.Recover(path1); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestChaosKillAndRestart(t *testing.T) {
 func TestChaosShutdownUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.selest")
-	s := New(Config{QueueCap: 1 << 16})
+	s := mustServer(t, Options{QueueCap: 1 << 16})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestChaosShutdownUnderLoad(t *testing.T) {
 		t.Fatalf("shutdown did not persist a snapshot: %v", err)
 	}
 	// And the snapshot is recoverable.
-	s2 := New(Config{})
+	s2 := mustServer(t, Options{})
 	if err := s2.Recover(path); err != nil {
 		t.Fatalf("recovering the shutdown snapshot: %v", err)
 	}
@@ -296,7 +296,7 @@ func TestChaosShutdownUnderLoad(t *testing.T) {
 // response — 200 before the gate, typed 503 after — never a dropped
 // connection, never a 5xx panic.
 func TestChaosShutdownInflightHTTP(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestChaosShutdownInflightHTTP(t *testing.T) {
 // that exhausts its quota is rejected with an exact Retry-After while
 // every other tenant keeps its full budget and latency path.
 func TestChaosSlowTenantIsolation(t *testing.T) {
-	s := New(Config{QuotaRate: 1, QuotaBurst: 5})
+	s := mustServer(t, Options{QuotaRate: 1, QuotaBurst: 5})
 	for _, tn := range []string{"slow", "fast"} {
 		if err := s.CreateAttr(tn, "price", testAttrCfg()); err != nil {
 			t.Fatal(err)
@@ -414,7 +414,7 @@ func TestChaosSlowTenantIsolation(t *testing.T) {
 func TestChaosTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.selest")
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestChaosTornSnapshot(t *testing.T) {
 		if err := os.WriteFile(torn, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2 := New(Config{})
+		s2 := mustServer(t, Options{})
 		if err := s2.Recover(torn); !errors.Is(err, catalog.ErrTornSnapshot) {
 			t.Fatalf("truncation at byte %d of %d: %v, want ErrTornSnapshot", cut, len(whole), err)
 		}
@@ -450,7 +450,7 @@ func TestChaosTornSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := telemetry.Default.Snapshot().Counters["selest_server_torn_snapshots_total"]
-	s3 := New(Config{})
+	s3 := mustServer(t, Options{})
 	if err := s3.Recover(flippedPath); !errors.Is(err, catalog.ErrTornSnapshot) {
 		t.Fatalf("bit flip: %v, want ErrTornSnapshot", err)
 	}
@@ -472,7 +472,7 @@ func TestChaosTornSnapshot(t *testing.T) {
 	}
 
 	// A missing file is a cold start, not a torn snapshot.
-	if err := New(Config{}).Recover(filepath.Join(dir, "nope.selest")); !errors.Is(err, os.ErrNotExist) {
+	if err := mustServer(t, Options{}).Recover(filepath.Join(dir, "nope.selest")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing snapshot: %v, want os.ErrNotExist", err)
 	}
 }

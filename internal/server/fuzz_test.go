@@ -1,11 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"selest/internal/errcode"
+	"selest/internal/wire"
 )
 
 // FuzzHTTPDecoders throws arbitrary bytes at every POST endpoint and pins
@@ -43,7 +50,7 @@ func FuzzHTTPDecoders(f *testing.F) {
 	// One long-lived server for the whole fuzz run: decoders must hold
 	// regardless of accumulated state. MaxAttrs is small so fuzzer-created
 	// attributes cannot grow without bound.
-	s := New(Config{MaxAttrs: 8, MaxBatch: 64, QueueCap: 64})
+	s := mustServer(f, Options{MaxAttrs: 8, MaxBatch: 64, QueueCap: 64})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		f.Fatal(err)
 	}
@@ -64,5 +71,89 @@ func FuzzHTTPDecoders(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzWireRequests sends an arbitrary op byte and payload through the
+// wire front over a piped connection and pins its contract: never a
+// panic, and every reply is either a well-formed response to that op or
+// an error frame whose code is not internal — malformed, unknown,
+// oversized and hostile requests are the client's fault, never the
+// server's.
+func FuzzWireRequests(f *testing.F) {
+	meta := wire.Meta{TimeoutMs: 100}
+	f.Add(byte(wire.OpEstimate), wire.EstimateReq{Meta: meta, Tenant: "acme", Attr: "price", Lo: 0.1, Hi: 0.9}.Append(nil))
+	f.Add(byte(wire.OpEstimate), wire.EstimateReq{Meta: meta, Tenant: "acme", Attr: "price", Lo: 0.9, Hi: 0.1, Fresh: true}.Append(nil))
+	f.Add(byte(wire.OpEstimateBatch), wire.EstimateBatchReq{Meta: meta, Tenant: "acme", Attr: "price",
+		Queries: []wire.Range{{Lo: 0, Hi: 0.5}, {Lo: 0.25, Hi: 1}}}.Append(nil))
+	f.Add(byte(wire.OpIngest), wire.IngestReq{Meta: meta, Tenant: "acme", Attr: "price", Values: []float64{0.5, 0.25}}.Append(nil))
+	f.Add(byte(wire.OpCreateAttr), wire.CreateAttrReq{Meta: meta, Tenant: "t", Attr: "a",
+		Config: []byte(`{"domain_lo":0,"domain_hi":1}`)}.Append(nil))
+	f.Add(byte(wire.OpPing), wire.PingReq{Meta: meta}.Append(nil))
+	f.Add(byte(wire.OpSnapshotFetch), wire.SnapshotFetchReq{Meta: meta}.Append(nil))
+	f.Add(byte(0x7E), []byte{})
+	f.Add(byte(wire.OpEstimate), []byte{0xFF, 0xFF})
+
+	// One long-lived server for the whole run, bounded like
+	// FuzzHTTPDecoders' so fuzzer-created attributes and ingests stay
+	// small.
+	s := mustServer(f, Options{MaxAttrs: 8, MaxBatch: 64, QueueCap: 64})
+	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
+		f.Fatal(err)
+	}
+	ws := s.NewWireServer()
+
+	f.Fuzz(func(t *testing.T, opByte byte, payload []byte) {
+		op := wire.Op(opByte)
+		cli, srv := net.Pipe()
+		defer cli.Close()
+		served := make(chan struct{})
+		go func() {
+			ws.serveConn(srv)
+			close(served)
+		}()
+		_ = cli.SetDeadline(time.Now().Add(10 * time.Second))
+		go func() { _, _ = cli.Write(wire.AppendFrame(nil, wire.Frame{Op: op, ID: 7, Payload: payload})) }()
+		fr, _, err := wire.ReadFrame(cli, wire.MaxPayload, nil)
+		if err != nil {
+			t.Fatalf("op 0x%02x: no reply: %v", opByte, err)
+		}
+		if fr.ID != 7 {
+			t.Fatalf("op 0x%02x: reply id %d, want 7", opByte, fr.ID)
+		}
+		if fr.Op == wire.OpError {
+			er, err := wire.DecodeErrorRes(fr.Payload)
+			if err != nil {
+				t.Fatalf("op 0x%02x: undecodable error frame: %v", opByte, err)
+			}
+			if c := errcode.Code(er.Code); c == errcode.CodeOK || c == errcode.CodeInternal {
+				t.Fatalf("op 0x%02x: error frame with code %s: %s", opByte, c, er.Message)
+			}
+		} else {
+			if fr.Op != op|wire.RespFlag {
+				t.Fatalf("op 0x%02x answered with %s", opByte, fr.Op)
+			}
+			switch op {
+			case wire.OpEstimate:
+				_, err = wire.DecodeEstimateRes(fr.Payload)
+			case wire.OpEstimateBatch:
+				_, err = wire.DecodeEstimateBatchRes(fr.Payload)
+			case wire.OpIngest:
+				_, err = wire.DecodeIngestRes(fr.Payload)
+			case wire.OpSnapshotFetch:
+				if !bytes.HasPrefix(fr.Payload, []byte("SELS")) {
+					err = errors.New("not a SELS snapshot envelope")
+				}
+			default:
+				if len(fr.Payload) != 0 {
+					err = errors.New("non-empty payload")
+				}
+			}
+			if err != nil {
+				t.Fatalf("op 0x%02x: malformed response: %v", opByte, err)
+			}
+		}
+		cli.Close()
+		<-served
 	})
 }

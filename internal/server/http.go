@@ -1,27 +1,22 @@
-// HTTP/JSON transport: a mux over the service core with the robustness
-// middleware every endpoint shares — per-request panic containment,
-// deadline propagation from the X-Selest-Timeout-Ms header (defaulted
-// from Config.DefaultTimeout), per-tenant admission control, inflight and
-// latency telemetry, and a drain gate that 503s new work during graceful
-// shutdown. Every error is a typed JSON body, never a bare string and
-// never a panic escaping to the connection.
+// HTTP/JSON transport: each endpoint checks its method, decodes its JSON
+// body into a call, runs the request core (core.go) and encodes the
+// answer — or the typed JSON error every non-2xx response carries, never
+// a bare string and never a panic escaping to the connection. The
+// client's budget comes from the X-Selest-Timeout-Ms header (defaulted
+// from Options.DefaultTimeout).
 package server
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"selest/internal/errcode"
-	"selest/internal/faultinject"
 	"selest/internal/telemetry"
 	"selest/internal/wire"
-
-	"context"
 )
 
 // The typed error body every non-2xx response carries is the
@@ -34,8 +29,13 @@ type (
 
 // writeError maps a service error to its HTTP status and typed body via
 // the shared errcode registry — the single classification both
-// transports use.
-func writeError(w http.ResponseWriter, err error) {
+// transports use. An over-quota refusal carries Retry-After in whole
+// seconds, rounded up: retrying early would just 429 again.
+func writeError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+	if retryAfter > 0 {
+		secs := (retryAfter + time.Second - 1) / time.Second
+		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
+	}
 	code := errcode.Classify(err)
 	writeJSON(w, code.HTTPStatus(), errorBody{Error: apiError{Code: code.String(), Message: err.Error()}})
 }
@@ -46,8 +46,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Request payloads. Ranges and values are validated at decode time so a
-// malformed request is rejected before it touches any estimator state.
+// Request payloads, one per POST endpoint; their checks are the core's.
 
 type estimateRequest struct {
 	Tenant string  `json:"tenant"`
@@ -76,90 +75,42 @@ type createAttrRequest struct {
 	Config AttrConfig `json:"config"`
 }
 
-// decodeJSON decodes one JSON document from r, rejecting trailing garbage
-// and non-JSON with a typed bad-value error. JSON cannot carry NaN or
-// Inf, so any non-finite float arriving here came from a malformed body
-// the decoder already rejected — range/value semantics are checked by the
-// per-endpoint decode* wrappers below.
+// decodeJSON decodes one JSON document from r, rejecting trailing
+// garbage. JSON cannot carry NaN or Inf, so a non-finite number is a
+// decode error here.
 func decodeJSON(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadValue, err)
+		return err
 	}
 	// A second document (or trailing garbage) is malformed.
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return fmt.Errorf("%w: trailing data after JSON body", ErrBadValue)
+		return errors.New("trailing data after JSON body")
 	}
 	return nil
 }
 
-func decodeEstimate(r io.Reader) (estimateRequest, error) {
-	var req estimateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return req, err
+// decodeBody decodes c.op's JSON body into c; a body that does not
+// decode becomes c.bad.
+func decodeBody(body io.Reader, c *call) {
+	switch c.op {
+	case wire.OpEstimate:
+		var req estimateRequest
+		c.bad = decodeJSON(body, &req)
+		c.tenant, c.attr, c.lo, c.hi, c.fresh = nameBytes(req.Tenant), nameBytes(req.Attr), req.Lo, req.Hi, req.Fresh
+	case wire.OpEstimateBatch:
+		var req batchEstimateRequest
+		c.bad = decodeJSON(body, &req)
+		c.tenant, c.attr, c.queries, c.fresh = nameBytes(req.Tenant), nameBytes(req.Attr), req.Queries, req.Fresh
+	case wire.OpIngest:
+		var req ingestRequest
+		c.bad = decodeJSON(body, &req)
+		c.tenant, c.attr, c.values = nameBytes(req.Tenant), nameBytes(req.Attr), req.Values
+	case wire.OpCreateAttr:
+		var req createAttrRequest
+		c.bad = decodeJSON(body, &req)
+		c.tenant, c.attr, c.cfg = nameBytes(req.Tenant), nameBytes(req.Attr), &req.Config
 	}
-	if req.Tenant == "" || req.Attr == "" {
-		return req, fmt.Errorf("%w: tenant and attr are required", ErrBadValue)
-	}
-	if err := validRange(req.Lo, req.Hi); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
-func (s *Server) decodeBatchEstimate(r io.Reader) (batchEstimateRequest, error) {
-	var req batchEstimateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return req, err
-	}
-	if req.Tenant == "" || req.Attr == "" {
-		return req, fmt.Errorf("%w: tenant and attr are required", ErrBadValue)
-	}
-	if len(req.Queries) == 0 {
-		return req, fmt.Errorf("%w: empty queries", ErrBadRange)
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		return req, fmt.Errorf("%w: batch of %d exceeds limit %d", ErrBadValue, len(req.Queries), s.cfg.MaxBatch)
-	}
-	for _, q := range req.Queries {
-		if err := validRange(q.Lo, q.Hi); err != nil {
-			return req, err
-		}
-	}
-	return req, nil
-}
-
-func (s *Server) decodeIngest(r io.Reader) (ingestRequest, error) {
-	var req ingestRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return req, err
-	}
-	if req.Tenant == "" || req.Attr == "" {
-		return req, fmt.Errorf("%w: tenant and attr are required", ErrBadValue)
-	}
-	if len(req.Values) == 0 {
-		return req, fmt.Errorf("%w: empty values", ErrBadValue)
-	}
-	if len(req.Values) > s.cfg.MaxBatch {
-		return req, fmt.Errorf("%w: ingest of %d exceeds limit %d", ErrBadValue, len(req.Values), s.cfg.MaxBatch)
-	}
-	for _, v := range req.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return req, fmt.Errorf("%w: %v", ErrBadValue, v)
-		}
-	}
-	return req, nil
-}
-
-func decodeCreateAttr(r io.Reader) (createAttrRequest, error) {
-	var req createAttrRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return req, err
-	}
-	if req.Tenant == "" || req.Attr == "" {
-		return req, fmt.Errorf("%w: tenant and attr are required", ErrBadValue)
-	}
-	return req, nil
 }
 
 // Handler returns the service's HTTP mux:
@@ -174,11 +125,11 @@ func decodeCreateAttr(r io.Reader) (createAttrRequest, error) {
 //	GET  /metrics           — Prometheus text exposition
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/attrs", s.wrap(s.handleCreateAttr))
-	mux.HandleFunc("/v1/estimate", s.wrap(s.handleEstimate))
-	mux.HandleFunc("/v1/estimate/batch", s.wrap(s.handleEstimateBatch))
-	mux.HandleFunc("/v1/ingest", s.wrap(s.handleIngest))
-	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
+	mux.HandleFunc("/v1/attrs", s.endpoint(wire.OpCreateAttr))
+	mux.HandleFunc("/v1/estimate", s.endpoint(wire.OpEstimate))
+	mux.HandleFunc("/v1/estimate/batch", s.endpoint(wire.OpEstimateBatch))
+	mux.HandleFunc("/v1/ingest", s.endpoint(wire.OpIngest))
+	mux.HandleFunc("/v1/snapshot", s.endpoint(wire.OpSnapshotFetch))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
@@ -186,167 +137,51 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSnapshot serves the SELS envelope to a joining replica. It is a
-// GET registered outside wrap (which gates POSTs), but keeps the drain
-// gate: a draining daemon is about to write its final snapshot, and
-// shipping a pre-drain one would hand the newcomer a state the survivor
-// is already past. The envelope's own CRCs make the transfer
-// self-verifying; a torn download fails the joiner's recovery as
-// catalog.ErrTornSnapshot, never a silent partial boot.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: apiError{
-			Code: errcode.CodeMethodNotAllowed.String(), Message: "use GET",
-		}})
-		return
+// endpoint is op's HTTP transport. The snapshot is a GET whose answer is
+// the SELS envelope verbatim: its own CRCs make the transfer
+// self-verifying, so a torn download fails the joiner's recovery as
+// catalog.ErrTornSnapshot, never a silent partial boot. Every other op is
+// a POST answered in JSON.
+func (s *Server) endpoint(op wire.Op) http.HandlerFunc {
+	method := http.MethodPost
+	if op == wire.OpSnapshotFetch {
+		method = http.MethodGet
 	}
-	if s.draining.Load() {
-		writeError(w, ErrDraining)
-		return
-	}
-	b, err := s.SnapshotBytes()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b)
-}
-
-// wrap is the shared robustness middleware: drain gate, deadline
-// propagation, inflight/latency accounting, retry visibility, and panic
-// containment. A handler panic — including an injected FaultHandler
-// panic — becomes a typed 500 on this request alone; the daemon keeps
-// serving every other connection.
-func (s *Server) wrap(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		srvInflight.Set(float64(s.inflight.Add(1)))
-		defer func() {
-			srvInflight.Set(float64(s.inflight.Add(-1)))
-			srvLatencyNanos.ObserveSince(start)
-			if rec := recover(); rec != nil {
-				srvPanics.Inc()
-				writeError(w, fmt.Errorf("panic contained: %v", rec))
-			}
-		}()
-		if r.Method != http.MethodPost {
+		defer srvLatencyNanos.ObserveSince(start)
+		if r.Method != method {
 			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: apiError{
-				Code: errcode.CodeMethodNotAllowed.String(), Message: "use POST",
+				Code: errcode.CodeMethodNotAllowed.String(), Message: "use " + method,
 			}})
 			return
 		}
-		if s.draining.Load() {
-			writeError(w, ErrDraining)
+		// The headers are the untyped form of wire.Meta: a malformed or
+		// absent budget takes the server default.
+		ms, _ := strconv.ParseInt(r.Header.Get(wire.HeaderTimeoutMs), 10, 64)
+		retry := r.Header.Get(wire.HeaderRetry)
+		c := call{op: op, retry: retry != "" && retry != "0", deadline: s.deadline(op, start, ms), ctx: r.Context()}
+		if op != wire.OpSnapshotFetch {
+			decodeBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxPayloadBytes), &c)
+		}
+		var rep reply
+		if err := s.serve(&c, &rep); err != nil {
+			writeError(w, err, rep.retryAfter)
 			return
 		}
-		if retries := r.Header.Get(wire.HeaderRetry); retries != "" && retries != "0" {
-			srvRetried.Inc()
+		switch op {
+		case wire.OpEstimate:
+			writeJSON(w, http.StatusOK, rep.res)
+		case wire.OpEstimateBatch:
+			writeJSON(w, http.StatusOK, map[string]any{"results": rep.results})
+		case wire.OpIngest:
+			writeJSON(w, http.StatusOK, rep.ingest)
+		case wire.OpCreateAttr:
+			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		case wire.OpSnapshotFetch:
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Length", strconv.Itoa(len(rep.snapshot)))
+			_, _ = w.Write(rep.snapshot)
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxPayloadBytes)
-
-		// Deadline propagation: the client names its budget (the typed
-		// form is wire.Meta.TimeoutMs / client.WithTimeout); the server
-		// defaults one so no request can wait forever.
-		timeout := s.cfg.DefaultTimeout
-		if ms := r.Header.Get(wire.HeaderTimeoutMs); ms != "" {
-			if v, err := strconv.ParseInt(ms, 10, 64); err == nil && v > 0 {
-				timeout = time.Duration(v) * time.Millisecond
-			}
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		if err := faultinject.Check(FaultHandler); err != nil {
-			writeError(w, err)
-			return
-		}
-		h(w, r.WithContext(ctx))
 	}
-}
-
-// admit charges the tenant's bucket and writes the 429 (with Retry-After)
-// itself; callers stop on false.
-func (s *Server) admit(w http.ResponseWriter, tenant string, cost int) bool {
-	retry, err := s.Admit(tenant, cost)
-	if err != nil {
-		secs := int64(retry / time.Second)
-		if retry%time.Second != 0 {
-			secs++ // ceil: retrying early would just 429 again
-		}
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeError(w, err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleCreateAttr(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeCreateAttr(r.Body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !s.admit(w, req.Tenant, 1) {
-		return
-	}
-	if err := s.CreateAttr(req.Tenant, req.Attr, req.Config); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeEstimate(r.Body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !s.admit(w, req.Tenant, 1) {
-		return
-	}
-	res, err := s.Estimate(r.Context(), req.Tenant, req.Attr, req.Lo, req.Hi, req.Fresh)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeBatchEstimate(r.Body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !s.admit(w, req.Tenant, len(req.Queries)) {
-		return
-	}
-	results, err := s.EstimateBatch(r.Context(), req.Tenant, req.Attr, req.Queries, req.Fresh)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeIngest(r.Body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !s.admit(w, req.Tenant, len(req.Values)) {
-		return
-	}
-	res, err := s.Ingest(req.Tenant, req.Attr, req.Values)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }

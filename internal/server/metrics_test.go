@@ -17,13 +17,13 @@ import (
 func TestServiceMetricsStructural(t *testing.T) {
 	before := telemetry.Default.Snapshot()
 
-	_, h := newHTTPFixture(t, Config{})
+	_, h := newHTTPFixture(t, Options{})
 	body := `{"tenant":"acme","attr":"price","lo":0,"hi":0.5}`
 	do(t, h, "POST", "/v1/estimate", body, nil)                                      // snapshot or fresh rung
 	do(t, h, "POST", "/v1/estimate", body, map[string]string{"X-Selest-Retry": "1"}) // retried
 
 	// A second server with a tiny queue sheds into the same registry.
-	s2 := New(Config{QueueCap: 8})
+	s2 := mustServer(t, Options{QueueCap: 8})
 	if err := s2.CreateAttr("flood", "x", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestServiceMetricsStructural(t *testing.T) {
 	}
 
 	// And a third with a drained tenant moves the rejected counter.
-	s3 := New(Config{QuotaRate: 1, QuotaBurst: 1})
+	s3 := mustServer(t, Options{QuotaRate: 1, QuotaBurst: 1})
 	if err := s3.CreateAttr("broke", "x", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}

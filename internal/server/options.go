@@ -151,16 +151,12 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// NewServer validates o and returns a server configured by it. This is
-// the constructor; New is the deprecated unvalidated shim.
+// NewServer validates o and returns a server configured by it.
 func NewServer(o Options) (*Server, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return newServer(o.withDefaults()), nil
-}
-
-func newServer(cfg Options) *Server {
+	cfg := o.withDefaults()
 	s := &Server{cfg: cfg, tenants: make(map[string]*tenant)}
 	if cfg.GlobalRate > 0 {
 		burst := cfg.GlobalBurst
@@ -169,21 +165,5 @@ func newServer(cfg Options) *Server {
 		}
 		s.global = newTokenBucket(cfg.GlobalRate, burst)
 	}
-	return s
-}
-
-// Config is the pre-Options name for the service configuration.
-//
-// Deprecated: use Options with NewServer, which validates. Config
-// remains an alias so existing construction sites keep compiling.
-type Config = Options
-
-// New returns an empty server without validating cfg — out-of-range
-// values are silently defaulted or carried, matching the pre-Options
-// behaviour.
-//
-// Deprecated: use NewServer, which rejects invalid options with typed
-// errs.ErrBadOption errors.
-func New(cfg Config) *Server {
-	return newServer(cfg.withDefaults())
+	return s, nil
 }

@@ -59,20 +59,7 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestDeprecatedNewShim pins that the old constructor still works
-// unvalidated — existing construction sites must keep their behaviour.
-func TestDeprecatedNewShim(t *testing.T) {
-	s := New(Config{QueueCap: 16})
-	if s.cfg.QueueCap != 16 || s.cfg.MaxBatch != 4096 || s.cfg.MaxPayloadBytes != 16<<20 {
-		t.Fatalf("shim defaults wrong: %+v", s.cfg)
-	}
-	if err := s.CreateAttr("t", "a", testAttrCfg()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNewServerDefaults pins that NewServer applies the same defaults
-// the shim does.
+// TestNewServerDefaults pins the default every zero limit takes.
 func TestNewServerDefaults(t *testing.T) {
 	s, err := NewServer(Options{})
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"selest/internal/core"
 	"selest/internal/errcode"
@@ -31,6 +32,7 @@ import (
 	"selest/internal/kde"
 	"selest/internal/online"
 	"selest/internal/sample"
+	"selest/internal/wire"
 )
 
 // Fault-injection sites: the chaos suite wedges or panics these to prove
@@ -49,11 +51,12 @@ const (
 // stable code, same message, regardless of the envelope. The quota,
 // drain, conflict, and not-found sentinels are the registry's own; the
 // two request-shape sentinels are service-specific refinements that wrap
-// errcode.ErrBadRequest, so errors.Is matches either level.
+// errcode.ErrBadRequest, so errors.Is matches either level: ErrBadRange
+// for ranges and domains, ErrBadValue for every other malformed field.
 var (
 	ErrNotFound  = errcode.ErrNotFound
-	ErrBadRange  = fmt.Errorf("%w: invalid range (NaN or inverted bounds)", errcode.ErrBadRequest)
-	ErrBadValue  = fmt.Errorf("%w: non-finite value", errcode.ErrBadRequest)
+	ErrBadRange  = fmt.Errorf("%w: invalid range", errcode.ErrBadRequest)
+	ErrBadValue  = fmt.Errorf("%w: invalid value", errcode.ErrBadRequest)
 	ErrOverQuota = errcode.ErrOverQuota
 	ErrDraining  = errcode.ErrDraining
 	ErrConflict  = errcode.ErrConflict
@@ -223,17 +226,23 @@ func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Buil
 // CreateAttr registers an attribute under a tenant, spawning its ingest
 // drainer. Creating an attribute that already exists with an identical
 // configuration is a no-op (so clients and recovery can be idempotent);
-// a differing configuration is ErrConflict.
+// a differing configuration is ErrConflict. Like the other in-process
+// entry points it runs the request core's shape check but charges no
+// quota.
 func (s *Server) CreateAttr(tenantName, attrName string, cfg AttrConfig) error {
 	if s.draining.Load() {
 		return ErrDraining
 	}
-	if tenantName == "" || attrName == "" {
-		return fmt.Errorf("%w: empty tenant or attribute name", ErrBadValue)
-	}
-	if err := cfg.validate(); err != nil {
+	c := call{op: wire.OpCreateAttr, tenant: nameBytes(tenantName), attr: nameBytes(attrName), cfg: &cfg}
+	if err := s.check(&c); err != nil {
 		return err
 	}
+	return s.create(tenantName, attrName, cfg)
+}
+
+// create builds and registers an attribute whose request passed the
+// shape check.
+func (s *Server) create(tenantName, attrName string, cfg AttrConfig) error {
 	if cfg.PromoteAfter == 0 {
 		cfg.PromoteAfter = 4
 	}
@@ -287,44 +296,53 @@ func (s *Server) CreateAttr(tenantName, attrName string, cfg AttrConfig) error {
 	return nil
 }
 
-// tenantFor returns the tenant, creating nothing.
-func (s *Server) tenantFor(name string) (*tenant, error) {
+// tenantNamed returns the tenant called name, or nil. Indexing the map
+// by string(bytes) is the compiler's no-copy special case, so a lookup
+// from a wire frame's byte view allocates nothing.
+func (s *Server) tenantNamed(name []byte) *tenant {
 	s.mu.RLock()
-	tn, ok := s.tenants[name]
+	tn := s.tenants[string(name)]
 	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: tenant %q", ErrNotFound, name)
+	return tn
+}
+
+// lookup is the request core's one (tenant, attribute) resolution.
+func (s *Server) lookup(tenantName, attrName []byte) (*tenant, *attribute, error) {
+	tn := s.tenantNamed(tenantName)
+	if tn == nil {
+		return nil, nil, fmt.Errorf("%w: tenant %q", ErrNotFound, string(tenantName))
 	}
-	return tn, nil
+	tn.mu.RLock()
+	a, ok := tn.attrs[string(attrName)]
+	tn.mu.RUnlock()
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: attribute %q/%q", ErrNotFound, string(tenantName), string(attrName))
+	}
+	return tn, a, nil
+}
+
+// nameBytes views a name held as a string as the bytes the request core
+// takes, without a copy; the core only ever reads names.
+func nameBytes(name string) []byte {
+	return unsafe.Slice(unsafe.StringData(name), len(name))
 }
 
 func (s *Server) attr(tenantName, attrName string) (*attribute, error) {
-	tn, err := s.tenantFor(tenantName)
-	if err != nil {
-		return nil, err
-	}
-	tn.mu.RLock()
-	a, ok := tn.attrs[attrName]
-	tn.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: attribute %q/%q", ErrNotFound, tenantName, attrName)
-	}
-	return a, nil
+	_, a, err := s.lookup(nameBytes(tenantName), nameBytes(attrName))
+	return a, err
 }
 
 // Admit charges a tenant's token bucket for a request of the given cost
 // (payload size). On refusal it returns ErrOverQuota and the Retry-After
-// duration the HTTP layer surfaces. Unknown tenants are admitted — they
-// fail with ErrNotFound downstream, which should not consume quota state.
+// duration the transports surface. Unknown tenants are charged only the
+// box-wide bucket; the request core never admits one, because its
+// lookup fails first.
 func (s *Server) Admit(tenantName string, cost int) (time.Duration, error) {
-	tn, _ := s.tenantFor(tenantName)
-	return s.admitBucket(tn, cost)
+	return s.admitBucket(s.tenantNamed(nameBytes(tenantName)), cost)
 }
 
-// admitBucket is the bucket-charging core shared by Admit and the wire
-// fast path (which resolved the tenant from byte views already). A nil
-// tenant is admitted after the box-wide charge — it fails with
-// ErrNotFound downstream.
+// admitBucket is the request core's one admission: the box-wide bucket,
+// then the tenant's (skipped for a nil tenant).
 func (s *Server) admitBucket(tn *tenant, cost int) (time.Duration, error) {
 	// The box-wide bucket charges one token per request whoever sent it:
 	// it models what the process can serve, so payload size (the
@@ -346,26 +364,6 @@ func (s *Server) admitBucket(tn *tenant, cost int) (time.Duration, error) {
 	}
 	srvAdmitted.Inc()
 	return 0, nil
-}
-
-// lookupView resolves a (tenant, attribute) pair from byte views without
-// allocating: indexing a map by string(bytes) is the compiler's no-copy
-// special case, which is what lets the wire fast path run an entire
-// estimate round trip at zero allocations.
-func (s *Server) lookupView(tenantName, attrName []byte) (*tenant, *attribute, error) {
-	s.mu.RLock()
-	tn, ok := s.tenants[string(tenantName)]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: tenant %q", ErrNotFound, tenantName)
-	}
-	tn.mu.RLock()
-	a, ok := tn.attrs[string(attrName)]
-	tn.mu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: attribute %q/%q", ErrNotFound, tenantName, attrName)
-	}
-	return tn, a, nil
 }
 
 // validRange rejects NaN and inverted bounds — the request is malformed,
@@ -401,18 +399,27 @@ func (s *Server) overloaded() bool {
 	return s.inflight.Load() > s.cfg.MaxInflight
 }
 
-// tightDeadline reports whether ctx has too little budget left to spend
-// on a flush.
-func (s *Server) tightDeadline(ctx context.Context) bool {
-	dl, ok := ctx.Deadline()
-	return ok && time.Until(dl) < s.cfg.DegradeDeadline
+// Estimate answers one range query through the degradation ladder
+// (see estimate); ctx's deadline, if any, bounds the fresh rung's
+// flush. Malformed ranges and unknown attributes error; nothing else
+// does — the in-process entry points skip the request core's drain
+// gate, admission and deadline check.
+func (s *Server) Estimate(ctx context.Context, tenantName, attrName string, lo, hi float64, fresh bool) (EstimateResult, error) {
+	c := call{op: wire.OpEstimate, tenant: nameBytes(tenantName), attr: nameBytes(attrName), lo: lo, hi: hi, ctx: ctx}
+	c.deadline, _ = ctx.Deadline()
+	_, a, err := s.resolve(&c)
+	if err != nil {
+		return EstimateResult{}, err
+	}
+	return s.estimate(&c, a, lo, hi, fresh), nil
 }
 
-// Estimate answers one range query through the degradation ladder:
+// estimate answers one checked range query through the degradation
+// ladder:
 //
 //	fresh     — fresh=true and the budget allows: flush a refit (bounded
-//	            by ctx), then answer — the estimate reflects every
-//	            drained insert.
+//	            by the request deadline), then answer — the estimate
+//	            reflects every drained insert.
 //	snapshot  — answer from the current lock-free snapshot without
 //	            waiting on any in-flight refit. This is the steady-state
 //	            rung, and where fresh=true lands under overload, a tight
@@ -421,35 +428,16 @@ func (s *Server) tightDeadline(ctx context.Context) bool {
 //	uniform   — no data at all: answer the uniform assumption over the
 //	            attribute's domain.
 //
-// Malformed ranges and unknown attributes error; nothing else does.
-func (s *Server) Estimate(ctx context.Context, tenantName, attrName string, lo, hi float64, fresh bool) (EstimateResult, error) {
-	a, err := s.attr(tenantName, attrName)
-	if err != nil {
-		return EstimateResult{}, err
-	}
-	if err := validRange(lo, hi); err != nil {
-		return EstimateResult{}, err
-	}
-	requested := rungSnapshot
+// Below the fresh rung it never blocks, never fails and never
+// allocates.
+func (s *Server) estimate(c *call, a *attribute, lo, hi float64, fresh bool) EstimateResult {
+	r, requested := rungSnapshot, rungSnapshot
 	if fresh {
 		requested = rungFresh
-	}
-	r := rungSnapshot
-	if fresh && !s.overloaded() && !s.tightDeadline(ctx) {
-		if err := a.est.FlushContext(ctx); err == nil {
+		if s.flush(c, a) {
 			r = rungFresh
 		}
-		// A failed or abandoned flush is not an error: the ladder serves
-		// the snapshot it has.
 	}
-	return s.answer(a, lo, hi, r, requested), nil
-}
-
-// answer serves the snapshot → reservoir → uniform tail of the ladder
-// from rung r — the never-blocking, never-failing, zero-allocation part
-// shared by Estimate and the wire fast path (which skips the fresh rung
-// entirely and so needs no context).
-func (s *Server) answer(a *attribute, lo, hi float64, r, requested rung) EstimateResult {
 	sel, ok := a.est.SelectivityOK(lo, hi)
 	if !ok {
 		if in, total := a.est.ReservoirCount(lo, hi); total > 0 {
@@ -471,31 +459,43 @@ func (s *Server) answer(a *attribute, lo, hi float64, r, requested rung) Estimat
 	}
 }
 
-// RangeQuery is one [Lo, Hi] range.
-type RangeQuery struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
+// flush runs the fresh rung's refit unless the server is overloaded or
+// the deadline leaves less than DegradeDeadline. It is the one place the
+// request core derives a context: from c.ctx (the HTTP request's, on
+// that transport), bounded by c.deadline. A failed or abandoned flush is
+// not an error: the ladder serves the snapshot it has.
+func (s *Server) flush(c *call, a *attribute) bool {
+	if s.overloaded() || (!c.deadline.IsZero() && time.Until(c.deadline) < s.cfg.DegradeDeadline) {
+		return false
+	}
+	ctx := c.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if !c.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, c.deadline)
+		defer cancel()
+	}
+	return a.est.FlushContext(ctx) == nil
 }
 
+// RangeQuery is one [Lo, Hi] range.
+type RangeQuery = wire.Range
+
 // EstimateBatch answers a batch of queries against one attribute,
-// amortising admission, lookup, and (with fresh) at most one flush over
-// the whole batch. Any malformed query rejects the batch.
+// amortising lookup and (with fresh) at most one flush over the whole
+// batch. Any malformed query rejects the batch.
 func (s *Server) EstimateBatch(ctx context.Context, tenantName, attrName string, queries []RangeQuery, fresh bool) ([]EstimateResult, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadRange)
-	}
-	for _, q := range queries {
-		if err := validRange(q.Lo, q.Hi); err != nil {
-			return nil, err
-		}
+	c := call{op: wire.OpEstimateBatch, tenant: nameBytes(tenantName), attr: nameBytes(attrName), queries: queries, ctx: ctx}
+	c.deadline, _ = ctx.Deadline()
+	_, a, err := s.resolve(&c)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]EstimateResult, len(queries))
 	for i, q := range queries {
-		res, err := s.Estimate(ctx, tenantName, attrName, q.Lo, q.Hi, fresh && i == 0)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
+		out[i] = s.estimate(&c, a, q.Lo, q.Hi, fresh && i == 0)
 	}
 	return out, nil
 }
@@ -533,25 +533,23 @@ func (s *Server) Ingest(tenantName, attrName string, values []float64) (IngestRe
 	if s.draining.Load() {
 		return IngestResult{}, ErrDraining
 	}
-	a, err := s.attr(tenantName, attrName)
+	c := call{op: wire.OpIngest, tenant: nameBytes(tenantName), attr: nameBytes(attrName), values: values}
+	_, a, err := s.resolve(&c)
 	if err != nil {
 		return IngestResult{}, err
 	}
-	if len(values) == 0 {
-		return IngestResult{}, fmt.Errorf("%w: empty values", ErrBadValue)
-	}
-	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return IngestResult{}, fmt.Errorf("%w: %v", ErrBadValue, v)
-		}
-	}
+	return s.enqueue(a, values), nil
+}
+
+// enqueue pushes checked values onto a's queue.
+func (s *Server) enqueue(a *attribute, values []float64) IngestResult {
 	queued, shed := a.queue.push(values)
 	a.rows.Add(int64(queued))
 	if shed > 0 {
 		srvShed.Add(int64(shed))
 	}
 	srvQueueDepth.Set(float64(s.queueTotal.Add(int64(queued - shed))))
-	return IngestResult{Queued: queued, Shed: shed}, nil
+	return IngestResult{Queued: queued, Shed: shed}
 }
 
 // drainBatch bounds how many queued values one InsertBatch takes; small

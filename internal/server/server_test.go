@@ -22,6 +22,17 @@ func testAttrCfg() AttrConfig {
 	}
 }
 
+// mustServer builds a server from options the test knows are valid,
+// failing the test on a validation error.
+func mustServer(t testing.TB, o Options) *Server {
+	t.Helper()
+	s, err := NewServer(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // waitInserted polls until the attribute's drainer has moved at least n
 // values into the reservoir engine — the only way an async ingest becomes
 // deterministic to observe.
@@ -49,7 +60,7 @@ func seq(n int) []float64 {
 }
 
 func TestCreateAttrIdempotentAndConflict(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
 	if err := s.CreateAttr("acme", "price", cfg); err != nil {
 		t.Fatal(err)
@@ -80,7 +91,7 @@ func TestCreateAttrIdempotentAndConflict(t *testing.T) {
 // answers uniform, queued-but-unfitted data answers the reservoir
 // fraction, and a fresh=true estimate flushes a fit and answers fresh.
 func TestEstimateLadderRungs(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	ctx := context.Background()
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
@@ -139,7 +150,7 @@ func TestEstimateLadderRungs(t *testing.T) {
 // ladder: fresh=true with less budget than DegradeDeadline answers from
 // the snapshot, flagged Degraded, instead of racing a refit.
 func TestEstimateDegradesOnTightDeadline(t *testing.T) {
-	s := New(Config{DegradeDeadline: 50 * time.Millisecond})
+	s := mustServer(t, Options{DegradeDeadline: 50 * time.Millisecond})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestEstimateDegradesOnTightDeadline(t *testing.T) {
 }
 
 func TestEstimateRejectsMalformed(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	ctx := context.Background()
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
@@ -189,7 +200,7 @@ func TestEstimateRejectsMalformed(t *testing.T) {
 }
 
 func TestEstimateBatchFlushesOnce(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +208,7 @@ func TestEstimateBatchFlushesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitInserted(t, s, "acme", "price", 32)
-	queries := []RangeQuery{{0, 0.25}, {0.25, 0.5}, {0.5, 1}}
+	queries := []RangeQuery{{Lo: 0, Hi: 0.25}, {Lo: 0.25, Hi: 0.5}, {Lo: 0.5, Hi: 1}}
 	res, err := s.EstimateBatch(context.Background(), "acme", "price", queries, true)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +227,7 @@ func TestEstimateBatchFlushesOnce(t *testing.T) {
 	if _, err := s.EstimateBatch(context.Background(), "acme", "price", nil, false); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("empty batch: %v, want ErrBadRange", err)
 	}
-	bad := []RangeQuery{{0, 1}, {math.NaN(), 1}}
+	bad := []RangeQuery{{Lo: 0, Hi: 1}, {Lo: math.NaN(), Hi: 1}}
 	if _, err := s.EstimateBatch(context.Background(), "acme", "price", bad, false); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("batch with NaN: %v, want ErrBadRange", err)
 	}
@@ -226,7 +237,7 @@ func TestEstimateBatchFlushesOnce(t *testing.T) {
 // larger than the queue sheds deterministically, the count comes back to
 // the caller, and the newest values are the ones kept.
 func TestIngestShedsUnderPressure(t *testing.T) {
-	s := New(Config{QueueCap: 8})
+	s := mustServer(t, Options{QueueCap: 8})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +254,7 @@ func TestIngestShedsUnderPressure(t *testing.T) {
 }
 
 func TestAdmissionQuota(t *testing.T) {
-	s := New(Config{QuotaRate: 1, QuotaBurst: 2})
+	s := mustServer(t, Options{QuotaRate: 1, QuotaBurst: 2})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +280,7 @@ func TestAdmissionQuota(t *testing.T) {
 }
 
 func TestCloseIdempotentAndRefusesNewWork(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}

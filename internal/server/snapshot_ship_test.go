@@ -22,7 +22,7 @@ import (
 // its shipped snapshot bytes.
 func shippedServer(t *testing.T) (*Server, []byte) {
 	t.Helper()
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSnapshotShipBytesIdenticalToDisk(t *testing.T) {
 
 	// A replica recovered from the shipped bytes must re-serialise to the
 	// same bytes: join, save, and the fleet's snapshots are interchangeable.
-	joined := New(Config{})
+	joined := mustServer(t, Options{})
 	if err := joined.RecoverReader(bytes.NewReader(shipped)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSnapshotShipBytesIdenticalToDisk(t *testing.T) {
 
 func TestSnapshotShipWarmBootServesSnapshotRung(t *testing.T) {
 	_, shipped := shippedServer(t)
-	joined := New(Config{})
+	joined := mustServer(t, Options{})
 	if err := joined.RecoverReader(bytes.NewReader(shipped)); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSnapshotShipTornTransfer(t *testing.T) {
 	// Cut the transfer at several depths: inside the magic, inside the
 	// manifest, inside the catalog stream, and one byte short of whole.
 	for _, cut := range []int{2, len(shipped) / 4, len(shipped) / 2, len(shipped) - 1} {
-		joined := New(Config{})
+		joined := mustServer(t, Options{})
 		err := joined.RecoverReader(bytes.NewReader(shipped[:cut]))
 		if !errors.Is(err, catalog.ErrTornSnapshot) {
 			t.Fatalf("transfer cut at %d/%d bytes: err = %v, want ErrTornSnapshot",
@@ -108,7 +108,7 @@ func TestSnapshotShipTornTransfer(t *testing.T) {
 	// A flipped byte inside the manifest region must also refuse (CRC).
 	flipped := append([]byte(nil), shipped...)
 	flipped[12] ^= 0x40
-	joined := New(Config{})
+	joined := mustServer(t, Options{})
 	if err := joined.RecoverReader(bytes.NewReader(flipped)); err == nil {
 		t.Fatal("corrupted transfer recovered silently")
 	}

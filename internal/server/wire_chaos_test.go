@@ -61,7 +61,7 @@ func wireClient(t *testing.T, addr string, mutate ...func(*client.Options)) *cli
 // degrade estimate quality, never availability, on this transport too.
 func TestWireChaosRefitPanicSoak(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
 	cfg.DegradeAfter = 2
 	cfg.PromoteAfter = 2
@@ -159,7 +159,7 @@ func TestWireChaosRefitPanicSoak(t *testing.T) {
 // the drain, refusals are typed ErrDraining frames, never dropped
 // connections.
 func TestWireChaosShutdownConservation(t *testing.T) {
-	s := New(Config{QueueCap: 1 << 16})
+	s := mustServer(t, Options{QueueCap: 1 << 16})
 	for _, attr := range []string{"price", "weight"} {
 		if err := s.CreateAttr("acme", attr, testAttrCfg()); err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestWireChaosShutdownConservation(t *testing.T) {
 // carrying a usable retry hint while another tenant keeps its full
 // budget — on the same listener, over concurrently-open connections.
 func TestWireChaosSlowTenantIsolation(t *testing.T) {
-	s := New(Config{QuotaRate: 1, QuotaBurst: 5})
+	s := mustServer(t, Options{QuotaRate: 1, QuotaBurst: 5})
 	for _, tn := range []string{"slow", "fast"} {
 		if err := s.CreateAttr(tn, "price", testAttrCfg()); err != nil {
 			t.Fatal(err)
@@ -268,7 +268,7 @@ func TestWireChaosSlowTenantIsolation(t *testing.T) {
 // and the next request on it succeeds.
 func TestWireChaosPanicContainment(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestWireChaosPanicContainment(t *testing.T) {
 // connection is closed — while the listener keeps serving well-behaved
 // connections untouched.
 func TestWireChaosProtocolGarbage(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}

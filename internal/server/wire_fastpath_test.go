@@ -54,7 +54,7 @@ func (c *failConn) Write(b []byte) (int, error) {
 // primedServer returns a Server with acme/price carrying a published
 // snapshot fit, so estimates answer from the steady-state rung.
 func primedServer(t testing.TB) *Server {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestWireFastPathEstimateZeroAllocs(t *testing.T) {
 // inline path: the pure-sampling fraction is counted in place under the
 // shard locks, never from a copy of the reservoir.
 func TestWireFastPathReservoirRungZeroAllocs(t *testing.T) {
-	s := New(Config{})
+	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
 	cfg.ReservoirSize, cfg.Shards = 4096, 3
 	if err := s.CreateAttr("acme", "price", cfg); err != nil {

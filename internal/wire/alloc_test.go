@@ -81,35 +81,3 @@ func TestDecodeEstimateBatchReqViewZeroAllocs(t *testing.T) {
 		t.Fatalf("DecodeEstimateBatchReqView with warm scratch allocates %v/op, want 0", a)
 	}
 }
-
-// TestViewDecodersMatchStringDecoders pins that the zero-copy views see
-// exactly what the allocating decoders see, including on malformed and
-// oversized payloads — the goroutine path re-decodes frames the fast
-// path declined, so the two decoders must never disagree.
-func TestViewDecodersMatchStringDecoders(t *testing.T) {
-	p := testEstimatePayload()
-	want, werr := DecodeEstimateReq(p)
-	got, gerr := DecodeEstimateReqView(p)
-	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("error mismatch: %v vs %v", werr, gerr)
-	}
-	if string(got.Tenant) != want.Tenant || string(got.Attr) != want.Attr ||
-		got.Lo != want.Lo || got.Hi != want.Hi || got.Fresh != want.Fresh || got.Meta != want.Meta {
-		t.Fatalf("view %+v != struct %+v", got, want)
-	}
-
-	for _, bad := range [][]byte{nil, {0xFF}, p[:3], p[:len(p)-1]} {
-		_, werr := DecodeEstimateReq(bad)
-		_, gerr := DecodeEstimateReqView(bad)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("malformed %x: struct err %v, view err %v", bad, werr, gerr)
-		}
-	}
-
-	bp := EstimateBatchReq{Tenant: "t", Attr: "a", Queries: make([]Range, 8)}.Append(nil)
-	bwant, bwerr := DecodeEstimateBatchReq(bp, 4)
-	bgot, _, bgerr := DecodeEstimateBatchReqView(bp, 4, nil)
-	if !(bwerr == ErrTooLarge && bgerr == ErrTooLarge) {
-		t.Fatalf("maxBatch bound: struct %v/%v, view %v/%v", bwant, bwerr, bgot, bgerr)
-	}
-}

@@ -23,11 +23,11 @@ func TestWireCompatOpcodes(t *testing.T) {
 		num  byte
 		name string
 	}{
-		{OpEstimate, 0x01, "estimate"},           // since v1 (PR 7)
+		{OpEstimate, 0x01, "estimate"},            // since v1 (PR 7)
 		{OpEstimateBatch, 0x02, "estimate_batch"}, // since v1 (PR 7)
-		{OpIngest, 0x03, "ingest"},               // since v1 (PR 7)
-		{OpCreateAttr, 0x04, "create_attr"},      // since v1 (PR 7)
-		{OpPing, 0x05, "ping"},                   // since v1 (PR 7)
+		{OpIngest, 0x03, "ingest"},                // since v1 (PR 7)
+		{OpCreateAttr, 0x04, "create_attr"},       // since v1 (PR 7)
+		{OpPing, 0x05, "ping"},                    // since v1 (PR 7)
 		{OpSnapshotFetch, 0x06, "snapshot_fetch"}, // since v1 (PR 9)
 		{RespFlag, 0x80, ""},
 		{OpError, 0xFF, "error"},
@@ -102,11 +102,11 @@ func TestWireCompatVersionNegotiation(t *testing.T) {
 func TestWireCompatTailGrowth(t *testing.T) {
 	grown := append(EstimateReq{Tenant: "t", Attr: "a", Lo: 0.1, Hi: 0.9}.Append(nil),
 		0xDE, 0xAD, 0xBE, 0xEF) // a future field this version doesn't know
-	req, err := DecodeEstimateReq(grown)
+	req, err := DecodeEstimateReqView(grown)
 	if err != nil {
 		t.Fatalf("tail-grown payload rejected: %v (the versioning contract requires ignoring trailing bytes)", err)
 	}
-	if req.Tenant != "t" || req.Attr != "a" {
+	if string(req.Tenant) != "t" || string(req.Attr) != "a" {
 		t.Fatalf("known fields misdecoded from tail-grown payload: %+v", req)
 	}
 	for _, p := range [][]byte{

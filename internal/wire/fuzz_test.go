@@ -60,18 +60,25 @@ func FuzzWireCodec(f *testing.F) {
 			}
 		}
 		p := fr.Payload
-		if r, err := DecodeEstimateReq(p); err == nil {
+		if v, err := DecodeEstimateReqView(p); err == nil {
 			// Byte-level round-trip (NaN-safe: floats compare as bits).
-			enc := r.Append(nil)
-			got, err2 := DecodeEstimateReq(enc)
-			if err2 != nil || !bytes.Equal(got.Append(nil), enc) {
+			enc := viewReq(v).Append(nil)
+			got, err2 := DecodeEstimateReqView(enc)
+			if err2 != nil || !bytes.Equal(viewReq(got).Append(nil), enc) {
 				t.Fatalf("EstimateReq re-encode mismatch (%v)", err2)
 			}
 		} else {
 			mustTyped("EstimateReq", err)
 		}
-		_, err = DecodeEstimateBatchReq(p, 4096)
-		mustTyped("EstimateBatchReq", err)
+		if v, _, err := DecodeEstimateBatchReqView(p, 4096, nil); err == nil {
+			enc := viewBatchReq(v).Append(nil)
+			got, _, err2 := DecodeEstimateBatchReqView(enc, 4096, nil)
+			if err2 != nil || !bytes.Equal(viewBatchReq(got).Append(nil), enc) {
+				t.Fatalf("EstimateBatchReq re-encode mismatch (%v)", err2)
+			}
+		} else {
+			mustTyped("EstimateBatchReq", err)
+		}
 		_, err = DecodeIngestReq(p, 4096)
 		mustTyped("IngestReq", err)
 		_, err = DecodeCreateAttrReq(p)

@@ -335,25 +335,12 @@ func (d *dec) strBytes() []byte {
 	return d.take(n)
 }
 
-// DecodeEstimateReq decodes an OpEstimate payload.
-func DecodeEstimateReq(p []byte) (EstimateReq, error) {
-	d := dec{b: p}
-	r := EstimateReq{
-		Meta:   d.meta(),
-		Tenant: d.str(),
-		Attr:   d.str(),
-		Lo:     d.f64(),
-		Hi:     d.f64(),
-		Fresh:  d.bool(),
-	}
-	return r, d.err()
-}
-
-// EstimateReqView is EstimateReq with Tenant and Attr as byte views
-// aliasing the payload buffer instead of copied into fresh strings — the
-// zero-copy decode the server's inline fast path uses so a steady-state
-// estimate round trip allocates nothing. The views are valid only until
-// the frame buffer is reused by the next ReadFrame.
+// EstimateReqView is the decoded form of an EstimateReq, with Tenant
+// and Attr as byte views aliasing the payload buffer instead of copied
+// into fresh strings — the zero-copy decode the server uses for every
+// estimate frame, so a steady-state estimate round trip allocates
+// nothing. The views are valid only until the frame buffer is reused by
+// the next ReadFrame.
 type EstimateReqView struct {
 	Meta
 	Tenant, Attr []byte
@@ -376,7 +363,7 @@ func DecodeEstimateReqView(p []byte) (EstimateReqView, error) {
 	return r, d.err()
 }
 
-// EstimateBatchReqView is the zero-copy twin of EstimateBatchReq:
+// EstimateBatchReqView is the decoded form of an EstimateBatchReq:
 // Tenant/Attr alias the payload and Queries live in caller-owned scratch.
 type EstimateBatchReqView struct {
 	Meta
@@ -388,8 +375,9 @@ type EstimateBatchReqView struct {
 // DecodeEstimateBatchReqView decodes an OpEstimateBatch payload without
 // copying the string fields; the ranges are decoded into queries
 // (reused when capacity allows, grown otherwise), which is returned so
-// the caller keeps the scratch across frames. maxBatch bounds the count
-// as in DecodeEstimateBatchReq.
+// the caller keeps the scratch across frames. maxBatch bounds the query
+// count (0 = unlimited): a count past it is ErrTooLarge, refused before
+// anything is allocated for it.
 func DecodeEstimateBatchReqView(p []byte, maxBatch int, queries []Range) (EstimateBatchReqView, []Range, error) {
 	d := dec{b: p}
 	r := EstimateBatchReqView{
@@ -436,34 +424,6 @@ func decodeEstimateRes(d *dec) EstimateRes {
 	}
 }
 
-// DecodeEstimateBatchReq decodes an OpEstimateBatch payload. maxBatch
-// bounds the query count (0 = unlimited) so a hostile count cannot
-// drive a huge allocation before the server's own limit check.
-func DecodeEstimateBatchReq(p []byte, maxBatch int) (EstimateBatchReq, error) {
-	d := dec{b: p}
-	r := EstimateBatchReq{
-		Meta:   d.meta(),
-		Tenant: d.str(),
-		Attr:   d.str(),
-		Fresh:  d.bool(),
-	}
-	n := d.uvarint()
-	if d.bad {
-		return r, ErrMalformed
-	}
-	if maxBatch > 0 && n > maxBatch {
-		return r, ErrTooLarge
-	}
-	if len(d.b) < 16*n {
-		return r, ErrMalformed
-	}
-	r.Queries = make([]Range, n)
-	for i := range r.Queries {
-		r.Queries[i] = Range{Lo: d.f64(), Hi: d.f64()}
-	}
-	return r, d.err()
-}
-
 // DecodeEstimateBatchRes decodes an OpEstimateBatch response payload.
 func DecodeEstimateBatchRes(p []byte) (EstimateBatchRes, error) {
 	d := dec{b: p}
@@ -481,8 +441,8 @@ func DecodeEstimateBatchRes(p []byte) (EstimateBatchRes, error) {
 	return r, d.err()
 }
 
-// DecodeIngestReq decodes an OpIngest payload; maxValues mirrors
-// DecodeEstimateBatchReq's bound.
+// DecodeIngestReq decodes an OpIngest payload; maxValues bounds the
+// value count as maxBatch does in DecodeEstimateBatchReqView.
 func DecodeIngestReq(p []byte, maxValues int) (IngestReq, error) {
 	d := dec{b: p}
 	r := IngestReq{

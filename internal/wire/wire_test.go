@@ -116,7 +116,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	meta := Meta{TimeoutMs: 1500, Retry: 2}
 
 	est := EstimateReq{Meta: meta, Tenant: "acme", Attr: "price", Lo: 0.25, Hi: 0.75, Fresh: true}
-	if got, err := DecodeEstimateReq(est.Append(nil)); err != nil || got != est {
+	if got, err := DecodeEstimateReqView(est.Append(nil)); err != nil || viewReq(got) != est {
 		t.Fatalf("EstimateReq: %+v, %v", got, err)
 	}
 
@@ -127,8 +127,8 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	batch := EstimateBatchReq{Meta: meta, Tenant: "t", Attr: "a", Fresh: false,
 		Queries: []Range{{0, 1}, {0.1, 0.9}, {math.Inf(-1), math.NaN()}}}
-	gotB, err := DecodeEstimateBatchReq(batch.Append(nil), 0)
-	if err != nil || len(gotB.Queries) != 3 || gotB.Tenant != "t" {
+	gotB, _, err := DecodeEstimateBatchReqView(batch.Append(nil), 0, nil)
+	if err != nil || len(gotB.Queries) != 3 || string(gotB.Tenant) != "t" || gotB.Meta != meta {
 		t.Fatalf("EstimateBatchReq: %+v, %v", gotB, err)
 	}
 	// NaN round-trips bit-exactly through Float64bits.
@@ -176,7 +176,7 @@ func TestMessageRoundTrips(t *testing.T) {
 func TestMessageBounds(t *testing.T) {
 	big := EstimateBatchReq{Tenant: "t", Attr: "a",
 		Queries: make([]Range, 100)}
-	if _, err := DecodeEstimateBatchReq(big.Append(nil), 10); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := DecodeEstimateBatchReqView(big.Append(nil), 10, nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("batch over bound: %v", err)
 	}
 	ing := IngestReq{Tenant: "t", Attr: "a", Values: make([]float64, 100)}
@@ -186,14 +186,31 @@ func TestMessageBounds(t *testing.T) {
 
 	full := EstimateReq{Tenant: "tenant", Attr: "attr", Lo: 0, Hi: 1}.Append(nil)
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeEstimateReq(full[:cut]); !errors.Is(err, ErrMalformed) {
+		if _, err := DecodeEstimateReqView(full[:cut]); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("estimate cut %d: %v, want ErrMalformed", cut, err)
 		}
 	}
+	fullB := EstimateBatchReq{Tenant: "t", Attr: "a", Queries: make([]Range, 3)}.Append(nil)
+	for cut := 0; cut < len(fullB); cut++ {
+		if _, _, err := DecodeEstimateBatchReqView(fullB[:cut], 0, nil); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("batch cut %d: %v, want ErrMalformed", cut, err)
+		}
+	}
 	// Trailing bytes are tolerated (tail-growth versioning rule).
-	if _, err := DecodeEstimateReq(append(full, 0xAA, 0xBB)); err != nil {
+	if _, err := DecodeEstimateReqView(append(full, 0xAA, 0xBB)); err != nil {
 		t.Errorf("trailing bytes must be ignored: %v", err)
 	}
+}
+
+// viewReq copies a decoded view back into the request it encodes.
+func viewReq(v EstimateReqView) EstimateReq {
+	return EstimateReq{Meta: v.Meta, Tenant: string(v.Tenant), Attr: string(v.Attr), Lo: v.Lo, Hi: v.Hi, Fresh: v.Fresh}
+}
+
+// viewBatchReq copies a decoded batch view back into the request it
+// encodes.
+func viewBatchReq(v EstimateBatchReqView) EstimateBatchReq {
+	return EstimateBatchReq{Meta: v.Meta, Tenant: string(v.Tenant), Attr: string(v.Attr), Fresh: v.Fresh, Queries: v.Queries}
 }
 
 func TestOpNames(t *testing.T) {

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-service bench-service-quick bench-cluster bench-cluster-quick ci
+.PHONY: build test vet staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-service bench-service-quick bench-cluster bench-cluster-quick ci
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,12 @@ bench: bench-query bench-fit
 bench-query:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchmem ./internal/kde/ \
 		| tee /dev/stderr | sh scripts/bench2json.sh > BENCH_query.json
+
+# A fast single-iteration sweep of the query-engine benchmarks: smoke
+# coverage that every BenchmarkQuery* still runs, cheap enough for ci.
+bench-query-quick:
+	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime 1x -timeout 10m \
+		./internal/kde/ > /dev/null
 
 # The fit-path engine pairs: DPI fit, LSCV, oracle search, and the hybrid
 # build, each engine-vs-seed at n up to 1e6. Writes the raw `go test`
@@ -289,4 +295,4 @@ race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/
 
-ci: vet staticcheck govulncheck test race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-fit-quick benchstat-fit bench-refit-quick benchstat-refit bench-hotpath-quick benchstat-hotpath bench-serve-quick benchstat-serve bench-service-quick bench-cluster-quick
+ci: vet staticcheck govulncheck test race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-query-quick bench-fit-quick benchstat-fit bench-refit-quick benchstat-refit bench-hotpath-quick benchstat-hotpath bench-serve-quick benchstat-serve bench-service-quick bench-cluster-quick

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"selest/internal/bandwidth"
@@ -160,6 +161,21 @@ type Options struct {
 // Every successful fit records its method, duration, and derived
 // smoothing parameter into the telemetry registry.
 func Build(samples []float64, opts Options) (Estimator, error) {
+	return build(samples, opts, false)
+}
+
+// BuildSorted is Build over samples sorted ascending that the caller
+// never modifies afterwards, such as an online reservoir's sorted view.
+// Kernel and beta-kernel fits alias them instead of copying and sorting,
+// equi-depth reads its quantiles from them directly, and every other
+// method takes Build's path, so the answers are bit-identical to Build's
+// over the same samples. Unsorted input is an error wrapping
+// ErrBadOption.
+func BuildSorted(sorted []float64, opts Options) (Estimator, error) {
+	return build(sorted, opts, true)
+}
+
+func build(samples []float64, opts Options, sorted bool) (Estimator, error) {
 	method := opts.Method
 	if method == "" {
 		method = Kernel
@@ -170,14 +186,21 @@ func Build(samples []float64, opts Options) (Estimator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", method, err)
 	}
+	// The kernel methods' fit context checks the order of what it
+	// aliases; every other method is checked here, so each view is read
+	// once for it.
+	if sorted && method != Kernel && method != BetaKernel && !slices.IsSorted(samples) {
+		return nil, fmt.Errorf("core: build %s: samples are not sorted: %w", method, ErrBadOption)
+	}
 	start := time.Now()
-	est, err := dispatch(samples, opts, method)
+	est, err := dispatch(samples, opts, method, sorted)
 	recordFit(method, start, err)
 	return est, err
 }
 
-// dispatch routes the validated option set to the method's builder.
-func dispatch(samples []float64, opts Options, method Method) (Estimator, error) {
+// dispatch routes the validated option set to the method's builder;
+// sorted says the samples are sorted and may be aliased.
+func dispatch(samples []float64, opts Options, method Method, sorted bool) (Estimator, error) {
 	if err := faultinject.Check("core.build." + string(method)); err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", method, err)
 	}
@@ -193,15 +216,18 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		}
 		return histogram.BuildEquiWidth(samples, k, opts.DomainLo, opts.DomainHi)
 	case EquiDepth:
-		// One radix sort serves the bin-width rule's quartiles and the
-		// histogram's boundaries.
-		sorted := append([]float64(nil), samples...)
-		fsort.Float64s(sorted)
-		k, err := binCount(samples, sorted, opts, method)
+		// One radix sort, or none for sorted input, serves the bin-width
+		// rule's quartiles and the histogram's boundaries.
+		view := samples
+		if !sorted {
+			view = append([]float64(nil), samples...)
+			fsort.Float64s(view)
+		}
+		k, err := binCount(samples, view, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildEquiDepthSorted(sorted, k)
+		return histogram.BuildEquiDepthSorted(view, k)
 	case MaxDiff:
 		k, err := binCount(samples, nil, opts, method)
 		if err != nil {
@@ -250,7 +276,7 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		// One fit context serves the bandwidth rule (every DPI pilot, every
 		// LSCV grid point) and the final estimator: the sample is sorted and
 		// moment-indexed exactly once per Build.
-		ctx, err := kde.NewFitContext(samples)
+		ctx, err := fitContext(samples, sorted)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +295,7 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		// Same shared-context discipline as Kernel: one sort and one moment
 		// index serve the closed-form rule and the estimator. The default
 		// rule here is BetaClosedForm — the rule the method exists for.
-		ctx, err := kde.NewFitContext(samples)
+		ctx, err := fitContext(samples, sorted)
 		if err != nil {
 			return nil, err
 		}
@@ -303,6 +329,15 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 	default:
 		return nil, fmt.Errorf("core: unknown method %q (valid: %s): %w", method, methodNames(), ErrBadOption)
 	}
+}
+
+// fitContext builds the kernel methods' fit context: over a sorted copy,
+// or aliasing samples the caller says are sorted, once they check out.
+func fitContext(samples []float64, sorted bool) (*kde.FitContext, error) {
+	if sorted {
+		return kde.NewFitContextSorted(samples)
+	}
+	return kde.NewFitContext(samples)
 }
 
 // binCount resolves the histogram bin count from Options, recording the

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"selest/internal/fsort"
 	"selest/internal/kde"
 	"selest/internal/kernel"
 	"selest/internal/xrand"
@@ -132,5 +134,66 @@ func TestBuildASHShifts(t *testing.T) {
 func TestMethodsComplete(t *testing.T) {
 	if len(Methods()) != 14 {
 		t.Fatalf("Methods() lists %d methods", len(Methods()))
+	}
+}
+
+// TestBuildSortedMatchesBuild pins the sorted entry to Build: for every
+// method and the rules the kernel methods serve with, a fit over sorted
+// samples answers bit-identically to Build over the same samples (and,
+// for the methods that sort anyway, over the unsorted ones), and unsorted
+// input is an ErrBadOption error for every method, never a panic.
+func TestBuildSortedMatchesBuild(t *testing.T) {
+	samples := testSamples(3000, 11)
+	sorted := append([]float64(nil), samples...)
+	fsort.Float64s(sorted)
+	base := Options{DomainLo: 0, DomainHi: 1000}
+	var cases []Options
+	for _, m := range Methods() {
+		o := base
+		o.Method = m
+		cases = append(cases, o)
+	}
+	for _, o := range []Options{
+		{Method: Kernel, Rule: DPI, Boundary: kde.BoundaryKernels},
+		{Method: Kernel, Rule: NormalScale, Boundary: kde.BoundaryReflect},
+		{Method: BetaKernel, Rule: ExactMISE},
+		{Method: EquiDepth, Rule: DPI},
+	} {
+		o.DomainLo, o.DomainHi = base.DomainLo, base.DomainHi
+		cases = append(cases, o)
+	}
+	r := xrand.New(5)
+	queries := make([][2]float64, 200)
+	for i := range queries {
+		a := r.Float64()*1100 - 50
+		queries[i] = [2]float64{a, a + r.Float64()*300}
+	}
+	for _, o := range cases {
+		name := string(o.Method) + "/" + string(o.Rule)
+		got, err := BuildSorted(sorted, o)
+		if err != nil {
+			t.Fatalf("%s: BuildSorted: %v", name, err)
+		}
+		refs := []Estimator{}
+		for _, in := range [][]float64{sorted, samples} {
+			ref, err := Build(in, o)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", name, err)
+			}
+			refs = append(refs, ref)
+			if o.Method != Kernel && o.Method != BetaKernel && o.Method != EquiDepth {
+				break // only the sorting methods match over unsorted input
+			}
+		}
+		for _, ref := range refs {
+			for _, q := range queries {
+				if a, b := got.Selectivity(q[0], q[1]), ref.Selectivity(q[0], q[1]); a != b {
+					t.Fatalf("%s: Selectivity(%v, %v) = %v sorted, %v from Build", name, q[0], q[1], a, b)
+				}
+			}
+		}
+		if _, err := BuildSorted(samples, o); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("%s: unsorted input: %v, want ErrBadOption", name, err)
+		}
 	}
 }

@@ -12,11 +12,17 @@ import (
 // (the paper's iw/ci file) the frequent values carry most of the answer
 // and the singletons remove their error entirely.
 type EndBiased struct {
-	singles map[float64]float64 // value → mass fraction
-	rest    *Histogram          // nil when every sample is a singleton
-	restPor float64             // mass fraction of the rest histogram
+	// singles are the singleton buckets in ascending value order, the
+	// order Selectivity sums them in, so every fit over the same samples
+	// answers bit-identically.
+	singles []singleton
+	rest    *Histogram // nil when every sample is a singleton
+	restPor float64    // mass fraction of the rest histogram
 	n       int
 }
+
+// singleton is one exactly-stored frequent value and its mass fraction.
+type singleton struct{ v, mass float64 }
 
 // BuildEndBiased builds an end-biased histogram with k singleton buckets
 // and restBins equi-width bins for the remainder over [lo, hi].
@@ -56,10 +62,12 @@ func BuildEndBiased(samples []float64, k, restBins int, lo, hi float64) (*EndBia
 		k = len(byCount)
 	}
 
-	e := &EndBiased{singles: make(map[float64]float64, k), n: len(samples)}
+	top := byCount[:k]
+	sort.Slice(top, func(i, j int) bool { return top[i].v < top[j].v })
+	e := &EndBiased{singles: make([]singleton, k), n: len(samples)}
 	isSingle := make(map[float64]bool, k)
-	for _, t := range byCount[:k] {
-		e.singles[t.v] = float64(t.c) / float64(len(samples))
+	for i, t := range top {
+		e.singles[i] = singleton{t.v, float64(t.c) / float64(len(samples))}
 		isSingle[t.v] = true
 	}
 	var rest []float64
@@ -86,9 +94,9 @@ func (e *EndBiased) Selectivity(a, b float64) float64 {
 		return 0
 	}
 	sum := 0.0
-	for v, mass := range e.singles {
-		if v >= a && v <= b {
-			sum += mass
+	for _, s := range e.singles {
+		if s.v >= a && s.v <= b {
+			sum += s.mass
 		}
 	}
 	if e.rest != nil {

@@ -130,7 +130,7 @@ func newBetaSorted(sorted []float64, cfg BetaConfig, shared *momentIndex) (*Beta
 	if e.moments != nil {
 		// Interior NaN poisons the prefix totals without tripping
 		// newMomentIndex's endpoint checks; refuse it in O(1) here.
-		if math.IsNaN(e.moments.p3[n].val()) {
+		if math.IsNaN(e.moments.totals().s3.val()) {
 			return nil, fmt.Errorf("kde: beta estimator needs finite samples")
 		}
 	} else {

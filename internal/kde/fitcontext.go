@@ -20,15 +20,16 @@ package kde
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"selest/internal/errs"
 	"selest/internal/fsort"
 	"selest/internal/telemetry"
 )
 
 // FitContext caches the sorted sample set and its prefix-moment index for
 // repeated estimator fits. It is immutable after construction and safe
-// for concurrent use by any number of NewFromContext calls.
+// for concurrent use by any number of NewEstimator calls.
 type FitContext struct {
 	sorted  []float64
 	moments *momentIndex // nil for magnitudes the closed form cannot trust
@@ -50,13 +51,14 @@ func NewFitContext(samples []float64) (*FitContext, error) {
 // which it aliases — the caller must not mutate it afterwards. This is
 // the zero-copy entry for callers that already hold sorted data, such as
 // the hybrid estimator's per-bin segments (contiguous sub-slices of one
-// sorted array).
+// sorted array) and online refits over the reservoir's sorted view.
+// Unsorted input is an error wrapping errs.ErrBadOption.
 func NewFitContextSorted(sorted []float64) (*FitContext, error) {
 	if len(sorted) == 0 {
 		return nil, fmt.Errorf("kde: empty sample set")
 	}
-	if !sort.Float64sAreSorted(sorted) {
-		return nil, fmt.Errorf("kde: NewFitContextSorted needs sorted input")
+	if !slices.IsSorted(sorted) {
+		return nil, fmt.Errorf("kde: NewFitContextSorted needs sorted input: %w", errs.ErrBadOption)
 	}
 	if telemetry.Enabled() {
 		fitSortsAvoided.Inc()
@@ -90,12 +92,6 @@ func (c *FitContext) NewEstimator(cfg Config) (*Estimator, error) {
 	return newSorted(c.sorted, cfg, c.moments)
 }
 
-// NewFromContext is the free-function spelling of FitContext.NewEstimator,
-// mirroring New for call sites that read better with the config last.
-func NewFromContext(c *FitContext, cfg Config) (*Estimator, error) {
-	return c.NewEstimator(cfg)
-}
-
 // NewBetaEstimator fits a beta-kernel estimator (beta.go) from the
 // context, reusing its sort and prefix-moment index. Results are
 // bit-identical to NewBeta over the same samples.
@@ -107,9 +103,9 @@ func (c *FitContext) NewBetaEstimator(cfg BetaConfig) (*BetaEstimator, error) {
 }
 
 // MomentSummary returns the sample mean and (population) variance. With a
-// moment index the totals are an O(1) read off the centered prefix sums;
-// otherwise one centered pass computes them. ok is false when the sample
-// is empty or the result is not finite.
+// moment index the totals are an O(1) read off its last entry, which
+// covers every sample; otherwise one centered pass computes them. ok is
+// false when the sample is empty or the result is not finite.
 func (c *FitContext) MomentSummary() (mean, variance float64, ok bool) {
 	n := len(c.sorted)
 	if n == 0 {
@@ -117,9 +113,10 @@ func (c *FitContext) MomentSummary() (mean, variance float64, ok bool) {
 	}
 	nf := float64(n)
 	if m := c.moments; m != nil {
-		d := m.p1[n].val() / nf
+		t := m.totals()
+		d := t.s1.val() / nf
 		mean = m.c + d
-		variance = m.p2[n].val()/nf - d*d
+		variance = t.s2.val()/nf - d*d
 	} else {
 		// Center on the hull midpoint, as the index would.
 		center := 0.5*c.sorted[0] + 0.5*c.sorted[n-1]

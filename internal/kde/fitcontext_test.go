@@ -9,12 +9,12 @@ import (
 	"selest/internal/xrand"
 )
 
-// TestNewFromContextBitIdentical pins the context's core guarantee:
+// TestFitContextBitIdentical pins the context's core guarantee:
 // estimators fitted through a shared FitContext answer exactly — bit for
 // bit — what kde.New over the same samples answers, in every boundary
 // mode. The context only removes redundant sorting/indexing work; it must
 // not perturb a single result.
-func TestNewFromContextBitIdentical(t *testing.T) {
+func TestFitContextBitIdentical(t *testing.T) {
 	r := xrand.New(321)
 	for _, c := range momentCorpus(t) {
 		ctx, err := NewFitContext(c.samples)
@@ -28,9 +28,9 @@ func TestNewFromContextBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: New: %v", c.name, err)
 				}
-				shared, err := NewFromContext(ctx, cfg)
+				shared, err := ctx.NewEstimator(cfg)
 				if err != nil {
-					t.Fatalf("%s: NewFromContext: %v", c.name, err)
+					t.Fatalf("%s: NewEstimator: %v", c.name, err)
 				}
 				for _, q := range queriesFor(r, c.lo, c.hi, cfg.Bandwidth, 40) {
 					if a, b := direct.Selectivity(q.A, q.B), shared.Selectivity(q.A, q.B); a != b {

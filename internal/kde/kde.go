@@ -116,7 +116,7 @@ type Estimator struct {
 //
 // Callers fitting many estimators over one sample set (bandwidth-rule
 // iterations, grid searches, the hybrid per-bin fits) should sort once
-// through NewFitContext and fit with NewFromContext instead.
+// through NewFitContext and fit with FitContext.NewEstimator instead.
 func New(samples []float64, cfg Config) (*Estimator, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("kde: empty sample set")

@@ -13,9 +13,21 @@ package kde
 //	Σ u_i³ = (m·y³ − 3y²·ΣXᵢ + 3y·ΣXᵢ² − ΣXᵢ³)/h³
 //
 // which turns a range-selectivity query into a handful of binary searches
-// with no per-sample loop at all — O(log n) regardless of how many samples
-// the query edges overlap. This is the same precomputation trick the
-// GENHIST/STHoles-era summaries use to make query time independent of n.
+// and a bounded amount of arithmetic — O(log n) regardless of how many
+// samples the query edges overlap. This is the same precomputation trick
+// the GENHIST/STHoles-era summaries use to make query time independent
+// of n.
+//
+// Layout: the index stores the prefix moments only at every blockSize-th
+// sample, as one array of interleaved {Σ(X−c), Σ(X−c)², Σ(X−c)³} entries
+// (6 bytes per sample instead of 48 for per-sample prefixes). A query
+// window [l, r) takes the closed form over its whole blocks and sums the
+// at most blockSize−1 samples of each partial end block term by term:
+// each adds its kernel term's (y − X) and (y − X)³. Those samples sit
+// next to the binary searches' last probes, so they cost a few flops on
+// cached lines, where per-sample prefixes cost cache misses. densitySum,
+// whose densities become the fit path's discrete choices, instead
+// rebuilds the exact per-sample prefix at each window end.
 //
 // Numerics: the naive expansion is catastrophically cancellative on wide
 // integer domains — for X ~ 2^p the terms are of order m·X³ while the
@@ -30,6 +42,10 @@ package kde
 //     the polynomial recombination retain ~106 bits through the
 //     cancellation, leaving ≪1e−9 absolute error on the selectivity even
 //     at n = 10⁶ on [0, 2^31) domains.
+//
+// The term-by-term partial blocks need neither defence: a sample inside
+// the window has |y − X| ≤ h, so at most 2(blockSize−1) float64 terms
+// add ~1e−15 to a sum of up to n once scaled by 1/h and 1/h³.
 //
 // Magnitudes whose cubes would overflow float64 (or NaN inputs) disable
 // the index at construction; the estimator then falls back to the
@@ -101,18 +117,70 @@ func (x dd) val() float64 { return x.hi + x.lo }
 // overflow (1e90³·1e9 ≈ 1e279 < MaxFloat64).
 const maxMomentMagnitude = 1e90
 
-// momentIndex holds centered, compensated prefix moments over one sorted
-// sample slice, answering Σᵢ CDF_epa((y − Xᵢ)/h) over all samples in
-// O(log n). It is immutable after construction and therefore safe to
+// blockShift sets the index's block size: one prefix entry per
+// blockSize samples. Eight samples fill one 64-byte cache line, so a
+// partial end block costs at most one line beyond the binary search's
+// last probe.
+const (
+	blockShift = 3
+	blockSize  = 1 << blockShift
+)
+
+// moments3 is one prefix entry: the centered sums Σ(X−c), Σ(X−c)²,
+// Σ(X−c)³ over a sample prefix. The count Σ1 is the prefix length itself
+// (the samples are unweighted).
+type moments3 struct{ s1, s2, s3 dd }
+
+// momentIndex holds centered, compensated block-prefix moments over one
+// sorted sample slice, answering Σᵢ CDF_epa((y − Xᵢ)/h) over all samples
+// in O(log n). It is immutable after construction and therefore safe to
 // share: a FitContext builds one index per sample set and every estimator
 // fitted from that context aliases it. Domain-dependent state (the
 // boundary-strip log prefixes) lives in the per-estimator stripLogs.
 type momentIndex struct {
 	xs []float64 // the sorted samples (aliased, not owned)
 	c  float64   // centering constant: midpoint of the sample hull
-	// p1..p3: prefix sums of (x−c)^k, length len(xs)+1. p0 is the index
-	// itself (the samples are unweighted).
-	p1, p2, p3 []dd
+	// blocks[j] holds the moments of xs[:min(j·blockSize, n)], for
+	// j = 0..⌈n/blockSize⌉: a prefix at every block boundary, and the
+	// last entry always covers all n samples (totals).
+	blocks []moments3
+}
+
+// wholeBlocks returns the block-aligned part [L, R) of the index range
+// [l, r), so that [l, L) and [R, r) are the partial end blocks summed
+// term by term. A range that covers no whole block returns [r, r): all
+// of it is summed term by term, at most 2(blockSize−1) samples.
+func wholeBlocks(l, r int) (L, R int) {
+	L = (l + blockSize - 1) &^ (blockSize - 1)
+	R = r &^ (blockSize - 1)
+	if L >= R {
+		return r, r
+	}
+	return L, R
+}
+
+// span returns the moments of the whole blocks xs[L:R]; L and R must be
+// block boundaries (wholeBlocks' result).
+func (m *momentIndex) span(L, R int) (s1, s2, s3 dd) {
+	a, b := &m.blocks[L>>blockShift], &m.blocks[R>>blockShift]
+	return b.s1.sub(a.s1), b.s2.sub(a.s2), b.s3.sub(a.s3)
+}
+
+// totals returns the moments over every sample.
+func (m *momentIndex) totals() *moments3 { return &m.blocks[len(m.blocks)-1] }
+
+// prefix2 returns Σ(X−c) and Σ(X−c)² over xs[:i] exactly as a
+// per-sample prefix array would hold them: the block entry at or below i,
+// carried over the rest of its block by the build's accumulation step.
+func (m *momentIndex) prefix2(i int) (s1, s2 dd) {
+	b := &m.blocks[i>>blockShift]
+	s1, s2 = b.s1, b.s2
+	for _, x := range m.xs[i&^(blockSize-1) : i] {
+		y := twoDiff(x, m.c)
+		s1 = s1.add(y)
+		s2 = s2.add(y.mul(y))
+	}
+	return s1, s2
 }
 
 // stripLogs holds the boundary-strip log prefixes for one (domain,
@@ -147,24 +215,22 @@ func newMomentIndex(xs []float64) *momentIndex {
 	if math.Max(math.Abs(xs[0]-c), math.Abs(xs[n-1]-c)) > maxMomentMagnitude {
 		return nil
 	}
-	m := &momentIndex{
-		xs: xs,
-		c:  c,
-		p1: make([]dd, n+1),
-		p2: make([]dd, n+1),
-		p3: make([]dd, n+1),
-	}
+	nb := (n + blockSize - 1) >> blockShift
+	m := &momentIndex{xs: xs, c: c, blocks: make([]moments3, nb+1)}
 	var s1, s2, s3 dd
-	for i, x := range xs {
-		y := twoDiff(x, c) // exact
-		y2 := y.mul(y)
-		s1 = s1.add(y)
-		s2 = s2.add(y2)
-		s3 = s3.add(y2.mul(y))
-		m.p1[i+1] = s1
-		m.p2[i+1] = s2
-		m.p3[i+1] = s3
+	for j := range nb {
+		m.blocks[j] = moments3{s1, s2, s3}
+		for _, x := range xs[j<<blockShift : min((j+1)<<blockShift, n)] {
+			// prefix2 repeats this step, so its prefixes are bit-identical
+			// to the ones this loop passes through.
+			y := twoDiff(x, c) // exact
+			y2 := y.mul(y)
+			s1 = s1.add(y)
+			s2 = s2.add(y2)
+			s3 = s3.add(y2.mul(y))
+		}
 	}
+	m.blocks[nb] = moments3{s1, s2, s3}
 	return m
 }
 
@@ -219,55 +285,47 @@ func (m *momentIndex) cdfSum(y, h float64) float64 {
 }
 
 // windowSum evaluates F(y) given the precomputed window [l, r): the l full
-// contributors below the window plus the moment closed form inside it.
+// contributors below the window plus the in-window sum.
 func (m *momentIndex) windowSum(l, r int, y, h float64) float64 {
-	k := r - l
-	if k == 0 {
-		return float64(l)
-	}
-	kf := float64(k)
-	s1 := m.p1[r].sub(m.p1[l])
-	s2 := m.p2[r].sub(m.p2[l])
-	s3 := m.p3[r].sub(m.p3[l])
-	z := twoDiff(y, m.c)
-	// Σu = (k·z − S1)/h.
-	sumU := z.mulF(kf).sub(s1)
-	// Σu³ = (k·z³ − 3z²·S1 + 3z·S2 − S3)/h³.
-	z2 := z.mul(z)
-	sumU3 := z2.mul(z).mulF(kf).
-		sub(z2.mul(s1).mulF(3)).
-		add(z.mul(s2).mulF(3)).
-		sub(s3)
-	ih := 1 / h
-	// Σ CDF(u) = k/2 + ¾Σu − ¼Σu³.
-	return float64(l) + 0.5*kf + 0.25*ih*(3*sumU.val()-sumU3.val()*ih*ih)
+	return float64(l) + m.momentCdf(l, r, y, h)
 }
 
-// momentCdf evaluates the in-window part of the CDF sum over [l, r) — the
-// moment closed form alone, without the full-contributor count windowSum
-// adds below the window. Callers must guarantee every sample in [l, r)
-// lies inside the kernel window of (y, h). It exists as a separate
-// function (rather than a factored windowSum) so windowSum's operation
-// order — and therefore the bit-identity pins on the existing query
-// paths — stays untouched.
+// momentCdf evaluates the in-window part of the CDF sum over [l, r).
+// Callers must guarantee every sample in [l, r) lies inside the kernel
+// window of (y, h), so each sample adds the cubic ½ + ¼(3u − u³) with
+// u = (y − X)/h: the whole blocks' Σ(y−X) and Σ(y−X)³ come from the
+// moment closed form, and the partial end blocks add theirs term by term.
 func (m *momentIndex) momentCdf(l, r int, y, h float64) float64 {
-	k := r - l
-	if k == 0 {
-		return 0
+	L, R := wholeBlocks(l, r)
+	var d1, d3 float64 // Σ(y−X), Σ(y−X)³
+	if L < R {
+		// The block entries are the likeliest cache misses: reading them
+		// before the partial blocks' loops overlaps the two.
+		kf := float64(R - L)
+		s1, s2, s3 := m.span(L, R)
+		z := twoDiff(y, m.c)
+		// Σ(y−X) = k·z − S1.
+		d1 = z.mulF(kf).sub(s1).val()
+		// Σ(y−X)³ = k·z³ − 3z²·S1 + 3z·S2 − S3.
+		z2 := z.mul(z)
+		d3 = z2.mul(z).mulF(kf).
+			sub(z2.mul(s1).mulF(3)).
+			add(z.mul(s2).mulF(3)).
+			sub(s3).val()
 	}
-	kf := float64(k)
-	s1 := m.p1[r].sub(m.p1[l])
-	s2 := m.p2[r].sub(m.p2[l])
-	s3 := m.p3[r].sub(m.p3[l])
-	z := twoDiff(y, m.c)
-	sumU := z.mulF(kf).sub(s1)
-	z2 := z.mul(z)
-	sumU3 := z2.mul(z).mulF(kf).
-		sub(z2.mul(s1).mulF(3)).
-		add(z.mul(s2).mulF(3)).
-		sub(s3)
+	for _, x := range m.xs[l:L] {
+		d := y - x
+		d1 += d
+		d3 += d * d * d
+	}
+	for _, x := range m.xs[R:r] {
+		d := y - x
+		d1 += d
+		d3 += d * d * d
+	}
 	ih := 1 / h
-	return 0.5*kf + 0.25*ih*(3*sumU.val()-sumU3.val()*ih*ih)
+	// Σ CDF(u) = k/2 + ¾Σu − ¼Σu³.
+	return 0.5*float64(r-l) + 0.25*ih*(3*d1-d3*ih*ih)
 }
 
 // rangeCdfSum returns Σᵢ CDF((y − Xᵢ)/h) over the sorted-index range
@@ -307,14 +365,22 @@ func (m *momentIndex) rangeCdfSum(lo, hi int, y, h float64) float64 {
 // closed form behind DensityGrid: a pilot-density sweep over m grid points
 // costs O(m) closed-form evaluations plus monotone cursor advances instead
 // of m independent O(log n + k) edge scans.
+//
+// Unlike the query sums, densitySum rebuilds the exact prefixes at both
+// window ends, so its answers are bit-identical to a per-sample prefix
+// index. Its callers turn densities into discrete choices — the DPI
+// pilots' bandwidth, the hybrid's change points, which rank grid points
+// whose |f̂”| ties to the last few bits on locally quadratic stretches —
+// and a fit should not move with the index layout.
 func (m *momentIndex) densitySum(l, r int, x, h float64) float64 {
 	k := r - l
 	if k == 0 {
 		return 0
 	}
 	kf := float64(k)
-	s1 := m.p1[r].sub(m.p1[l])
-	s2 := m.p2[r].sub(m.p2[l])
+	l1, l2 := m.prefix2(l)
+	r1, r2 := m.prefix2(r)
+	s1, s2 := r1.sub(l1), r2.sub(l2)
 	z := twoDiff(x, m.c)
 	// Σ(x − Xᵢ)² = k·z² − 2z·S1 + S2.
 	q := z.mul(z).mulF(kf).sub(z.mul(s1).mulF(2)).add(s2)
@@ -345,33 +411,55 @@ func (m *momentIndex) densitySum(l, r int, x, h float64) float64 {
 // decreasing from the right).
 
 // stripGSum returns Σ G(v; sᵢ) over index range [l, r), where
-// sᵢ = (Xᵢ − lo)/h when left, (hi − Xᵢ)/h otherwise.
+// sᵢ = (Xᵢ − lo)/h when left, (hi − Xᵢ)/h otherwise. G is a polynomial in
+// s, so the range needs only the offset sums Σ(X−lo) and Σ(X−lo)²
+// (mirrored on the right): from the block moments over the whole blocks,
+// and term by term over the partial end blocks.
 func (e *Estimator) stripGSum(m *momentIndex, l, r int, v float64, left bool) float64 {
 	k := r - l
 	if k <= 0 {
 		return 0
 	}
-	kf := float64(k)
-	s1 := m.p1[r].sub(m.p1[l])
-	s2 := m.p2[r].sub(m.p2[l])
-	// Unscaled offset sums T1 = Σ(X−lo), T2 = Σ(X−lo)² (mirrored for the
-	// right strip), from the centered moments.
-	var t1, t2 dd
-	if left {
-		d := twoDiff(m.c, e.lo)
-		t1 = s1.add(d.mulF(kf))
-		t2 = s2.add(d.mul(s1).mulF(2)).add(d.mul(d).mulF(kf))
-	} else {
-		d := twoDiff(e.hi, m.c)
-		t1 = d.mulF(kf).sub(s1)
-		t2 = d.mul(d).mulF(kf).sub(d.mul(s1).mulF(2)).add(s2)
+	L, R := wholeBlocks(l, r)
+	var p1, p2 float64 // Σ offset, Σ offset²
+	if L < R {
+		kf := float64(R - L)
+		s1, s2, _ := m.span(L, R)
+		// Unscaled offset sums T1 = Σ(X−lo), T2 = Σ(X−lo)² (mirrored for
+		// the right strip), from the centered moments.
+		var t1, t2 dd
+		if left {
+			d := twoDiff(m.c, e.lo)
+			t1 = s1.add(d.mulF(kf))
+			t2 = s2.add(d.mul(s1).mulF(2)).add(d.mul(d).mulF(kf))
+		} else {
+			d := twoDiff(e.hi, m.c)
+			t1 = d.mulF(kf).sub(s1)
+			t2 = d.mul(d).mulF(kf).sub(d.mul(s1).mulF(2)).add(s2)
+		}
+		p1, p2 = t1.val(), t2.val()
+	}
+	// The offset is off + sgn·X: X − lo on the left, hi − X on the right.
+	off, sgn := -e.lo, 1.0
+	if !left {
+		off, sgn = e.hi, -1
+	}
+	for _, x := range m.xs[l:L] {
+		d := off + sgn*x
+		p1 += d
+		p2 += d * d
+	}
+	for _, x := range m.xs[R:r] {
+		d := off + sgn*x
+		p1 += d
+		p2 += d * d
 	}
 	iv := 1 / v
 	ihs := 1 / e.h
 	// ΣG = k(−3 ln v − 6/v) + Σs·(−12/v + 6/v²) + Σs²·(3/v²).
-	return kf*(-3*math.Log(v)-6*iv) +
-		t1.val()*ihs*iv*(6*iv-12) +
-		t2.val()*ihs*ihs*(3*iv*iv)
+	return float64(k)*(-3*math.Log(v)-6*iv) +
+		p1*ihs*iv*(6*iv-12) +
+		p2*ihs*ihs*(3*iv*iv)
 }
 
 // stripLogSum returns Σ (−3 ln sᵢ − 9) over index range [l, r) — the

@@ -391,3 +391,231 @@ func FuzzMomentMatchesLinear(f *testing.F) {
 		}
 	})
 }
+
+// fullMomentIndex is the per-sample prefix layout the block index
+// replaced, kept as its reference: p[i] holds the centered moments of
+// xs[:i] for every i, and each closed form runs over its whole range.
+type fullMomentIndex struct {
+	c float64
+	p []moments3
+}
+
+func newFullMomentIndex(xs []float64, c float64) *fullMomentIndex {
+	f := &fullMomentIndex{c: c, p: make([]moments3, len(xs)+1)}
+	var s moments3
+	for i, x := range xs {
+		y := twoDiff(x, c)
+		y2 := y.mul(y)
+		s.s1 = s.s1.add(y)
+		s.s2 = s.s2.add(y2)
+		s.s3 = s.s3.add(y2.mul(y))
+		f.p[i+1] = s
+	}
+	return f
+}
+
+func (f *fullMomentIndex) span(l, r int) (s1, s2, s3 dd) {
+	a, b := f.p[l], f.p[r]
+	return b.s1.sub(a.s1), b.s2.sub(a.s2), b.s3.sub(a.s3)
+}
+
+// cdf is the in-window closed form over [l, r).
+func (f *fullMomentIndex) cdf(l, r int, y, h float64) float64 {
+	if r <= l {
+		return 0
+	}
+	kf := float64(r - l)
+	s1, s2, s3 := f.span(l, r)
+	z := twoDiff(y, f.c)
+	sumU := z.mulF(kf).sub(s1)
+	z2 := z.mul(z)
+	sumU3 := z2.mul(z).mulF(kf).sub(z2.mul(s1).mulF(3)).add(z.mul(s2).mulF(3)).sub(s3)
+	ih := 1 / h
+	return 0.5*kf + 0.25*ih*(3*sumU.val()-sumU3.val()*ih*ih)
+}
+
+// density is the kernel-sum closed form over [l, r).
+func (f *fullMomentIndex) density(l, r int, x, h float64) float64 {
+	if r <= l {
+		return 0
+	}
+	kf := float64(r - l)
+	s1, s2, _ := f.span(l, r)
+	z := twoDiff(x, f.c)
+	q := z.mul(z).mulF(kf).sub(z.mul(s1).mulF(2)).add(s2)
+	ih := 1 / h
+	return 0.75 * (kf - q.val()*ih*ih)
+}
+
+// stripG is the strip polynomial ΣG(v; s) over [l, r) from the full
+// prefixes.
+func (f *fullMomentIndex) stripG(l, r int, v, lo, hi, h float64, left bool) float64 {
+	if r <= l {
+		return 0
+	}
+	kf := float64(r - l)
+	s1, s2, _ := f.span(l, r)
+	var t1, t2 dd
+	if left {
+		d := twoDiff(f.c, lo)
+		t1 = s1.add(d.mulF(kf))
+		t2 = s2.add(d.mul(s1).mulF(2)).add(d.mul(d).mulF(kf))
+	} else {
+		d := twoDiff(hi, f.c)
+		t1 = d.mulF(kf).sub(s1)
+		t2 = d.mul(d).mulF(kf).sub(d.mul(s1).mulF(2)).add(s2)
+	}
+	iv, ihs := 1/v, 1/h
+	return kf*(-3*math.Log(v)-6*iv) + t1.val()*ihs*iv*(6*iv-12) + t2.val()*ihs*ihs*(3*iv*iv)
+}
+
+// blockIndexTol is the agreement budget, on the selectivity scale (a sum
+// over samples divided by n), between the block index and the
+// full-prefix reference.
+const blockIndexTol = 1e-12
+
+// blockProbes returns query points that put window ends on, just inside
+// and just outside block boundaries (y = x ± h at samples around every
+// block edge, so integer data puts samples exactly on the window edges),
+// at samples themselves, and at random.
+func blockProbes(r *xrand.RNG, xs []float64, h float64, random int) []float64 {
+	n := len(xs)
+	var ys []float64
+	at := func(i int) {
+		if i >= 0 && i < n {
+			ys = append(ys, xs[i]-h, xs[i], xs[i]+h)
+		}
+	}
+	step := 1
+	if n > 4096 {
+		step = n / 512 &^ (blockSize - 1)
+	}
+	for b := 0; b <= n; b += blockSize * step {
+		at(b - 1)
+		at(b)
+		at(b + 1)
+	}
+	at(n - 1)
+	lo, hi := xs[0]-2*h, xs[n-1]+2*h
+	for i := 0; i < random; i++ {
+		ys = append(ys, lo+r.Float64()*(hi-lo))
+	}
+	return ys
+}
+
+// TestBlockIndexMatchesFullPrefix holds every consumer of the block
+// index — the window CDF sum behind single queries and the batch sweep,
+// the clipped range sum behind beta kernels and the boundary-strip
+// polynomial — within blockIndexTol of the full-prefix reference, and
+// holds the kernel sum behind DensityGrid and the DPI pilots and the
+// totals behind MomentSummary bit-identical to it, on sample sizes
+// around one block and up to 2^18, on integer data over [0, 2^31),
+// real-valued data and heavily tied data.
+func TestBlockIndexMatchesFullPrefix(t *testing.T) {
+	r := xrand.New(2024)
+	p31 := math.Exp2(31)
+	shapes := []struct {
+		name string
+		gen  func(n int) []float64
+	}{
+		{"int-2^31", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Floor(r.Float64() * p31)
+			}
+			return xs
+		}},
+		{"real", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 1e6 + r.Normal()*250
+			}
+			return xs
+		}},
+		{"tied", func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.Uint64()%12) * 1e7
+			}
+			return xs
+		}},
+	}
+	worst := 0.0
+	for _, sh := range shapes {
+		for _, n := range []int{1, 7, 8, 9, 2000, 1 << 18} {
+			xs := sh.gen(n)
+			sort.Float64s(xs)
+			m := newMomentIndex(xs)
+			if m == nil {
+				t.Fatalf("%s/n=%d: index disabled", sh.name, n)
+			}
+			if want := (n+blockSize-1)/blockSize + 1; len(m.blocks) != want {
+				t.Fatalf("%s/n=%d: %d block entries, want %d", sh.name, n, len(m.blocks), want)
+			}
+			ref := newFullMomentIndex(xs, m.c)
+			nf := float64(n)
+			check := func(what string, got, want float64) {
+				t.Helper()
+				d := math.Abs(got-want) / nf
+				worst = math.Max(worst, d)
+				if !(d <= blockIndexTol) {
+					t.Fatalf("%s/n=%d: %s = %v, full-prefix reference %v (diff %g)", sh.name, n, what, got, want, d)
+				}
+			}
+			span := math.Max(xs[n-1]-xs[0], 1)
+			// From a few samples per window (windows inside one block) to
+			// windows spanning most of the data; integer h keeps x ± h exact.
+			for _, hFrac := range []float64{2 / nf, 0.01, 0.3} {
+				h := math.Max(math.Floor(span*hFrac), 1)
+				random := 40
+				if n > 4096 {
+					random = 200
+				}
+				for _, y := range blockProbes(r, xs, h, random) {
+					l, rr := m.window(y, h)
+					check("windowSum", m.windowSum(l, rr, y, h), float64(l)+ref.cdf(l, rr, y, h))
+					if got, want := m.densitySum(l, rr, y, h), ref.density(l, rr, y, h); got != want {
+						t.Fatalf("%s/n=%d: densitySum = %v, full-prefix reference %v: want bit-identical", sh.name, n, got, want)
+					}
+					for _, rg := range [][2]int{{0, n}, {1, n - 1}, {blockSize, n - blockSize}, {n / 3, 2 * n / 3}} {
+						lo, hi := rg[0], rg[1]
+						wl, wr := min(max(l, lo), hi), min(rr, hi)
+						want := 0.0
+						if hi > lo {
+							want = float64(wl-lo) + ref.cdf(wl, wr, y, h)
+						}
+						check("rangeCdfSum", m.rangeCdfSum(lo, hi, y, h), want)
+					}
+				}
+				// Strip sums over [0, j) (left) and [j, n) (right) inside the
+				// 2h reach the strip closed form is taken over, with j on,
+				// beside and between block boundaries.
+				e := &Estimator{lo: xs[0] - h/3, hi: xs[n-1] + h/3, h: h}
+				loEnd := sort.Search(n, func(i int) bool { return xs[i] > e.lo+2*h })
+				hiStart := sort.SearchFloat64s(xs, e.hi-2*h)
+				for i := 0; i <= n; i += max(1, n/97) {
+					for _, j := range []int{i, i &^ (blockSize - 1), i | (blockSize - 1)} {
+						for _, v := range []float64{1, 1.25, 2} {
+							if j <= loEnd {
+								check("stripGSum left", e.stripGSum(m, 0, j, v, true), ref.stripG(0, j, v, e.lo, e.hi, h, true))
+							}
+							if j >= hiStart && j <= n {
+								check("stripGSum right", e.stripGSum(m, j, n, v, false), ref.stripG(j, n, v, e.lo, e.hi, h, false))
+							}
+						}
+					}
+				}
+			}
+			ctx, err := NewFitContextSorted(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean, variance, ok := ctx.MomentSummary()
+			d := ref.p[n].s1.val() / nf
+			if !ok || mean != m.c+d || variance != math.Max(ref.p[n].s2.val()/nf-d*d, 0) {
+				t.Fatalf("%s/n=%d: MomentSummary = (%v, %v, %v), reference (%v, %v)", sh.name, n, mean, variance, ok, m.c+d, ref.p[n].s2.val()/nf-d*d)
+			}
+		}
+	}
+	t.Logf("largest difference from the full-prefix reference: %g", worst)
+}

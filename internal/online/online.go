@@ -481,6 +481,19 @@ func (e *Estimator) SelectivityOK(a, b float64) (float64, bool) {
 	return s.fit.Selectivity(a, b), true
 }
 
+// Current returns the serving snapshot's fit and its generation from one
+// atomic load: (nil, 0) before the first fit. A caller that reports a
+// generation with its answers, or answers several queries as one reply,
+// reads both here, so a refit published in between cannot pair an
+// answer with another fit's generation or mix generations in a reply.
+func (e *Estimator) Current() (Fitted, uint64) {
+	s := e.snap.Load()
+	if s == nil {
+		return nil, 0
+	}
+	return s.fit, s.generation
+}
+
 // Ready reports whether a fit exists to answer queries.
 func (e *Estimator) Ready() bool { return e.snap.Load() != nil }
 

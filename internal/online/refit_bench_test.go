@@ -58,16 +58,17 @@ var refitSizes = []int{10_000, 100_000, 1_000_000}
 
 // refitBuilders are the rules a refit can run under, each as the Builder
 // the serving engine would invoke. The core-built rows go through
-// core.Build (sort + rule + estimator), the closed-form row through
-// ClosedFormBuilder (in-place sort + O(1) rule + estimator). The
-// equi-depth row runs the normal-scale bin-width rule.
+// core.BuildSorted (rule + estimator over the sorted view, as selestd's
+// attributes fit), the closed-form row through ClosedFormBuilder (O(1)
+// rule + estimator). The equi-depth row runs the normal-scale bin-width
+// rule.
 func refitBuilders() []struct {
 	name string
 	mk   Builder
 } {
 	coreBuilder := func(opts core.Options) Builder {
 		return func(samples []float64) (Fitted, error) {
-			return core.Build(samples, opts)
+			return core.BuildSorted(samples, opts)
 		}
 	}
 	return []struct {

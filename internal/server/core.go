@@ -193,7 +193,8 @@ func (s *Server) deadline(op wire.Op, start time.Time, timeoutMs int64) time.Tim
 // answer is the core's last step. Non-fresh reads check the deadline
 // before answering and every 16 batch queries. A fresh read never times
 // out: its flush degrades it to the snapshot once the budget left is
-// below DegradeDeadline, a spent budget included (DESIGN.md §12).
+// below DegradeDeadline, a spent budget included (DESIGN.md §12). An
+// estimate or a whole batch answers from one pinned snapshot read.
 // Ingest, create_attr and snapshot_fetch run to completion.
 func (s *Server) answer(c *call, a *attribute, r *reply) error {
 	var err error
@@ -202,14 +203,16 @@ func (s *Server) answer(c *call, a *attribute, r *reply) error {
 		if !c.fresh && expired(c.deadline) {
 			return errcode.ErrTimeout
 		}
-		r.res = s.estimate(c, a, c.lo, c.hi, c.fresh)
+		p := s.pin(c, a, c.fresh)
+		r.res = p.estimate(c.lo, c.hi)
 	case wire.OpEstimateBatch:
 		r.results = slices.Grow(r.results[:0], len(c.queries))
+		p := s.pin(c, a, c.fresh)
 		for i, q := range c.queries {
 			if i&15 == 0 && !c.fresh && expired(c.deadline) {
 				return errcode.ErrTimeout
 			}
-			r.results = append(r.results, s.estimate(c, a, q.Lo, q.Hi, c.fresh && i == 0))
+			r.results = append(r.results, p.estimate(q.Lo, q.Hi))
 		}
 	case wire.OpIngest:
 		r.ingest = s.enqueue(a, c.values)

@@ -197,9 +197,11 @@ type Server struct {
 // builders assembles an attribute's degradation ladder: the configured
 // primary method, then an equi-depth histogram, then pure sampling — the
 // same Kernel→EquiDepth→Sampling order the fit path's robust ladder uses,
-// each simpler and harder to break than the one above. The primary rung
-// carries the FaultRefitPrimary injection site so the chaos suite can
-// break it on demand.
+// each simpler and harder to break than the one above. The primary and
+// equi-depth rungs fit the reservoir's sorted view through
+// core.BuildSorted, which aliases it instead of copying and sorting it
+// again. The primary rung carries the FaultRefitPrimary injection site so
+// the chaos suite can break it on demand.
 func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Builder) {
 	opts := c.options()
 	opts.Method = c.methodOrDefault()
@@ -207,14 +209,14 @@ func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Buil
 		if err := faultinject.Check(FaultRefitPrimary); err != nil {
 			return nil, err
 		}
-		return core.Build(samples, opts)
+		return core.BuildSorted(samples, opts)
 	}
 	equiDepth := opts
 	equiDepth.Method = core.EquiDepth
 	equiDepth.Bandwidth = 0
 	fallbacks = []online.Builder{
 		func(samples []float64) (online.Fitted, error) {
-			return core.Build(samples, equiDepth)
+			return core.BuildSorted(samples, equiDepth)
 		},
 		func(samples []float64) (online.Fitted, error) {
 			return sample.NewPureEstimator(samples), nil
@@ -411,50 +413,75 @@ func (s *Server) Estimate(ctx context.Context, tenantName, attrName string, lo, 
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	return s.estimate(&c, a, lo, hi, fresh), nil
+	p := s.pin(&c, a, fresh)
+	return p.estimate(lo, hi), nil
 }
 
-// estimate answers one checked range query through the degradation
-// ladder:
+// pinned is one request's read of an attribute: the fit and generation
+// from a single snapshot load, and the rung that read was reached on. A
+// single estimate and every query of a batch answer from one pinned
+// read, so a reply never pairs an answer with another fit's generation
+// and never mixes generations (DESIGN.md §12).
+type pinned struct {
+	a               *attribute
+	fit             online.Fitted
+	gen             uint64
+	rung, requested rung
+}
+
+// pin takes a request's read through the top of the degradation ladder:
 //
 //	fresh     — fresh=true and the budget allows: flush a refit (bounded
-//	            by the request deadline), then answer — the estimate
+//	            by the request deadline), then read — the estimate
 //	            reflects every drained insert.
-//	snapshot  — answer from the current lock-free snapshot without
-//	            waiting on any in-flight refit. This is the steady-state
-//	            rung, and where fresh=true lands under overload, a tight
-//	            deadline, or a failed flush.
+//	snapshot  — read the current lock-free snapshot without waiting on
+//	            any in-flight refit. This is the steady-state rung, and
+//	            where fresh=true lands under overload, a tight deadline,
+//	            or a failed flush.
+//
+// Below the fresh rung it never blocks, never fails and never
+// allocates.
+func (s *Server) pin(c *call, a *attribute, fresh bool) pinned {
+	p := pinned{a: a, rung: rungSnapshot, requested: rungSnapshot}
+	if fresh {
+		p.requested = rungFresh
+		if s.flush(c, a) {
+			p.rung = rungFresh
+		}
+	}
+	p.fit, p.gen = a.est.Current()
+	return p
+}
+
+// estimate answers one checked range query from the pinned read, or,
+// before the first fit, from the ladder's data rungs:
+//
 //	reservoir — no fit published yet: answer the raw reservoir fraction.
 //	uniform   — no data at all: answer the uniform assumption over the
 //	            attribute's domain.
 //
-// Below the fresh rung it never blocks, never fails and never
-// allocates.
-func (s *Server) estimate(c *call, a *attribute, lo, hi float64, fresh bool) EstimateResult {
-	r, requested := rungSnapshot, rungSnapshot
-	if fresh {
-		requested = rungFresh
-		if s.flush(c, a) {
-			r = rungFresh
-		}
-	}
-	sel, ok := a.est.SelectivityOK(lo, hi)
-	if !ok {
-		if in, total := a.est.ReservoirCount(lo, hi); total > 0 {
-			sel = float64(in) / float64(total)
-			r = rungReservoir
-		} else {
-			sel = uniformFraction(a.cfg.DomainLo, a.cfg.DomainHi, lo, hi)
-			r = rungUniform
-		}
+// Only the first answer reports the fresh rung: a batch flushes once, and
+// its other queries read the same snapshot a plain read would.
+func (p *pinned) estimate(lo, hi float64) EstimateResult {
+	r, requested := p.rung, p.requested
+	p.rung, p.requested = rungSnapshot, rungSnapshot
+	var sel float64
+	if p.fit != nil {
+		sel = p.fit.Selectivity(lo, hi)
+	} else if in, total := p.a.est.ReservoirCount(lo, hi); total > 0 {
+		sel = float64(in) / float64(total)
+		r = rungReservoir
+	} else {
+		sel = uniformFraction(p.a.cfg.DomainLo, p.a.cfg.DomainHi, lo, hi)
+		r = rungUniform
 	}
 	srvAnswersByRung[r].Inc()
 	srvAnswerRung.Set(float64(r))
 	return EstimateResult{
 		Selectivity: sel,
-		Rows:        sel * float64(a.rows.Load()),
+		Rows:        sel * float64(p.a.rows.Load()),
 		Rung:        rungNames[r],
-		Generation:  a.est.Generation(),
+		Generation:  p.gen,
 		Degraded:    r > requested,
 	}
 }
@@ -494,8 +521,9 @@ func (s *Server) EstimateBatch(ctx context.Context, tenantName, attrName string,
 		return nil, err
 	}
 	out := make([]EstimateResult, len(queries))
+	p := s.pin(&c, a, fresh)
 	for i, q := range queries {
-		out[i] = s.estimate(&c, a, q.Lo, q.Hi, fresh && i == 0)
+		out[i] = p.estimate(q.Lo, q.Hi)
 	}
 	return out, nil
 }

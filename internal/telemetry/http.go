@@ -22,11 +22,14 @@ func PublishExpvar() {
 }
 
 // Handler returns an http.Handler serving the Default registry in the
-// Prometheus text format.
+// Prometheus text format, followed by the Go runtime series
+// (WriteRuntime) read at scrape time.
 func Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = Default.WritePrometheus(w)
+		if err := Default.WritePrometheus(w); err == nil {
+			_ = WriteRuntime(w)
+		}
 	})
 }
 

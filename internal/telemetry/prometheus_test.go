@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bufio"
+	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,5 +158,65 @@ func TestPrometheusParses(t *testing.T) {
 	}
 	if samples["lat_nanos"] < 3 {
 		t.Fatalf("histogram rendered %d samples, want buckets+sum+count", samples["lat_nanos"])
+	}
+}
+
+// TestRuntimeExposition checks the Go runtime series /metrics appends to
+// the registry: every family is present with a parseable value, a forced
+// GC moves the cycle count, and the pause histogram is cumulative with
+// its +Inf bucket equal to its count.
+func TestRuntimeExposition(t *testing.T) {
+	scrape := func() map[string]float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		out := map[string]float64{}
+		var prev float64
+		sc := bufio.NewScanner(rec.Body)
+		for sc.Scan() {
+			line := sc.Text()
+			if !strings.HasPrefix(line, "selest_go_") {
+				continue
+			}
+			i := strings.LastIndexByte(line, ' ')
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("unparseable runtime series %q", line)
+			}
+			if strings.HasPrefix(line, "selest_go_gc_pause_seconds_bucket") {
+				if v < prev {
+					t.Fatalf("pause buckets not cumulative at %q", line)
+				}
+				prev = v
+			}
+			out[line[:i]] = v
+		}
+		return out
+	}
+	runtime.GC()
+	before := scrape()
+	for _, name := range []string{
+		"selest_go_heap_live_bytes",
+		"selest_go_gc_cycles_total",
+		"selest_go_gc_cpu_seconds_total",
+		`selest_go_gc_pause_seconds_bucket{le="0.001"}`,
+		`selest_go_gc_pause_seconds_bucket{le="+Inf"}`,
+		"selest_go_gc_pause_seconds_sum",
+		"selest_go_gc_pause_seconds_count",
+	} {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("/metrics lacks %s", name)
+		}
+	}
+	if before["selest_go_heap_live_bytes"] <= 0 || before["selest_go_gc_cycles_total"] < 1 {
+		t.Fatalf("runtime series after a GC: %v", before)
+	}
+	if before[`selest_go_gc_pause_seconds_bucket{le="+Inf"}`] != before["selest_go_gc_pause_seconds_count"] {
+		t.Fatalf("+Inf bucket %v != count %v", before[`selest_go_gc_pause_seconds_bucket{le="+Inf"}`], before["selest_go_gc_pause_seconds_count"])
+	}
+	runtime.GC()
+	if after := scrape(); after["selest_go_gc_cycles_total"] <= before["selest_go_gc_cycles_total"] ||
+		after["selest_go_gc_pause_seconds_count"] <= before["selest_go_gc_pause_seconds_count"] {
+		t.Fatalf("a forced GC did not move the cycle or pause counts: %v -> %v", before, after)
 	}
 }

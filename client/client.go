@@ -1,15 +1,16 @@
 // Package client is the native Go client for the selest estimator
-// service. One typed API rides two transports — the selestwire binary
-// protocol (pipelined persistent TCP, the default) and HTTP/JSON — with
-// identical semantics: the same request options, the same typed errors
-// (errors.Is against the re-exported sentinels works on either), and the
-// same deadline budget announced to the server so its degradation ladder
-// sees what the client will actually wait for.
+// service. It speaks the selestwire binary protocol (pipelined
+// persistent TCP connections, DESIGN.md §13) to selestd's wire listener
+// and gives every call the same typed surface: request options, typed
+// errors (errors.Is against the re-exported sentinels), and a deadline
+// budget announced to the server so its degradation ladder sees what
+// the client will actually wait for. Callers that can only speak HTTP
+// use selestd's JSON front directly.
 //
 // Every call runs a bounded retry loop with full-jitter exponential
-// backoff. Server throttle hints (Retry-After / RetryAfterMs) stretch
-// the backoff; non-retryable failures (bad request, not found, conflict)
-// return immediately.
+// backoff. Server throttle hints (RetryAfterMs) stretch the backoff;
+// non-retryable failures (bad request, not found, conflict) return
+// immediately.
 //
 //	c, err := client.New(client.Options{Addr: "127.0.0.1:7654"})
 //	...
@@ -22,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -30,20 +32,6 @@ import (
 	"selest/internal/cluster"
 	"selest/internal/wire"
 )
-
-// transport is the seam between the typed API and a wire format. Both
-// implementations speak in the client's public types; meta carries the
-// per-attempt deadline and retry number to the server.
-type transport interface {
-	estimate(ctx context.Context, meta wire.Meta, tenant, attr string, lo, hi float64, fresh bool) (Result, error)
-	estimateBatch(ctx context.Context, meta wire.Meta, tenant, attr string, queries []Range, fresh bool) ([]Result, error)
-	ingest(ctx context.Context, meta wire.Meta, tenant, attr string, values []float64) (IngestResult, error)
-	createAttr(ctx context.Context, meta wire.Meta, tenant, attr string, cfgJSON []byte) error
-	ping(ctx context.Context, meta wire.Meta) error
-	snapshotFetch(ctx context.Context, meta wire.Meta) ([]byte, error)
-	healthCheck(ctx context.Context) error
-	close() error
-}
 
 // Client is a selest service client. It is safe for concurrent use; one
 // Client per target fleet is the intended shape (each replica's wire
@@ -73,8 +61,8 @@ type Stats struct {
 	Requests uint64 `json:"requests"`
 	// Retries counts re-attempts after a retryable failure.
 	Retries uint64 `json:"retries"`
-	// Dials counts connections established (wire transport only),
-	// summed over every replica's pool.
+	// Dials counts connections established, summed over every
+	// replica's pool.
 	Dials uint64 `json:"dials"`
 	// Failovers counts attempts re-routed to the next ring replica after
 	// a connection- or 5xx-class failure (multi-replica clients only).
@@ -106,14 +94,7 @@ func New(opts Options) (*Client, error) {
 	for _, addr := range ring.Members() {
 		ro := opts
 		ro.Addr = addr
-		var tr transport
-		switch opts.Protocol {
-		case ProtoWire:
-			tr = newWireTransport(ro)
-		case ProtoJSON:
-			tr = newJSONTransport(ro)
-		}
-		rep := &replica{addr: addr, t: tr}
+		rep := &replica{addr: addr, t: newWireTransport(ro)}
 		c.reps = append(c.reps, rep)
 		c.byAddr[addr] = rep
 	}
@@ -151,9 +132,7 @@ func (c *Client) Stats() Stats {
 		Ejected:   c.ejected.Load(),
 	}
 	for _, rep := range c.reps {
-		if wt, ok := rep.t.(*wireTransport); ok {
-			s.Dials += wt.dials.Load()
-		}
+		s.Dials += rep.t.dials.Load()
 	}
 	return s
 }
@@ -162,7 +141,7 @@ func (c *Client) Stats() Stats {
 func (c *Client) Estimate(ctx context.Context, tenant, attr string, lo, hi float64, opts ...CallOption) (Result, error) {
 	co := c.callOpts(opts)
 	var out Result
-	err := c.do(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t transport) error {
+	err := c.do(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t *wireTransport) error {
 		res, err := t.estimate(ctx, meta, tenant, attr, lo, hi, co.fresh)
 		if err == nil {
 			out = res
@@ -177,7 +156,7 @@ func (c *Client) Estimate(ctx context.Context, tenant, attr string, lo, hi float
 func (c *Client) EstimateBatch(ctx context.Context, tenant, attr string, queries []Range, opts ...CallOption) ([]Result, error) {
 	co := c.callOpts(opts)
 	var out []Result
-	err := c.do(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t transport) error {
+	err := c.do(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t *wireTransport) error {
 		res, err := t.estimateBatch(ctx, meta, tenant, attr, queries, co.fresh)
 		if err == nil {
 			out = res
@@ -197,7 +176,7 @@ func (c *Client) Ingest(ctx context.Context, tenant, attr string, values []float
 	co := c.callOpts(opts)
 	var out IngestResult
 	var once sync.Once
-	err := c.doAll(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t transport) error {
+	err := c.doAll(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t *wireTransport) error {
 		res, err := t.ingest(ctx, meta, tenant, attr, values)
 		if err == nil {
 			once.Do(func() { out = res })
@@ -220,18 +199,17 @@ func (c *Client) CreateAttr(ctx context.Context, tenant, attr string, cfg AttrCo
 		return fmt.Errorf("client: encode attr config: %w", err)
 	}
 	co := c.callOpts(opts)
-	return c.doAll(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t transport) error {
+	return c.doAll(ctx, co, tenant, func(ctx context.Context, meta wire.Meta, t *wireTransport) error {
 		return t.createAttr(ctx, meta, tenant, attr, cfgJSON)
 	})
 }
 
-// Ping round-trips the transport (wire: an OpPing frame; JSON: the
-// health endpoint). A nil return means a server answered — with a
-// fleet, the replica the empty routing key hashes to, failing over like
-// any read.
+// Ping round-trips an OpPing frame. A nil return means a server
+// answered — with a fleet, the replica the empty routing key hashes to,
+// failing over like any read.
 func (c *Client) Ping(ctx context.Context, opts ...CallOption) error {
 	co := c.callOpts(opts)
-	return c.do(ctx, co, "", func(ctx context.Context, meta wire.Meta, t transport) error {
+	return c.do(ctx, co, "", func(ctx context.Context, meta wire.Meta, t *wireTransport) error {
 		return t.ping(ctx, meta)
 	})
 }
@@ -246,7 +224,7 @@ func (c *Client) Ping(ctx context.Context, opts ...CallOption) error {
 func (c *Client) FetchSnapshot(ctx context.Context, opts ...CallOption) ([]byte, error) {
 	co := c.callOpts(opts)
 	var out []byte
-	err := c.do(ctx, co, "", func(ctx context.Context, meta wire.Meta, t transport) error {
+	err := c.do(ctx, co, "", func(ctx context.Context, meta wire.Meta, t *wireTransport) error {
 		b, err := t.snapshotFetch(ctx, meta)
 		if err == nil {
 			out = b
@@ -275,7 +253,14 @@ func (c *Client) resolve(co callOptions) (time.Duration, int, wire.Meta) {
 	if maxRetries < 0 {
 		maxRetries = c.opts.MaxRetries
 	}
-	return budget, maxRetries, wire.Meta{TimeoutMs: uint32(budget / time.Millisecond)}
+	// The server hears whole milliseconds, rounded up: a sub-millisecond
+	// budget must not arrive as 0, which reads as "no budget" and takes
+	// the server's default, and a very long one must not wrap.
+	ms := budget / time.Millisecond
+	if budget%time.Millisecond != 0 {
+		ms++
+	}
+	return budget, maxRetries, wire.Meta{TimeoutMs: uint32(min(ms, math.MaxUint32))}
 }
 
 func retryMeta(meta wire.Meta, n int) wire.Meta {
@@ -294,7 +279,7 @@ func retryMeta(meta wire.Meta, n int) wire.Meta {
 // advances to the next ring replica (and a connection failure marks the
 // replica down for everyone); an over-quota refusal stays put so the
 // server's Retry-After hint is honored where the tenant's bucket lives.
-func (c *Client) do(ctx context.Context, co callOptions, tenant string, attempt func(ctx context.Context, meta wire.Meta, t transport) error) error {
+func (c *Client) do(ctx context.Context, co callOptions, tenant string, attempt func(ctx context.Context, meta wire.Meta, t *wireTransport) error) error {
 	c.requests.Add(1)
 	budget, maxRetries, meta := c.resolve(co)
 	pref := c.routeFor(tenant)
@@ -342,7 +327,7 @@ func (c *Client) do(ctx context.Context, co callOptions, tenant string, attempt 
 // and a rejoining replica resyncs wholesale by snapshot). Down replicas
 // are skipped when the write can land elsewhere; with nothing accepted
 // yet, retryable failures burn the shared retry budget round by round.
-func (c *Client) doAll(ctx context.Context, co callOptions, tenant string, attempt func(ctx context.Context, meta wire.Meta, t transport) error) error {
+func (c *Client) doAll(ctx context.Context, co callOptions, tenant string, attempt func(ctx context.Context, meta wire.Meta, t *wireTransport) error) error {
 	c.requests.Add(1)
 	budget, maxRetries, meta := c.resolve(co)
 	pending := append([]*replica(nil), c.routeFor(tenant)...)

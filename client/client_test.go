@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,15 +15,12 @@ import (
 	"selest/internal/wire"
 )
 
-// testService boots one in-process server with both listeners and
-// returns a client factory, so every test runs the same assertions over
-// both transports.
+// testService boots one in-process server behind a wire listener and
+// returns a client factory.
 type testService struct {
-	srv      *server.Server
-	wireAddr string
-	jsonAddr string
-	ws       *server.WireServer
-	hs       *httptest.Server
+	srv  *server.Server
+	addr string
+	ws   *server.WireServer
 }
 
 func startService(t *testing.T, opts server.Options) *testService {
@@ -39,27 +35,19 @@ func startService(t *testing.T, opts server.Options) *testService {
 	}
 	ws := srv.NewWireServer()
 	go func() { _ = ws.Serve(ln) }()
-	hs := httptest.NewServer(srv.Handler())
-	ts := &testService{srv: srv, wireAddr: ln.Addr().String(), jsonAddr: hs.Listener.Addr().String(), ws: ws, hs: hs}
+	ts := &testService{srv: srv, addr: ln.Addr().String(), ws: ws}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = ts.ws.Shutdown(ctx)
-		ts.hs.Close()
 		_ = ts.srv.Close(ctx, "")
 	})
 	return ts
 }
 
-func (ts *testService) client(t *testing.T, proto client.Protocol, mutate ...func(*client.Options)) *client.Client {
+func (ts *testService) client(t *testing.T, mutate ...func(*client.Options)) *client.Client {
 	t.Helper()
-	opts := client.Options{Protocol: proto, HealthCheckEvery: -1}
-	switch proto {
-	case client.ProtoWire:
-		opts.Addr = ts.wireAddr
-	case client.ProtoJSON:
-		opts.Addr = ts.jsonAddr
-	}
+	opts := client.Options{Addr: ts.addr, HealthCheckEvery: -1}
 	for _, m := range mutate {
 		m(&opts)
 	}
@@ -71,140 +59,113 @@ func (ts *testService) client(t *testing.T, proto client.Protocol, mutate ...fun
 	return c
 }
 
-func protocols() []client.Protocol {
-	return []client.Protocol{client.ProtoWire, client.ProtoJSON}
-}
-
 func testCfg() client.AttrConfig {
 	return client.AttrConfig{DomainLo: 0, DomainHi: 1, ReservoirSize: 64, RefitEvery: 64, Shards: 1, Seed: 7}
 }
 
-// TestClientParity runs the full API surface over both transports and
-// pins that results and typed errors are identical — the unified error
-// surface the redesign promises.
+// TestClientParity runs the full API surface through the client and
+// pins its results and typed errors. That HTTP, the wire inline path
+// and the wire goroutine path answer alike is TestWireTransportParity's
+// pin, in internal/server.
 func TestClientParity(t *testing.T) {
 	ts := startService(t, server.Options{})
 	ctx := context.Background()
 
-	type answer struct {
-		res   client.Result
-		batch []client.Result
-	}
-	answers := map[client.Protocol]answer{}
+	t.Run("wire", func(t *testing.T) {
+		c := ts.client(t)
+		tenant := "acme"
 
-	for _, proto := range protocols() {
-		t.Run(string(proto), func(t *testing.T) {
-			c := ts.client(t, proto)
-			tenant := "acme-" + string(proto)
-
-			if err := c.Ping(ctx); err != nil {
-				t.Fatalf("ping: %v", err)
-			}
-			if err := c.CreateAttr(ctx, tenant, "price", testCfg()); err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			// Idempotent re-create succeeds; a different config conflicts.
-			if err := c.CreateAttr(ctx, tenant, "price", testCfg()); err != nil {
-				t.Fatalf("re-create: %v", err)
-			}
-			other := testCfg()
-			other.DomainHi = 2
-			if err := c.CreateAttr(ctx, tenant, "price", other); !errors.Is(err, client.ErrConflict) {
-				t.Fatalf("conflict: got %v", err)
-			}
-
-			vals := make([]float64, 256)
-			for i := range vals {
-				vals[i] = (float64(i) + 0.5) / 256
-			}
-			inserted := insertedSince()
-			ing, err := c.Ingest(ctx, tenant, "price", vals)
-			if err != nil {
-				t.Fatalf("ingest: %v", err)
-			}
-			if ing.Queued != 256 || ing.Shed != 0 {
-				t.Fatalf("ingest result: %+v", ing)
-			}
-
-			// fresh refits from what the attribute's drainer has already
-			// inserted, so wait for the whole batch: then the answer is
-			// deterministic.
-			waitFor(t, "the ingest to drain", func() bool { return inserted() >= 256 })
-			res, err := c.Estimate(ctx, tenant, "price", 0.25, 0.75, client.WithFresh())
-			if err != nil {
-				t.Fatalf("estimate: %v", err)
-			}
-			if res.Selectivity <= 0 || res.Selectivity > 1 || res.Rung == "" {
-				t.Fatalf("estimate result: %+v", res)
-			}
-
-			batch, err := c.EstimateBatch(ctx, tenant, "price", []client.Range{{Lo: 0, Hi: 0.5}, {Lo: 0.5, Hi: 1}})
-			if err != nil {
-				t.Fatalf("batch: %v", err)
-			}
-			if len(batch) != 2 {
-				t.Fatalf("batch results: %+v", batch)
-			}
-
-			// Typed errors: unknown attribute, malformed range.
-			if _, err := c.Estimate(ctx, tenant, "nope", 0, 1); !errors.Is(err, client.ErrNotFound) {
-				t.Fatalf("not found: got %v", err)
-			}
-			var ae *client.APIError
-			if _, err := c.Estimate(ctx, tenant, "nope", 0, 1); !errors.As(err, &ae) || ae.Code != client.CodeNotFound {
-				t.Fatalf("not found APIError: got %v", err)
-			}
-			if _, err := c.Estimate(ctx, tenant, "price", 0.9, 0.1); !errors.Is(err, client.ErrBadRequest) {
-				t.Fatalf("bad range: got %v", err)
-			}
-			if _, err := c.Ingest(ctx, tenant, "price", nil); !errors.Is(err, client.ErrBadRequest) {
-				t.Fatalf("empty ingest: got %v", err)
-			}
-
-			answers[proto] = answer{res: res, batch: batch}
-		})
-	}
-
-	// Both transports ingested the same 256 values into per-tenant
-	// attributes with the same seed: the answers must agree bit-for-bit.
-	w, j := answers[client.ProtoWire], answers[client.ProtoJSON]
-	if w.res != j.res {
-		t.Errorf("estimate parity: wire %+v json %+v", w.res, j.res)
-	}
-	for i := range w.batch {
-		if w.batch[i] != j.batch[i] {
-			t.Errorf("batch[%d] parity: wire %+v json %+v", i, w.batch[i], j.batch[i])
+		if err := c.Ping(ctx); err != nil {
+			t.Fatalf("ping: %v", err)
 		}
-	}
+		if err := c.CreateAttr(ctx, tenant, "price", testCfg()); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		// Idempotent re-create succeeds; a different config conflicts.
+		if err := c.CreateAttr(ctx, tenant, "price", testCfg()); err != nil {
+			t.Fatalf("re-create: %v", err)
+		}
+		other := testCfg()
+		other.DomainHi = 2
+		if err := c.CreateAttr(ctx, tenant, "price", other); !errors.Is(err, client.ErrConflict) {
+			t.Fatalf("conflict: got %v", err)
+		}
+
+		vals := make([]float64, 256)
+		for i := range vals {
+			vals[i] = (float64(i) + 0.5) / 256
+		}
+		inserted := insertedSince()
+		ing, err := c.Ingest(ctx, tenant, "price", vals)
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		if ing.Queued != 256 || ing.Shed != 0 {
+			t.Fatalf("ingest result: %+v", ing)
+		}
+
+		// fresh refits from what the attribute's drainer has already
+		// inserted, so wait for the whole batch: then the answer is
+		// deterministic.
+		waitFor(t, "the ingest to drain", func() bool { return inserted() >= 256 })
+		res, err := c.Estimate(ctx, tenant, "price", 0.25, 0.75, client.WithFresh())
+		if err != nil {
+			t.Fatalf("estimate: %v", err)
+		}
+		if res.Selectivity <= 0 || res.Selectivity > 1 || res.Rung == "" {
+			t.Fatalf("estimate result: %+v", res)
+		}
+
+		batch, err := c.EstimateBatch(ctx, tenant, "price", []client.Range{{Lo: 0, Hi: 0.5}, {Lo: 0.5, Hi: 1}})
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		if len(batch) != 2 {
+			t.Fatalf("batch results: %+v", batch)
+		}
+
+		// Typed errors: unknown attribute, malformed range.
+		if _, err := c.Estimate(ctx, tenant, "nope", 0, 1); !errors.Is(err, client.ErrNotFound) {
+			t.Fatalf("not found: got %v", err)
+		}
+		var ae *client.APIError
+		if _, err := c.Estimate(ctx, tenant, "nope", 0, 1); !errors.As(err, &ae) || ae.Code != client.CodeNotFound {
+			t.Fatalf("not found APIError: got %v", err)
+		}
+		if _, err := c.Estimate(ctx, tenant, "price", 0.9, 0.1); !errors.Is(err, client.ErrBadRequest) {
+			t.Fatalf("bad range: got %v", err)
+		}
+		if _, err := c.Ingest(ctx, tenant, "price", nil); !errors.Is(err, client.ErrBadRequest) {
+			t.Fatalf("empty ingest: got %v", err)
+		}
+	})
 }
 
-// TestClientOverQuota pins the throttle path on both transports: the
-// refusal is ErrOverQuota, the APIError carries the server's hint, and
+// TestClientOverQuota pins the throttle path: the refusal is
+// ErrOverQuota, the APIError carries the server's hint, and
 // WithMaxRetries(0) surfaces it without burning the retry budget.
 func TestClientOverQuota(t *testing.T) {
 	ts := startService(t, server.Options{QuotaRate: 0.001, QuotaBurst: 1})
 	ctx := context.Background()
-	for _, proto := range protocols() {
-		t.Run(string(proto), func(t *testing.T) {
-			c := ts.client(t, proto)
-			tenant := "quota-" + string(proto)
-			// Creating the tenant is admitted free (the tenant does not
-			// exist yet); the burst of 1 is then spent by one estimate and
-			// the next call must be refused with a hint.
-			if err := c.CreateAttr(ctx, tenant, "a", testCfg(), client.WithMaxRetries(0)); err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			_, _ = c.Estimate(ctx, tenant, "a", 0, 1, client.WithMaxRetries(0))
-			var ae *client.APIError
-			_, err := c.Estimate(ctx, tenant, "a", 0, 1, client.WithMaxRetries(0))
-			if !errors.Is(err, client.ErrOverQuota) {
-				t.Fatalf("over quota: got %v", err)
-			}
-			if !errors.As(err, &ae) || ae.RetryAfter <= 0 {
-				t.Fatalf("expected retry-after hint, got %v", err)
-			}
-		})
-	}
+	t.Run("wire", func(t *testing.T) {
+		c := ts.client(t)
+		tenant := "quota"
+		// Creating the tenant is admitted free (the tenant does not
+		// exist yet); the burst of 1 is then spent by one estimate and
+		// the next call must be refused with a hint.
+		if err := c.CreateAttr(ctx, tenant, "a", testCfg(), client.WithMaxRetries(0)); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		_, _ = c.Estimate(ctx, tenant, "a", 0, 1, client.WithMaxRetries(0))
+		var ae *client.APIError
+		_, err := c.Estimate(ctx, tenant, "a", 0, 1, client.WithMaxRetries(0))
+		if !errors.Is(err, client.ErrOverQuota) {
+			t.Fatalf("over quota: got %v", err)
+		}
+		if !errors.As(err, &ae) || ae.RetryAfter <= 0 {
+			t.Fatalf("expected retry-after hint, got %v", err)
+		}
+	})
 }
 
 // TestClientRetriesDraining pins the bounded retry loop: a draining
@@ -218,24 +179,22 @@ func TestClientRetriesDraining(t *testing.T) {
 	defer closeCancel()
 	_ = ts.srv.Close(closeCtx, "")
 
-	for _, proto := range protocols() {
-		t.Run(string(proto), func(t *testing.T) {
-			c := ts.client(t, proto, func(o *client.Options) {
-				o.MaxRetries = 2
-				o.RetryBaseDelay = time.Millisecond
-				o.RetryMaxDelay = 2 * time.Millisecond
-			})
-			before := c.Stats()
-			_, err := c.Estimate(ctx, "t", "a", 0, 1)
-			if !errors.Is(err, client.ErrDraining) {
-				t.Fatalf("draining: got %v", err)
-			}
-			after := c.Stats()
-			if got := after.Retries - before.Retries; got != 2 {
-				t.Fatalf("retries spent: got %d want 2", got)
-			}
+	t.Run("wire", func(t *testing.T) {
+		c := ts.client(t, func(o *client.Options) {
+			o.MaxRetries = 2
+			o.RetryBaseDelay = time.Millisecond
+			o.RetryMaxDelay = 2 * time.Millisecond
 		})
-	}
+		before := c.Stats()
+		_, err := c.Estimate(ctx, "t", "a", 0, 1)
+		if !errors.Is(err, client.ErrDraining) {
+			t.Fatalf("draining: got %v", err)
+		}
+		after := c.Stats()
+		if got := after.Retries - before.Retries; got != 2 {
+			t.Fatalf("retries spent: got %d want 2", got)
+		}
+	})
 }
 
 // TestClientPipelining drives many concurrent calls through a 1-conn
@@ -244,7 +203,7 @@ func TestClientRetriesDraining(t *testing.T) {
 func TestClientPipelining(t *testing.T) {
 	ts := startService(t, server.Options{})
 	ctx := context.Background()
-	c := ts.client(t, client.ProtoWire, func(o *client.Options) { o.Conns = 1 })
+	c := ts.client(t, func(o *client.Options) { o.Conns = 1 })
 	if err := c.CreateAttr(ctx, "t", "a", testCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +242,7 @@ func TestClientPipelining(t *testing.T) {
 func TestClientRedialsDeadConn(t *testing.T) {
 	ts := startService(t, server.Options{})
 	ctx := context.Background()
-	c := ts.client(t, client.ProtoWire, func(o *client.Options) {
+	c := ts.client(t, func(o *client.Options) {
 		o.Conns = 1
 		o.RetryBaseDelay = time.Millisecond
 	})
@@ -401,16 +360,7 @@ func TestClientOptionValidation(t *testing.T) {
 	if _, err := client.New(client.Options{}); err == nil {
 		t.Fatal("missing Addr accepted")
 	}
-	if _, err := client.New(client.Options{Addr: "x", Protocol: "grpc"}); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
 	if _, err := client.New(client.Options{Addr: "x", Conns: -1}); err == nil {
 		t.Fatal("negative Conns accepted")
-	}
-	if _, err := client.ParseProtocol("wire"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.ParseProtocol("carrier-pigeon"); err == nil {
-		t.Fatal("bad protocol name accepted")
 	}
 }

@@ -1,8 +1,8 @@
 // Cluster-client pins: tenant sharding over a replica fleet, write
-// fan-out, read failover past a dead replica, snapshot fetching over
-// both transports, and the chaos suite — a replica killed and restarted
-// under live mixed load with zero client-visible failures. Run with
-// -race (make race-cluster) to sweep the routing layer's concurrency.
+// fan-out, read failover past a dead replica, snapshot fetching, and
+// the chaos suite — a replica killed and restarted under live mixed
+// load with zero client-visible failures. Run with -race (make
+// race-cluster) to sweep the routing layer's concurrency.
 package client_test
 
 import (
@@ -349,14 +349,14 @@ func TestClientClusterChaos(t *testing.T) {
 	}
 }
 
-// TestClientFetchSnapshotParity pins that both transports download the
-// identical SELS envelope, and that it boots a replica that answers
-// immediately — the client half of `selestd -join`.
+// TestClientFetchSnapshotParity pins that the client downloads the
+// server's own SELS envelope byte for byte, and that it boots a replica
+// that answers immediately — the client half of `selestd -join`.
 func TestClientFetchSnapshotParity(t *testing.T) {
 	ts := startService(t, server.Options{})
 	ctx := context.Background()
 
-	cw := ts.client(t, client.ProtoWire)
+	cw := ts.client(t)
 	if err := cw.CreateAttr(ctx, "acme", "v", testCfg()); err != nil {
 		t.Fatal(err)
 	}
@@ -377,23 +377,23 @@ func TestClientFetchSnapshotParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	viaWire, err := cw.FetchSnapshot(ctx)
+	fetched, err := cw.FetchSnapshot(ctx)
 	if err != nil {
-		t.Fatalf("wire fetch: %v", err)
+		t.Fatalf("fetch: %v", err)
 	}
-	viaJSON, err := ts.client(t, client.ProtoJSON).FetchSnapshot(ctx)
+	own, err := ts.srv.SnapshotBytes()
 	if err != nil {
-		t.Fatalf("json fetch: %v", err)
+		t.Fatal(err)
 	}
-	if len(viaWire) == 0 || !bytes.Equal(viaWire, viaJSON) {
-		t.Fatalf("transport snapshot mismatch: wire %d bytes, json %d bytes", len(viaWire), len(viaJSON))
+	if len(fetched) == 0 || !bytes.Equal(fetched, own) {
+		t.Fatalf("fetched snapshot differs from the server's own: %d vs %d bytes", len(fetched), len(own))
 	}
 
 	joined, err := server.NewServer(server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := joined.RecoverReader(bytes.NewReader(viaWire)); err != nil {
+	if err := joined.RecoverReader(bytes.NewReader(fetched)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := joined.Estimate(ctx, "acme", "v", 0.2, 0.8, false)

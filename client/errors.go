@@ -1,8 +1,8 @@
 // The client's error surface: the same stable codes and sentinels the
 // server classifies with (internal/errcode), re-exported so callers can
 // `errors.Is(err, client.ErrOverQuota)` without importing an internal
-// package — and get the identical answer whether the call travelled as
-// JSON or selestwire.
+// package — the same classification selestd's HTTP front reports as
+// JSON error bodies.
 package client
 
 import (
@@ -12,8 +12,9 @@ import (
 	"selest/internal/errcode"
 )
 
-// Code is the stable numeric error identifier shared by both transports
-// (wire error frames carry it raw; JSON bodies carry its string form).
+// Code is the stable numeric error identifier the server reports (wire
+// error frames carry it raw; selestd's JSON bodies carry its string
+// form).
 type Code = errcode.Code
 
 // The registry's codes, re-exported for switch statements on
@@ -28,9 +29,9 @@ const (
 	CodeTimeout    = errcode.CodeTimeout
 )
 
-// Typed sentinels, re-exported so errors.Is works identically on both
-// transports: every server-reported failure unwraps to exactly one of
-// these.
+// Typed sentinels, re-exported so errors.Is works without importing an
+// internal package: every server-reported failure unwraps to exactly one
+// of these.
 var (
 	// ErrBadRequest reports malformed input (NaN/inverted ranges, empty
 	// payloads, invalid attribute options).
@@ -55,16 +56,15 @@ var (
 
 // APIError is a failure the server reported (as opposed to a transport
 // failure reaching it). It unwraps to its code's sentinel, so
-// errors.Is(err, client.ErrOverQuota) matches regardless of transport.
+// errors.Is(err, client.ErrOverQuota) matches.
 type APIError struct {
 	// Code is the stable numeric code from the shared registry.
 	Code Code
-	// Message is the server's human-readable detail, identical across
-	// transports for the same failure.
+	// Message is the server's human-readable detail.
 	Message string
 	// RetryAfter is the server's throttle hint for over-quota refusals
-	// (Retry-After header on JSON, RetryAfterMs field on the wire);
-	// zero means none. The client's retry loop honours it.
+	// (the error frame's RetryAfterMs); zero means none. The client's
+	// retry loop honours it.
 	RetryAfter time.Duration
 }
 

@@ -12,29 +12,15 @@ import (
 	"selest/internal/errs"
 )
 
-// Protocol selects the transport the client speaks.
-type Protocol string
-
-const (
-	// ProtoWire is the selestwire binary protocol: persistent pipelined
-	// TCP connections, CRC-framed binary payloads (DESIGN.md §13). The
-	// default, and the fast path.
-	ProtoWire Protocol = "wire"
-	// ProtoJSON is the HTTP/JSON transport — the same API over the
-	// daemon's HTTP listener, for environments where only HTTP passes.
-	ProtoJSON Protocol = "json"
-)
-
 // Options configures a Client. Exactly one of Addr (a single server) or
 // Addrs (a replica fleet) is required; everything else defaults
 // sensibly.
 type Options struct {
-	// Addr is the server address (host:port). For ProtoJSON it is the
-	// HTTP listener's address; a scheme prefix is not accepted — the
-	// client builds its own URLs.
+	// Addr is the server's wire listener address (host:port, selestd
+	// -wire-addr).
 	Addr string
-	// Addrs lists every replica of a scaled-out fleet (host:port each,
-	// all speaking Protocol). The client routes each tenant to
+	// Addrs lists the wire listeners of every replica of a scaled-out
+	// fleet (host:port each). The client routes each tenant to
 	// Replication of them by rendezvous hash (DESIGN.md §15): reads go
 	// to the tenant's primary and fail over down the preference list on
 	// connection- and 5xx-class errors; writes fan out to the whole
@@ -47,19 +33,17 @@ type Options struct {
 	// success when at least one replica accepts (DESIGN.md §15 spells
 	// out the consistency contract).
 	Replication int
-	// Protocol selects the transport. Empty defaults to ProtoWire.
-	Protocol Protocol
-	// Conns is the connection-pool size for ProtoWire (calls are
-	// pipelined, so a handful of connections carries deep concurrency)
-	// and the idle-pool hint for ProtoJSON. Zero defaults to 4.
+	// Conns is the connection-pool size per replica (calls are
+	// pipelined, so a handful of connections carries deep concurrency).
+	// Zero defaults to 4.
 	Conns int
 	// DialTimeout bounds one connection attempt. Zero defaults to 5s.
 	DialTimeout time.Duration
 	// RequestTimeout is the per-attempt deadline applied when neither
 	// the call's context nor a WithTimeout option names one. It is also
-	// what the server hears (wire Meta.TimeoutMs / X-Selest-Timeout-Ms),
-	// so the server-side degradation ladder sees the same budget the
-	// client enforces. Zero defaults to 5s.
+	// what the server hears (Meta.TimeoutMs, in whole milliseconds
+	// rounded up), so the server-side degradation ladder sees the same
+	// budget the client enforces. Zero defaults to 5s.
 	RequestTimeout time.Duration
 	// MaxRetries bounds retries after the first attempt for retryable
 	// failures (transport errors, over-quota with the server's hint,
@@ -79,8 +63,8 @@ type Options struct {
 	// of inheriting a dead socket. Zero defaults to 15s; negative
 	// disables the checker.
 	HealthCheckEvery time.Duration
-	// MaxPayload bounds a received frame's payload (wire only). Zero
-	// defaults to the protocol's 16 MiB.
+	// MaxPayload bounds a received frame's payload. Zero defaults to
+	// the protocol's 16 MiB.
 	MaxPayload int
 }
 
@@ -94,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Replication > len(o.Addrs) {
 		o.Replication = len(o.Addrs)
-	}
-	if o.Protocol == "" {
-		o.Protocol = ProtoWire
 	}
 	if o.Conns == 0 {
 		o.Conns = 4
@@ -152,11 +133,6 @@ func (o *Options) Validate() error {
 	if o.Replication < 0 {
 		return bad("Replication %d must be non-negative", o.Replication)
 	}
-	switch o.Protocol {
-	case "", ProtoWire, ProtoJSON:
-	default:
-		return bad("unknown protocol %q (valid: wire, json)", o.Protocol)
-	}
 	if o.Conns < 0 {
 		return bad("Conns %d must be non-negative", o.Conns)
 	}
@@ -179,18 +155,6 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// ParseProtocol resolves a protocol name as written on a command line —
-// case-sensitive, matching the constants. The error wraps ErrBadOption.
-func ParseProtocol(s string) (Protocol, error) {
-	switch Protocol(s) {
-	case ProtoWire, ProtoJSON:
-		return Protocol(s), nil
-	case "":
-		return ProtoWire, nil
-	}
-	return "", fmt.Errorf("client: unknown protocol %q (valid: wire, json): %w", s, errs.ErrBadOption)
-}
-
 // Range is one [Lo, Hi] query.
 type Range struct {
 	Lo float64 `json:"lo"`
@@ -198,7 +162,7 @@ type Range struct {
 }
 
 // Result is one answered range query — the client-side twin of the
-// service's EstimateResult, identical across transports.
+// service's EstimateResult.
 type Result struct {
 	// Selectivity is the estimated fraction of the stream in [Lo, Hi].
 	Selectivity float64 `json:"selectivity"`
@@ -266,10 +230,9 @@ type callOptions struct {
 // CallOption customises one call.
 type CallOption func(*callOptions)
 
-// WithTimeout names the per-attempt deadline budget for this call — the
-// typed replacement for setting the X-Selest-Timeout-Ms header by hand.
-// The same value travels to the server (header on JSON, Meta field on
-// the wire) so both sides enforce one budget.
+// WithTimeout names the per-attempt deadline budget for this call. The
+// same value travels to the server in the request's Meta (whole
+// milliseconds, rounded up) so both sides enforce one budget.
 func WithTimeout(d time.Duration) CallOption {
 	return func(o *callOptions) { o.timeout = d }
 }

@@ -37,7 +37,7 @@ import (
 // connection pool), and the routing health bit.
 type replica struct {
 	addr string
-	t    transport
+	t    *wireTransport
 	down atomic.Bool
 }
 
@@ -113,12 +113,12 @@ func healthJitter(every time.Duration, rng *rand.Rand) time.Duration {
 }
 
 // healthLoop drives every replica's up/down bit: each (jittered) cycle
-// probes each transport — the wire transport pings idle pooled
-// connections and dial-probes when it has none, the JSON transport GETs
-// /healthz. A clean probe re-admits the replica to routing; a
-// connection-class failure ejects it; a typed server answer (draining,
-// say) leaves the bit alone — the process is alive, and the routing
-// classification in do/doAll already knows what to do with its answers.
+// probes each replica's transport, which pings idle pooled connections
+// and dial-probes when it has none. A clean probe re-admits the replica
+// to routing; a connection-class failure ejects it; a typed server
+// answer (draining, say) leaves the bit alone — the process is alive,
+// and the routing classification in do/doAll already knows what to do
+// with its answers.
 func (c *Client) healthLoop() {
 	defer close(c.done)
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))

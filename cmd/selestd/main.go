@@ -22,18 +22,21 @@
 // write a final snapshot — so the next boot recovers exactly what the
 // last one accepted.
 //
-// HTTP endpoints (all request/response bodies JSON; errors are typed
-// bodies):
+// HTTP endpoints (request/response bodies JSON except the snapshot;
+// errors are typed bodies) — the front for callers that cannot speak
+// the wire protocol:
 //
 //	POST /v1/attrs          — create an attribute (idempotent)
 //	POST /v1/estimate       — one range query
 //	POST /v1/estimate/batch — many range queries, one attribute
 //	POST /v1/ingest         — enqueue stream values (backpressured)
+//	GET  /v1/snapshot       — the snapshot envelope, as -join fetches it
 //	GET  /healthz           — liveness + drain state
 //	GET  /metrics           — Prometheus text exposition
 //
-// The wire listener speaks the same five operations as selestwire frames
-// (see internal/wire and the selest/client package).
+// The wire listener speaks the same operations, plus ping, as
+// selestwire frames; the selest/client package is its Go client (see
+// internal/wire).
 //
 // Example:
 //

@@ -1,41 +1,35 @@
-// Command selestload drives mixed read/ingest traffic at a running
-// selestd through the native client package and reports exact latency
-// percentiles — the committed evidence behind BENCH_service.json.
+// Command selestload drives closed-loop mixed read/ingest traffic at a
+// running selestd, or a replica fleet, through the native client
+// package and reports exact latency percentiles. It is the load half of
+// scripts/bench_cluster.sh (BENCH_cluster.json); perfbench, its own
+// module, is the repository's end-to-end benchmark.
 //
-// It speaks both transports: -proto wire uses the selestwire binary
-// protocol (pipelined persistent connections), -proto json the HTTP
-// transport, and -proto both measures each in turn against the same
-// daemon in one process — the JSON-vs-wire comparison the protocol
-// exists to win. Each worker loops over a -read-frac coin: reads are
-// single estimates (a -batch-frac slice of them batched to amortise
-// transport), writes are -ingest-batch values of uniform noise. The
-// client package supplies the production behaviour: per-request -timeout
-// budgets announced to the server, bounded retries with full-jitter
-// backoff honouring throttle hints, and typed errors.
+// Each worker loops over a -read-frac coin: reads are single estimates
+// (a -batch-frac slice of them batched to amortise transport), writes
+// are -ingest-batch values of uniform noise. The client package
+// supplies the production behaviour: per-request -timeout budgets
+// announced to the server, bounded retries with full-jitter backoff
+// honouring throttle hints, and typed errors.
 //
 // Latencies are recorded per successful call (a call's internal retries
 // burn its own clock), merged across workers, and reported as
 // p50/p99/p999 alongside throughput, retry, shed, and error counts, as a
-// JSON array in the same record shape the other BENCH_*.json files use;
-// -proto both appends a ServiceProtocolComparison record with the
-// req/s ratio.
+// JSON array in the same record shape the other BENCH_*.json files use.
 //
-// With -replicas a,b,c the same workload drives a fleet through the
-// cluster client: tenants shard over the replicas by rendezvous hash
-// (-replication ring copies each), and the records carry the fleet size
-// — the harness behind scripts/bench_cluster.sh and BENCH_cluster.json.
+// -addr takes the address of selestd's wire listener. With a
+// comma-separated list the workload drives a fleet through the cluster
+// client: tenants shard over the replicas by rendezvous hash
+// (-replication ring copies each), and the records carry the fleet size.
 //
 // Example:
 //
-//	selestload -addr 127.0.0.1:8765 -wire-addr 127.0.0.1:8766 \
-//	    -proto both -duration 10s -workers 32 -out BENCH_service.json
+//	selestload -addr 127.0.0.1:8766 -duration 10s -workers 32
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -51,11 +45,8 @@ import (
 )
 
 type options struct {
-	addr        string
-	wireAddr    string
-	replicas    string
+	addrs       []string
 	replication int
-	proto       string
 	duration    time.Duration
 	workers     int
 	conns       int
@@ -85,24 +76,13 @@ type result struct {
 	queued   int64
 }
 
-// runTotals is one protocol's merged outcome, kept for the comparison
-// record.
-type runTotals struct {
-	proto   client.Protocol
-	rps     float64
-	records []map[string]any
-}
-
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:8765", "selestd HTTP address")
-	flag.StringVar(&o.wireAddr, "wire-addr", "", "selestd wire-protocol address (required for -proto wire/both)")
-	flag.StringVar(&o.replicas, "replicas", "", "comma-separated wire addresses of a replica fleet; traffic routes by tenant hash through the cluster client (implies -proto wire)")
-	flag.IntVar(&o.replication, "replication", 1, "ring replicas per tenant when -replicas is set")
-	flag.StringVar(&o.proto, "proto", "both", "transport to bench: json, wire, or both")
-	flag.DurationVar(&o.duration, "duration", 10*time.Second, "measured load duration (per protocol)")
+	addr := flag.String("addr", "", "address of selestd's wire listener; a comma-separated list drives a replica fleet, tenants routed by rendezvous hash")
+	flag.IntVar(&o.replication, "replication", 1, "ring replicas per tenant when -addr lists a fleet")
+	flag.DurationVar(&o.duration, "duration", 10*time.Second, "measured load duration")
 	flag.IntVar(&o.workers, "workers", 32, "concurrent client workers")
-	flag.IntVar(&o.conns, "conns", 4, "wire-protocol connection-pool size")
+	flag.IntVar(&o.conns, "conns", 4, "connection-pool size per replica")
 	flag.IntVar(&o.tenants, "tenants", 4, "tenants to spread traffic over")
 	flag.IntVar(&o.attrs, "attrs", 2, "attributes per tenant")
 	flag.Float64Var(&o.readFrac, "read-frac", 0.8, "fraction of requests that are estimates")
@@ -115,54 +95,19 @@ func main() {
 	flag.DurationVar(&o.retryBase, "retry-base", 0, "retry backoff base delay (0 = client default 10ms); keep small against admission-capped servers so the closed loop paces on throttle hints")
 	flag.DurationVar(&o.retryMax, "retry-max", 0, "retry backoff delay cap (0 = client default 2s)")
 	flag.IntVar(&o.seedValues, "seed-values", 4096, "values ingested per attribute before the clock starts")
-	flag.StringVar(&o.out, "out", "BENCH_service.json", "output file ('-' for stdout)")
+	flag.StringVar(&o.out, "out", "-", "output file ('-' for stdout)")
 	flag.Int64Var(&o.seed, "seed", 1, "workload RNG seed")
 	flag.Parse()
 	log.SetPrefix("selestload: ")
 	log.SetFlags(0)
+	if *addr == "" {
+		log.Fatal("-addr is required")
+	}
+	o.addrs = strings.Split(*addr, ",")
 
-	var protos []client.Protocol
-	if o.replicas != "" {
-		// Cluster routing rides the wire protocol; a fleet bench measures
-		// the routing layer, not the JSON-vs-wire comparison.
-		o.proto = "wire"
-	}
-	switch o.proto {
-	case "json":
-		protos = []client.Protocol{client.ProtoJSON}
-	case "wire":
-		protos = []client.Protocol{client.ProtoWire}
-	case "both":
-		protos = []client.Protocol{client.ProtoJSON, client.ProtoWire}
-	default:
-		log.Fatalf("unknown -proto %q (valid: json, wire, both)", o.proto)
-	}
-
-	var records []map[string]any
-	totals := make([]runTotals, 0, len(protos))
-	for _, proto := range protos {
-		rt, err := run(proto, &o)
-		if err != nil {
-			log.Fatalf("%s: %v", proto, err)
-		}
-		records = append(records, rt.records...)
-		totals = append(totals, rt)
-	}
-	if len(totals) == 2 {
-		cmp := map[string]any{
-			"name":       "ServiceProtocolComparison",
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"host_cpus":  runtime.NumCPU(),
-			"workers":    o.workers,
-			"duration_s": o.duration.Seconds(),
-		}
-		for _, rt := range totals {
-			cmp[string(rt.proto)+"_rps"] = rt.rps
-		}
-		if totals[0].rps > 0 {
-			cmp["wire_vs_json"] = totals[1].rps / totals[0].rps
-		}
-		records = append(records, cmp)
+	records, err := run(&o)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var buf bytes.Buffer
@@ -182,45 +127,33 @@ func main() {
 	buf.WriteString("]\n")
 	if o.out == "-" {
 		os.Stdout.Write(buf.Bytes())
-	} else {
-		if err := os.WriteFile(o.out, buf.Bytes(), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		return
+	}
+	if err := os.WriteFile(o.out, buf.Bytes(), 0o644); err != nil {
+		log.Fatal(err)
 	}
 	log.Printf("wrote %s", o.out)
 }
 
-// run measures one protocol: build a client, create and seed the
-// attributes, drive the closed-loop workers for the duration, and render
-// the records.
-func run(proto client.Protocol, o *options) (runTotals, error) {
-	copts := client.Options{
-		Protocol:       proto,
+// run builds a client, creates and seeds the attributes, drives the
+// closed-loop workers for the duration, and renders the records.
+func run(o *options) ([]map[string]any, error) {
+	c, err := client.New(client.Options{
+		Addrs:          o.addrs,
+		Replication:    o.replication,
 		Conns:          o.conns,
 		RequestTimeout: o.timeout,
 		MaxRetries:     o.retries,
 		RetryBaseDelay: o.retryBase,
 		RetryMaxDelay:  o.retryMax,
-	}
-	if o.replicas != "" {
-		copts.Addrs = strings.Split(o.replicas, ",")
-		copts.Replication = o.replication
-	} else if proto == client.ProtoWire {
-		if o.wireAddr == "" {
-			return runTotals{}, errors.New("-wire-addr is required for the wire protocol")
-		}
-		copts.Addr = o.wireAddr
-	} else {
-		copts.Addr = o.addr
-	}
-	c, err := client.New(copts)
+	})
 	if err != nil {
-		return runTotals{}, err
+		return nil, err
 	}
 	defer c.Close()
 
 	if err := setup(c, o); err != nil {
-		return runTotals{}, fmt.Errorf("setup: %w", err)
+		return nil, fmt.Errorf("setup: %w", err)
 	}
 
 	results := make([]result, o.workers)
@@ -239,12 +172,11 @@ func run(proto client.Protocol, o *options) (runTotals, error) {
 
 	merged := merge(results)
 	stats := c.Stats()
-	rt := runTotals{proto: proto}
-	rt.rps = float64(len(merged.readNs)+len(merged.ingestNs)) / elapsed.Seconds()
-	rt.records = report(proto, o, merged, stats, elapsed)
-	log.Printf("%s: %d reads, %d ingests, %.0f req/s, %d retries, %d failures, %d shed",
-		proto, len(merged.readNs), len(merged.ingestNs), rt.rps, stats.Retries, merged.failures, merged.shed)
-	return rt, nil
+	log.Printf("%d reads, %d ingests, %.0f req/s, %d retries, %d failures, %d shed",
+		len(merged.readNs), len(merged.ingestNs),
+		float64(len(merged.readNs)+len(merged.ingestNs))/elapsed.Seconds(),
+		stats.Retries, merged.failures, merged.shed)
+	return report(o, merged, stats, elapsed), nil
 }
 
 func tenantName(i int) string { return fmt.Sprintf("tenant-%02d", i) }
@@ -365,17 +297,8 @@ func quantile(sorted []int64, q float64) int64 {
 	return sorted[idx]
 }
 
-// replicaCount is the fleet size driven: 1 without -replicas.
-func (o *options) replicaCount() int {
-	if o.replicas == "" {
-		return 1
-	}
-	return len(strings.Split(o.replicas, ","))
-}
-
-// report renders the merged tallies in the BENCH_*.json record shape,
-// tagged with the protocol they were measured over.
-func report(proto client.Protocol, o *options, m result, stats client.Stats, elapsed time.Duration) []map[string]any {
+// report renders the merged tallies in the BENCH_*.json record shape.
+func report(o *options, m result, stats client.Stats, elapsed time.Duration) []map[string]any {
 	mk := func(name string, ns []int64) map[string]any {
 		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 		var sum int64
@@ -384,12 +307,11 @@ func report(proto client.Protocol, o *options, m result, stats client.Stats, ela
 		}
 		rec := map[string]any{
 			"name":        name,
-			"proto":       string(proto),
 			"gomaxprocs":  runtime.GOMAXPROCS(0),
 			"host_cpus":   runtime.NumCPU(),
 			"runs":        len(ns),
 			"workers":     o.workers,
-			"replicas":    o.replicaCount(),
+			"replicas":    len(o.addrs),
 			"replication": o.replication,
 		}
 		if len(ns) > 0 {
@@ -403,12 +325,11 @@ func report(proto client.Protocol, o *options, m result, stats client.Stats, ela
 	total := len(m.readNs) + len(m.ingestNs)
 	totals := map[string]any{
 		"name":        "ServiceMixedTotals",
-		"proto":       string(proto),
 		"gomaxprocs":  runtime.GOMAXPROCS(0),
 		"host_cpus":   runtime.NumCPU(),
 		"runs":        total,
 		"workers":     o.workers,
-		"replicas":    o.replicaCount(),
+		"replicas":    len(o.addrs),
 		"replication": o.replication,
 		"duration_s":  elapsed.Seconds(),
 		"rps":         float64(total) / elapsed.Seconds(),

@@ -118,19 +118,6 @@ func (c Code) String() string {
 	return names[CodeInternal]
 }
 
-// Parse resolves a stable code name back to its Code. Unknown names
-// (including "ok") come back as (CodeInternal, false) so a client
-// talking to a newer server degrades to the catch-all instead of
-// misclassifying.
-func Parse(s string) (Code, bool) {
-	for c, name := range names {
-		if name == s && c != CodeOK {
-			return c, true
-		}
-	}
-	return CodeInternal, false
-}
-
 // Sentinel returns the canonical typed error for a code — what the
 // client wraps so errors.Is works identically on both sides of either
 // transport. Unknown codes map to ErrInternal.

@@ -72,9 +72,8 @@ func BenchmarkHotpathPingInline(b *testing.B) {
 }
 
 // BenchmarkHotpathEstimateWirePipelined is the end-to-end number: raw
-// TCP, 64 estimates in flight, one ns/op per request. This is the
-// single-conn analogue of the selestload wire benchmark in
-// BENCH_service.json.
+// TCP, 64 estimates in flight, one ns/op per request — the single-conn
+// analogue of perfbench's serve-read workload.
 func BenchmarkHotpathEstimateWirePipelined(b *testing.B) {
 	const depth = 64
 	s := primedServer(b)

@@ -1,6 +1,7 @@
 // Snapshot-shipping pins: the bytes a peer fetches must be the bytes a
-// local SaveSnapshot writes (byte-identical warm boot — the determinism
-// contract PR 6 established, extended over the network), a shipped
+// local SaveSnapshot writes (byte-identical warm boot — the snapshot
+// determinism contract, extended over the network, whether the envelope
+// travels as a wire snapshot_fetch or a GET /v1/snapshot), a shipped
 // stream must recover into a replica that answers from the snapshot rung
 // on its first request, and a torn transfer must fail recovery as the
 // typed catalog.ErrTornSnapshot rather than booting a silently partial
@@ -11,6 +12,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,6 +75,62 @@ func TestSnapshotShipBytesIdenticalToDisk(t *testing.T) {
 	}
 	if !bytes.Equal(shipped, reshipped) {
 		t.Fatalf("joined replica re-serialises differently: %d vs %d bytes", len(shipped), len(reshipped))
+	}
+}
+
+// TestSnapshotShipHTTPMatchesWireAndDisk pins the HTTP front's snapshot
+// endpoint, the fetch path for callers that cannot speak the wire
+// protocol: GET /v1/snapshot answers 200 with its Content-Length, and the
+// body is the same server's wire snapshot_fetch payload and its
+// SaveSnapshot file, byte for byte.
+func TestSnapshotShipHTTPMatchesWireAndDisk(t *testing.T) {
+	s, _ := shippedServer(t)
+	// A 1024-value reservoir takes the envelope past the 2 KiB net/http
+	// buffers before it chunks a reply, so the Content-Length checked
+	// below is the handler's own. No cadence refit fires, so the state
+	// holds still across the three fetches.
+	bulk := testAttrCfg()
+	bulk.ReservoirSize, bulk.RefitEvery = 1024, 1<<20
+	if err := s.CreateAttr("acme", "bulk", bulk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest("acme", "bulk", seq(1024)); err != nil {
+		t.Fatal(err)
+	}
+	waitInserted(t, s, "acme", "bulk", 1024)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL + "/v1/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	viaHTTP, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/snapshot: status %d: %s", resp.StatusCode, viaHTTP)
+	}
+	if resp.ContentLength != int64(len(viaHTTP)) {
+		t.Fatalf("GET /v1/snapshot: Content-Length %d for a %d-byte body", resp.ContentLength, len(viaHTTP))
+	}
+
+	_, addr := startWireServer(t, s)
+	viaWire, err := wireClient(t, addr).FetchSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.selest")
+	if err := s.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(viaHTTP) == 0 || !bytes.Equal(viaHTTP, viaWire) || !bytes.Equal(viaHTTP, disk) {
+		t.Fatalf("snapshot bytes differ: http %d, wire %d, disk %d", len(viaHTTP), len(viaWire), len(disk))
 	}
 }
 

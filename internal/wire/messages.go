@@ -12,10 +12,10 @@ import (
 	"math"
 )
 
-// Request/retry headers of the HTTP transport. The wire protocol carries
-// the same two facts as typed Meta fields; these constants exist so the
-// HTTP server and the client's JSON transport share one spelling — the
-// single source of truth the HTTP API contract documents.
+// Request/retry headers of selestd's HTTP front. The wire protocol
+// carries the same two facts as typed Meta fields; these constants give
+// the HTTP server and its tests one spelling — the single source of
+// truth the HTTP API contract documents.
 const (
 	// HeaderTimeoutMs names the client's per-request deadline budget in
 	// milliseconds (HTTP transport; Meta.TimeoutMs on the wire).
@@ -126,8 +126,8 @@ type ErrorRes struct {
 	// RetryAfterMs is the server's throttle hint for over-quota
 	// refusals; 0 means none.
 	RetryAfterMs uint32
-	// Message is the human-readable detail, identical to the JSON
-	// transport's message for the same failure.
+	// Message is the human-readable detail, identical to the HTTP
+	// front's JSON error message for the same failure.
 	Message string
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench2json.sh — convert `go test -bench` output on stdin into a JSON
-# array of benchmark records on stdout. Used by the `make bench*` targets
-# to commit benchmark evidence (BENCH_telemetry.json, BENCH_query.json,
-# BENCH_fit.json, BENCH_serve.json).
+# array of benchmark records on stdout. scripts/bench.sh's full mode
+# (`make bench-F`) pipes each family through it to commit the evidence
+# as BENCH_F.json.
 #
 # Each "BenchmarkName-P   N   X ns/op   Y B/op   Z allocs/op ..." line
 # becomes

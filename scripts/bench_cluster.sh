@@ -2,7 +2,7 @@
 # bench_cluster.sh — horizontal-scaling benchmark: boot fleets of 1, 2,
 # and 4 selestd replicas (each pinned to GOMAXPROCS=1 and capped at
 # -global-rate requests/second), drive mixed read/ingest load through
-# the cluster client's rendezvous routing with `selestload -replicas`,
+# the cluster client's rendezvous routing with `selestload -addr a,b,…`,
 # and record aggregate req/s per fleet size plus the speedup ratios in
 # BENCH_cluster.json (human summary in BENCH_cluster.txt).
 #
@@ -18,8 +18,9 @@
 # and host CPU count so the two setups cannot be confused.
 #
 # The run fails if any request fails (the retry budget is deep enough
-# that throttle refusals pace the closed loop instead of erroring), and
-# the 1-replica round doubles as the `-join` smoke: a joiner daemon
+# that throttle refusals pace the closed loop instead of erroring) or if
+# any daemon exits non-zero after SIGTERM (a failed drain), and the
+# 1-replica round doubles as the `-join` smoke: a joiner daemon
 # warm-boots from the loaded replica's shipped snapshot and must log
 # "warm start: joined".
 #
@@ -135,7 +136,7 @@ for R in $SET; do
     # Tight backoff: against a capped server the closed loop must poll
     # faster than tokens arrive or utilisation, not the cap, is what the
     # bench measures.
-    "$TMP/selestload" -replicas "$ADDRS" -replication "$REPLICATION" \
+    "$TMP/selestload" -addr "$ADDRS" -replication "$REPLICATION" \
         -duration "$DURATION" -workers $((WORKERS * R)) -tenants "$TENANTS" \
         -seed-values "$SEED_VALUES" -retries "$RETRIES" \
         -retry-base 1ms -retry-max 10ms \
@@ -168,15 +169,19 @@ for R in $SET; do
         DPIDS="$DPIDS $JPID"
         wait_log "$JLOG" "warm start: joined from" "$JPID"
         [ -s "$TMP/join.selest" ] || { echo "joiner persisted no snapshot" >&2; exit 1; }
-        kill -TERM "$JPID" 2>/dev/null
-        wait "$JPID" 2>/dev/null || true
+        kill -TERM "$JPID"
+        wait "$JPID" || { echo "joiner exited non-zero after SIGTERM:" >&2; cat "$JLOG" >&2; exit 1; }
         echo "join smoke: warm boot from peer snapshot OK" >> "$SUMMARY"
     fi
 
     # Graceful fleet shutdown before the next size boots.
-    kill -TERM $PIDS 2>/dev/null
+    kill -TERM $PIDS
     for PID in $PIDS; do
-        wait "$PID" 2>/dev/null || true
+        wait "$PID" || {
+            echo "fleet of $R: replica (pid $PID) exited non-zero after SIGTERM:" >&2
+            cat "$TMP"/selestd-"$R"-*.log >&2
+            exit 1
+        }
     done
     DPIDS=""
 done

@@ -1,12 +1,13 @@
 # Development and CI entry points. `make ci` is the gate: vet (and
-# staticcheck when installed), the full test suite, the race detector
+# staticcheck when installed), the full test suite, a fresh run of the
+# paper's experiments against experiments_output.txt, the race detector
 # over the concurrency-sensitive packages (online serving through refit
 # failures, robust ladder, telemetry registry), a smoke run of every
 # go-test benchmark, and the service smoke runs.
 
 GO ?= go
 
-.PHONY: build test vet staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick ci
+.PHONY: build test vet staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick experiments-check ci
 
 build:
 	$(GO) build ./...
@@ -159,6 +160,17 @@ govulncheck:
 		echo "govulncheck not installed; skipping"; \
 	fi
 
+# The paper's numbers, pinned: a fresh run of every experiment must
+# reproduce the committed experiments_output.txt byte for byte, apart
+# from its "(N experiments finished in …)" elapsed-time line.
+experiments-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	elapsed='^([0-9]* experiments finished in .*)$$'; \
+	$(GO) run ./cmd/experiments > "$$dir/run.txt" && \
+	grep -v "$$elapsed" "$$dir/run.txt" > "$$dir/fresh.txt"; \
+	grep -v "$$elapsed" experiments_output.txt > "$$dir/committed.txt"; \
+	diff -u "$$dir/committed.txt" "$$dir/fresh.txt"
+
 # The fit-path determinism pins under the race detector: parallel LSCV /
 # oracle grids and the hybrid bin fill must be bit-identical to their
 # sequential scans at every worker count.
@@ -173,4 +185,4 @@ race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/
 
-ci: vet staticcheck govulncheck test race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick
+ci: vet staticcheck govulncheck test experiments-check race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick

@@ -17,6 +17,7 @@ import (
 	"selest/internal/core"
 	"selest/internal/errmetrics"
 	"selest/internal/experiments"
+	"selest/internal/fsort"
 	"selest/internal/histogram"
 	"selest/internal/hybrid"
 	"selest/internal/kde"
@@ -244,7 +245,11 @@ func BenchmarkDPIBandwidth(b *testing.B) {
 	samples := benchSamples(2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bandwidth.DPIBandwidth(samples, kernel.Epanechnikov{}, 2, 0, 1e6); err != nil {
+		ctx, err := kde.NewFitContext(samples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := bandwidth.DPIBandwidthContext(ctx, kernel.Epanechnikov{}, 2, 0, 1e6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,10 +281,12 @@ func ablationWorkload(b *testing.B) ([]float64, *query.Workload, float64, float6
 // bandwidths — the paper's claim that the kernel choice barely matters.
 func BenchmarkAblationKernelChoice(b *testing.B) {
 	samples, w, lo, hi := ablationWorkload(b)
+	sorted := append([]float64(nil), samples...)
+	fsort.Float64s(sorted)
 	for _, k := range kernel.All() {
 		k := k
 		b.Run(k.Name(), func(b *testing.B) {
-			h, err := bandwidth.NormalScaleBandwidth(samples, k)
+			h, err := bandwidth.NormalScaleBandwidthSorted(sorted, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -353,10 +360,13 @@ func BenchmarkAblationEvalPath(b *testing.B) {
 // BenchmarkAblationASHShifts varies the number of ASH shifts.
 func BenchmarkAblationASHShifts(b *testing.B) {
 	samples, w, lo, hi := ablationWorkload(b)
-	k, err := bandwidth.NormalScaleBins(samples, lo, hi, 8192)
+	sorted := append([]float64(nil), samples...)
+	fsort.Float64s(sorted)
+	width, err := bandwidth.NormalScaleBinWidthSorted(sorted)
 	if err != nil {
 		b.Fatal(err)
 	}
+	k := bandwidth.BinsForWidth(width, lo, hi, 8192)
 	for _, m := range []int{1, 2, 5, 10, 20} {
 		m := m
 		b.Run(fmt.Sprintf("m=%02d", m), func(b *testing.B) {
@@ -382,7 +392,11 @@ func BenchmarkAblationDPISteps(b *testing.B) {
 		b.Run(fmt.Sprintf("steps=%d", steps), func(b *testing.B) {
 			var mre float64
 			for i := 0; i < b.N; i++ {
-				h, err := bandwidth.DPIBandwidth(samples, kernel.Epanechnikov{}, steps, lo, hi)
+				ctx, err := kde.NewFitContext(samples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h, err := bandwidth.DPIBandwidthContext(ctx, kernel.Epanechnikov{}, steps, lo, hi)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -62,40 +62,12 @@ func AMISEKernel(h float64, n int, k kernel.Kernel, roughnessSecond float64) flo
 	return bias2 + variance
 }
 
-// NormalScaleBinWidth returns the paper's normal scale rule for the
-// equi-width bin width (eq. 8): h ≈ (24√π)^(1/3) · s · n^(−1/3), where the
-// scale s is estimated as min(stddev, IQR/1.348) by stats.Scale.
-func NormalScaleBinWidth(samples []float64) (float64, error) {
-	defer ruleNanosNSBinWidth.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.normal-scale-binwidth"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	return nsBinWidthFromScale(len(samples), stats.Scale(samples))
-}
-
-// NormalScaleBinWidthWithSorted is NormalScaleBinWidth for a caller that
-// also holds sorted, a sorted copy of samples (an equi-depth build sorts
-// its sample anyway): the quartiles come from sorted instead of a fresh
-// sorting copy, the standard deviation still from samples in their own
-// order, so the width is bit-identical to NormalScaleBinWidth(samples).
-func NormalScaleBinWidthWithSorted(samples, sorted []float64) (float64, error) {
-	defer ruleNanosNSBinWidth.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.normal-scale-binwidth"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	return nsBinWidthFromScale(len(samples), stats.ScaleWithSorted(samples, sorted))
-}
-
-// NormalScaleBinWidthSorted is NormalScaleBinWidth over already-sorted
-// input: the quartiles behind the scale estimate come straight from the
-// order statistics, with no sorting copy. Fit-path callers that hold a
-// kde.FitContext pass its Sorted() slice here.
+// NormalScaleBinWidthSorted returns the paper's normal scale rule for
+// the equi-width bin width (eq. 8): h ≈ (24√π)^(1/3) · s · n^(−1/3), where
+// the scale s = min(stddev, IQR/1.348) comes from stats.ScaleSorted over
+// the sample sorted ascending — its quartiles are order statistics, read
+// with no sorting copy. Fit-path callers that hold a kde.FitContext pass
+// its Sorted() slice.
 func NormalScaleBinWidthSorted(sorted []float64) (float64, error) {
 	defer ruleNanosNSBinWidth.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.normal-scale-binwidth"); err != nil {
@@ -104,36 +76,21 @@ func NormalScaleBinWidthSorted(sorted []float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, fmt.Errorf("bandwidth: empty sample set")
 	}
-	return nsBinWidthFromScale(len(sorted), stats.ScaleSorted(sorted))
-}
-
-func nsBinWidthFromScale(n int, s float64) (float64, error) {
+	s := stats.ScaleSorted(sorted)
 	if s <= 0 {
 		return 0, fmt.Errorf("bandwidth: degenerate sample (zero scale)")
 	}
-	return math.Cbrt(24*math.SqrtPi) * s * math.Pow(float64(n), -1.0/3.0), nil
+	return math.Cbrt(24*math.SqrtPi) * s * math.Pow(float64(len(sorted)), -1.0/3.0), nil
 }
 
-// NormalScaleBandwidth returns the paper's normal scale rule for the
-// kernel bandwidth: plugging the Gaussian roughness ∫f”² = 3/(8√π s⁵)
-// into the optimal-h formula gives
+// NormalScaleBandwidthSorted returns the paper's normal scale rule for the
+// kernel bandwidth over the sample sorted ascending: plugging the
+// Gaussian roughness ∫f”² = 3/(8√π s⁵) into the optimal-h formula gives
 //
 //	h ≈ (8√π·∫K² / (3·k₂²))^(1/5) · s · n^(−1/5),
 //
 // which for the Epanechnikov kernel is the paper's h ≈ 2.345·s·n^(−1/5).
-func NormalScaleBandwidth(samples []float64, k kernel.Kernel) (float64, error) {
-	defer ruleNanosNormalScale.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.normal-scale"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	return nsBandwidthFromScale(len(samples), stats.Scale(samples), k)
-}
-
-// NormalScaleBandwidthSorted is NormalScaleBandwidth over already-sorted
-// input, avoiding the sorting copy inside the scale estimate.
+// The scale s is read as in NormalScaleBinWidthSorted.
 func NormalScaleBandwidthSorted(sorted []float64, k kernel.Kernel) (float64, error) {
 	defer ruleNanosNormalScale.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.normal-scale"); err != nil {
@@ -142,19 +99,16 @@ func NormalScaleBandwidthSorted(sorted []float64, k kernel.Kernel) (float64, err
 	if len(sorted) == 0 {
 		return 0, fmt.Errorf("bandwidth: empty sample set")
 	}
-	return nsBandwidthFromScale(len(sorted), stats.ScaleSorted(sorted), k)
-}
-
-func nsBandwidthFromScale(n int, s float64, k kernel.Kernel) (float64, error) {
 	if telemetry.Enabled() {
 		fitKindClosedForm.Inc()
 	}
+	s := stats.ScaleSorted(sorted)
 	if s <= 0 {
 		return 0, fmt.Errorf("bandwidth: degenerate sample (zero scale)")
 	}
 	k2 := k.SecondMoment()
 	c := math.Pow(8*math.SqrtPi*k.Roughness()/(3*k2*k2), 0.2)
-	return c * s * math.Pow(float64(n), -0.2), nil
+	return c * s * math.Pow(float64(len(sorted)), -0.2), nil
 }
 
 // BinsForWidth converts a bin width into a bin count over [lo, hi],
@@ -173,53 +127,23 @@ func BinsForWidth(h, lo, hi float64, maxBins int) int {
 	return k
 }
 
-// NormalScaleBins applies NormalScaleBinWidth and converts to a bin count
-// over the domain [lo, hi].
-func NormalScaleBins(samples []float64, lo, hi float64, maxBins int) (int, error) {
-	h, err := NormalScaleBinWidth(samples)
-	if err != nil {
-		return 0, err
-	}
-	return BinsForWidth(h, lo, hi, maxBins), nil
-}
-
-// DPIBandwidth implements the paper's direct plug-in rule (§4.3): starting
-// from the normal scale bandwidth, each iteration builds a pilot kernel
-// density estimate with the current bandwidth, estimates the functional
-// ∫f”² from it numerically, and plugs that into the optimal-bandwidth
-// formula. Two or three steps suffice (the paper's observation; the
-// ablation bench verifies it).
+// DPIBandwidthContext implements the paper's direct plug-in rule (§4.3)
+// over a fit context: starting from the normal scale bandwidth, each
+// iteration builds a pilot kernel density estimate with the current
+// bandwidth, estimates the functional ∫f”² from it numerically, and plugs
+// that into the optimal-bandwidth formula. Two or three steps suffice
+// (the paper's observation; the ablation bench verifies it).
 //
 // The pilot estimates use reflection at [lo, hi] so the boundary loss does
-// not bias the functional.
-func DPIBandwidth(samples []float64, k kernel.Kernel, steps int, lo, hi float64) (float64, error) {
-	defer ruleNanosDPI.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.dpi"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	ctx, err := kde.NewFitContext(samples)
-	if err != nil {
-		return 0, err
-	}
-	return dpiBandwidthCtx(ctx, k, steps, lo, hi)
-}
-
-// DPIBandwidthContext is DPIBandwidth over a pre-built fit context: the
-// sample sort and the prefix-moment index are paid once by the context,
-// and every pilot density of every iteration reuses them. Callers fitting
-// a final estimator afterwards should fit it from the same context.
+// not bias the functional. The context pays the sample sort and the
+// prefix-moment index once, and every pilot density of every iteration
+// reuses them; callers fitting a final estimator afterwards should fit it
+// from the same context.
 func DPIBandwidthContext(ctx *kde.FitContext, k kernel.Kernel, steps int, lo, hi float64) (float64, error) {
 	defer ruleNanosDPI.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.dpi"); err != nil {
 		return 0, err
 	}
-	return dpiBandwidthCtx(ctx, k, steps, lo, hi)
-}
-
-func dpiBandwidthCtx(ctx *kde.FitContext, k kernel.Kernel, steps int, lo, hi float64) (float64, error) {
 	if telemetry.Enabled() {
 		fitKindSearched.Inc()
 	}
@@ -257,35 +181,14 @@ func dpiBandwidthCtx(ctx *kde.FitContext, k kernel.Kernel, steps int, lo, hi flo
 	return h, nil
 }
 
-// DPIBinWidth is the direct plug-in rule for the equi-width bin width:
-// iterations estimate ∫f'² from a pilot kernel estimate and plug it into
-// eq. 7.
-func DPIBinWidth(samples []float64, steps int, lo, hi float64) (float64, error) {
-	defer ruleNanosDPIBinWidth.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.dpi-binwidth"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	ctx, err := kde.NewFitContext(samples)
-	if err != nil {
-		return 0, err
-	}
-	return dpiBinWidthCtx(ctx, steps, lo, hi)
-}
-
-// DPIBinWidthContext is DPIBinWidth over a pre-built fit context (see
-// DPIBandwidthContext).
+// DPIBinWidthContext is the direct plug-in rule for the equi-width bin
+// width over a fit context (see DPIBandwidthContext): iterations estimate
+// ∫f'² from a pilot kernel estimate and plug it into eq. 7.
 func DPIBinWidthContext(ctx *kde.FitContext, steps int, lo, hi float64) (float64, error) {
 	defer ruleNanosDPIBinWidth.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.dpi-binwidth"); err != nil {
 		return 0, err
 	}
-	return dpiBinWidthCtx(ctx, steps, lo, hi)
-}
-
-func dpiBinWidthCtx(ctx *kde.FitContext, steps int, lo, hi float64) (float64, error) {
 	h, err := NormalScaleBinWidthSorted(ctx.Sorted())
 	if err != nil {
 		return 0, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selest/internal/dist"
+	"selest/internal/kde"
 	"selest/internal/kernel"
 	"selest/internal/xmath"
 	"selest/internal/xrand"
@@ -25,6 +26,16 @@ func sortedCopy(xs []float64) []float64 {
 	out := append([]float64(nil), xs...)
 	sort.Float64s(out)
 	return out
+}
+
+// fitContext builds the fit context the context-taking rules read.
+func fitContext(t testing.TB, xs []float64) *kde.FitContext {
+	t.Helper()
+	ctx, err := kde.NewFitContext(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
 }
 
 func TestOptimalBinWidthMinimisesAMISE(t *testing.T) {
@@ -65,7 +76,7 @@ func TestNormalScaleBandwidthPaperConstant(t *testing.T) {
 	// For the Epanechnikov kernel the paper states h ≈ 2.345·s·n^(−1/5).
 	// Build a sample with known scale ~1 and check the constant emerges.
 	samples := normalSamples(t, 2000, 0, 1, 1)
-	h, err := NormalScaleBandwidth(samples, kernel.Epanechnikov{})
+	h, err := NormalScaleBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +89,7 @@ func TestNormalScaleBandwidthPaperConstant(t *testing.T) {
 func TestNormalScaleBinWidthPaperConstant(t *testing.T) {
 	// h ≈ (24√π)^(1/3)·s·n^(−1/3) ≈ 3.4908·s·n^(−1/3).
 	samples := normalSamples(t, 2000, 0, 1, 2)
-	h, err := NormalScaleBinWidth(samples)
+	h, err := NormalScaleBinWidthSorted(sortedCopy(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +106,7 @@ func TestNormalScaleRulesNearOptimalOnNormalData(t *testing.T) {
 	samples := normalSamples(t, 2000, 0, sigma, 3)
 	nrm := dist.NewNormal(0, sigma)
 
-	hNS, err := NormalScaleBandwidth(samples, kernel.Epanechnikov{})
+	hNS, err := NormalScaleBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +115,7 @@ func TestNormalScaleRulesNearOptimalOnNormalData(t *testing.T) {
 		t.Fatalf("normal scale h %v far from analytic optimum %v", hNS, hOpt)
 	}
 
-	wNS, err := NormalScaleBinWidth(samples)
+	wNS, err := NormalScaleBinWidthSorted(sortedCopy(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +126,10 @@ func TestNormalScaleRulesNearOptimalOnNormalData(t *testing.T) {
 }
 
 func TestNormalScaleErrors(t *testing.T) {
-	if _, err := NormalScaleBinWidth(nil); err == nil {
+	if _, err := NormalScaleBinWidthSorted(nil); err == nil {
 		t.Fatal("empty sample should error")
 	}
-	if _, err := NormalScaleBandwidth([]float64{5, 5, 5}, kernel.Epanechnikov{}); err == nil {
+	if _, err := NormalScaleBandwidthSorted([]float64{5, 5, 5}, kernel.Epanechnikov{}); err == nil {
 		t.Fatal("degenerate sample should error")
 	}
 }
@@ -143,10 +154,11 @@ func TestBinsForWidth(t *testing.T) {
 
 func TestNormalScaleBins(t *testing.T) {
 	samples := normalSamples(t, 2000, 50, 10, 4)
-	k, err := NormalScaleBins(samples, 0, 100, 0)
+	w, err := NormalScaleBinWidthSorted(sortedCopy(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := BinsForWidth(w, 0, 100, 0)
 	// width ≈ 3.49·10·2000^{-1/3} ≈ 2.77 → ~36 bins over a 100-wide domain.
 	if k < 20 || k > 60 {
 		t.Fatalf("normal scale bins = %d, expected a few dozen", k)
@@ -157,11 +169,11 @@ func TestDPIBandwidthOnNormalData(t *testing.T) {
 	// On normal data DPI must stay in the same ballpark as the normal
 	// scale rule (both approximate the same optimum).
 	samples := normalSamples(t, 2000, 500, 80, 5)
-	hNS, err := NormalScaleBandwidth(samples, kernel.Epanechnikov{})
+	hNS, err := NormalScaleBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hDPI, err := DPIBandwidth(samples, kernel.Epanechnikov{}, 2, 0, 1000)
+	hDPI, err := DPIBandwidthContext(fitContext(t, samples), kernel.Epanechnikov{}, 2, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +194,11 @@ func TestDPIBandwidthAdaptsToBimodal(t *testing.T) {
 			samples[i] = r.NormalMeanStd(800, 20)
 		}
 	}
-	hNS, err := NormalScaleBandwidth(samples, kernel.Epanechnikov{})
+	hNS, err := NormalScaleBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hDPI, err := DPIBandwidth(samples, kernel.Epanechnikov{}, 2, 0, 1000)
+	hDPI, err := DPIBandwidthContext(fitContext(t, samples), kernel.Epanechnikov{}, 2, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,34 +209,26 @@ func TestDPIBandwidthAdaptsToBimodal(t *testing.T) {
 
 func TestDPIZeroStepsEqualsNormalScale(t *testing.T) {
 	samples := normalSamples(t, 500, 0, 1, 7)
-	hNS, _ := NormalScaleBandwidth(samples, kernel.Epanechnikov{})
-	hDPI, err := DPIBandwidth(samples, kernel.Epanechnikov{}, 0, -5, 5)
+	hDPI, err := DPIBandwidthContext(fitContext(t, samples), kernel.Epanechnikov{}, 0, -5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DPI runs over the fit context's sorted copy, so its standard
-	// deviation accumulates in sorted order and can differ from the
-	// unsorted NormalScaleBandwidth by summation ulps — 1e-12 relative is
-	// the fit-path engine's equivalence budget.
-	if !xmath.AlmostEqual(hDPI, hNS, 1e-12) {
-		t.Fatalf("0-step DPI %v != NS %v beyond 1e-12", hDPI, hNS)
-	}
-	hSorted, err := NormalScaleBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{})
+	hNS, err := NormalScaleBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hDPI != hSorted {
-		t.Fatalf("0-step DPI %v != sorted NS %v (must be bit-identical)", hDPI, hSorted)
+	if hDPI != hNS {
+		t.Fatalf("0-step DPI %v != NS %v (must be bit-identical)", hDPI, hNS)
 	}
 }
 
 func TestDPIBinWidth(t *testing.T) {
 	samples := normalSamples(t, 2000, 500, 80, 8)
-	w, err := DPIBinWidth(samples, 2, 0, 1000)
+	w, err := DPIBinWidthContext(fitContext(t, samples), 2, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wNS, _ := NormalScaleBinWidth(samples)
+	wNS, _ := NormalScaleBinWidthSorted(sortedCopy(samples))
 	if ratio := w / wNS; ratio < 0.3 || ratio > 3 {
 		t.Fatalf("DPI width %v wildly different from NS width %v", w, wNS)
 	}
@@ -232,17 +236,17 @@ func TestDPIBinWidth(t *testing.T) {
 
 func TestDPIDomainValidation(t *testing.T) {
 	samples := normalSamples(t, 100, 0, 1, 9)
-	if _, err := DPIBandwidth(samples, kernel.Epanechnikov{}, 2, 5, 5); err == nil {
+	if _, err := DPIBandwidthContext(fitContext(t, samples), kernel.Epanechnikov{}, 2, 5, 5); err == nil {
 		t.Fatal("empty domain should error")
 	}
-	if _, err := DPIBinWidth(samples, 2, 5, -5); err == nil {
+	if _, err := DPIBinWidthContext(fitContext(t, samples), 2, 5, -5); err == nil {
 		t.Fatal("inverted domain should error")
 	}
 }
 
 func TestLSCVSelectsReasonableBandwidth(t *testing.T) {
 	samples := normalSamples(t, 400, 0, 1, 10)
-	h, err := LSCVBandwidth(samples, kernel.Epanechnikov{}, 0.02, 5, 48)
+	h, err := LSCVBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{}, 0.02, 5, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +262,10 @@ func TestLSCVSelectsReasonableBandwidth(t *testing.T) {
 }
 
 func TestLSCVValidation(t *testing.T) {
-	if _, err := LSCVBandwidth([]float64{1}, kernel.Epanechnikov{}, 0.1, 1, 8); err == nil {
+	if _, err := LSCVBandwidthSorted([]float64{1}, kernel.Epanechnikov{}, 0.1, 1, 8, 0); err == nil {
 		t.Fatal("single sample should error")
 	}
-	if _, err := LSCVBandwidth([]float64{1, 2}, kernel.Epanechnikov{}, 1, 0.5, 8); err == nil {
+	if _, err := LSCVBandwidthSorted([]float64{1, 2}, kernel.Epanechnikov{}, 1, 0.5, 8, 0); err == nil {
 		t.Fatal("inverted grid should error")
 	}
 }
@@ -287,24 +291,24 @@ func TestEpanechnikovSelfConvolutionClosedForm(t *testing.T) {
 func TestOracle(t *testing.T) {
 	// Known convex loss: minimum at h = 2.
 	loss := func(h float64) float64 { return (math.Log(h) - math.Log(2)) * (math.Log(h) - math.Log(2)) }
-	h, err := Oracle(loss, 0.01, 100, 2001)
+	h, err := OracleWorkers(loss, 0.01, 100, 2001, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(math.Log(h/2)) > 0.02 {
 		t.Fatalf("oracle found %v, want 2", h)
 	}
-	if _, err := Oracle(loss, -1, 1, 10); err == nil {
+	if _, err := OracleWorkers(loss, -1, 1, 10, 0); err == nil {
 		t.Fatal("bad grid should error")
 	}
-	if _, err := Oracle(func(float64) float64 { return math.NaN() }, 0.1, 1, 10); err == nil {
+	if _, err := OracleWorkers(func(float64) float64 { return math.NaN() }, 0.1, 1, 10, 0); err == nil {
 		t.Fatal("NaN loss should error")
 	}
 }
 
 func TestOracleBins(t *testing.T) {
 	loss := func(k int) float64 { return math.Abs(float64(k) - 37) }
-	k, err := OracleBins(loss, 1, 500)
+	k, err := OracleBinsWorkers(loss, 1, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +316,10 @@ func TestOracleBins(t *testing.T) {
 	if k < 25 || k > 50 {
 		t.Fatalf("oracle bins = %d, want near 37", k)
 	}
-	if _, err := OracleBins(loss, 0, 10); err == nil {
+	if _, err := OracleBinsWorkers(loss, 0, 10, 0); err == nil {
 		t.Fatal("kLo=0 should error")
 	}
-	if _, err := OracleBins(func(int) float64 { return math.Inf(1) }, 1, 10); err == nil {
+	if _, err := OracleBinsWorkers(func(int) float64 { return math.Inf(1) }, 1, 10, 0); err == nil {
 		t.Fatal("infinite loss should error")
 	}
 }

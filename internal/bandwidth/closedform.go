@@ -12,12 +12,12 @@ package bandwidth
 // reference's derivative roughness, available in closed form through Beta
 // functions, into the optimal-bandwidth formula:
 //
-//   - BetaClosedForm targets the density (the AMISE of f̂):
+//   - BetaClosedFormContext targets the density (the AMISE of f̂):
 //     b = (R(K) / (n·k₂²·R(f″_ref)))^(1/5), the classical plug-in with the
 //     Beta reference replacing the pilot cascade.
-//   - ExactMISECDF targets the CDF — the quantity a selectivity estimator
-//     actually serves (arXiv:1606.06993): minimising the exact kernel-CDF
-//     MISE expansion ∫F(1−F)/n − (h/n)·V₁ + ¼h⁴k₂²R(f′) gives
+//   - ExactMISECDFContext targets the CDF — the quantity a selectivity
+//     estimator actually serves (arXiv:1606.06993): minimising the exact
+//     kernel-CDF MISE expansion ∫F(1−F)/n − (h/n)·V₁ + ¼h⁴k₂²R(f′) gives
 //     b = (V₁ / (n·k₂²·R(f′_ref)))^(1/3), where V₁ = 2∫uK(u)K̄(u)du = 9/35
 //     for the Epanechnikov kernel.
 //
@@ -54,37 +54,16 @@ const (
 // first-order variance-reduction constant of the kernel-CDF MISE.
 const epaV1 = 9.0 / 35.0
 
-// BetaClosedForm returns the closed-form beta-reference plug-in bandwidth
-// for the Epanechnikov kernel. Unlike DPI there is no pilot estimation:
-// the cost is one sort (skipped by the Context variant) plus O(1)
-// arithmetic.
-func BetaClosedForm(samples []float64) (float64, error) {
-	defer ruleNanosBetaClosedForm.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.beta-closed-form"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	ctx, err := kde.NewFitContext(samples)
-	if err != nil {
-		return 0, err
-	}
-	return betaClosedFormCtx(ctx)
-}
-
-// BetaClosedFormContext is BetaClosedForm over a pre-built fit context:
-// the hull and both moments come off the context's prefix-moment index,
-// so the selector itself is O(1) — no pass over the data at all.
+// BetaClosedFormContext returns the closed-form beta-reference plug-in
+// bandwidth for the Epanechnikov kernel over a fit context. Unlike DPI
+// there is no pilot estimation: the hull and both moments come off the
+// context's prefix-moment index, so the selector itself is O(1) — no pass
+// over the data at all.
 func BetaClosedFormContext(ctx *kde.FitContext) (float64, error) {
 	defer ruleNanosBetaClosedForm.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.beta-closed-form"); err != nil {
 		return 0, err
 	}
-	return betaClosedFormCtx(ctx)
-}
-
-func betaClosedFormCtx(ctx *kde.FitContext) (float64, error) {
 	if telemetry.Enabled() {
 		fitKindClosedForm.Inc()
 	}
@@ -101,35 +80,15 @@ func betaClosedFormCtx(ctx *kde.FitContext) (float64, error) {
 	return b * span, nil
 }
 
-// ExactMISECDF returns the closed-form CDF-targeted bandwidth for the
-// Epanechnikov kernel: the exact minimiser of the kernel-CDF MISE
-// expansion under the beta reference.
-func ExactMISECDF(samples []float64) (float64, error) {
-	defer ruleNanosExactMISE.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.exact-mise"); err != nil {
-		return 0, err
-	}
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("bandwidth: empty sample set")
-	}
-	ctx, err := kde.NewFitContext(samples)
-	if err != nil {
-		return 0, err
-	}
-	return exactMISECDFCtx(ctx)
-}
-
-// ExactMISECDFContext is ExactMISECDF over a pre-built fit context (see
-// BetaClosedFormContext).
+// ExactMISECDFContext returns the closed-form CDF-targeted bandwidth for
+// the Epanechnikov kernel over a fit context: the exact minimiser of the
+// kernel-CDF MISE expansion under the beta reference, read off the
+// context as in BetaClosedFormContext.
 func ExactMISECDFContext(ctx *kde.FitContext) (float64, error) {
 	defer ruleNanosExactMISE.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.exact-mise"); err != nil {
 		return 0, err
 	}
-	return exactMISECDFCtx(ctx)
-}
-
-func exactMISECDFCtx(ctx *kde.FitContext) (float64, error) {
 	if telemetry.Enabled() {
 		fitKindClosedForm.Inc()
 	}

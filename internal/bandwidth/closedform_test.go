@@ -1,12 +1,13 @@
 package bandwidth
 
 // Closed-form selector suite: analytic pins for the Beta-roughness
-// integrals, finite-positive properties across sample shapes, context
-// bit-identity, degenerate-input errors, and the telemetry exposition of
+// integrals, finite-positive properties across sample shapes, bit-identity
+// across context constructors, degenerate-input errors, and the telemetry exposition of
 // the new rule histograms and fit-kind counters.
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -34,6 +35,24 @@ func TestBetaRoughnessPins(t *testing.T) {
 	// Monotonicity sanity: spikier references are rougher.
 	if betaRoughnessSecond(50, 50) <= betaRoughnessSecond(3, 3) {
 		t.Fatal("sharper Beta reference should have larger R(f″)")
+	}
+}
+
+// closedFormSelectors runs the two closed-form rules over a fresh fit
+// context of the sample; an empty sample fails at the context.
+func closedFormSelectors() map[string]func([]float64) (float64, error) {
+	over := func(sel func(*kde.FitContext) (float64, error)) func([]float64) (float64, error) {
+		return func(xs []float64) (float64, error) {
+			ctx, err := kde.NewFitContext(xs)
+			if err != nil {
+				return 0, err
+			}
+			return sel(ctx)
+		}
+	}
+	return map[string]func([]float64) (float64, error){
+		"beta-closed-form": over(BetaClosedFormContext),
+		"exact-mise":       over(ExactMISECDFContext),
 	}
 }
 
@@ -78,10 +97,7 @@ func closedFormShapes(t testing.TB) map[string][]float64 {
 // admissible sample yields 0 < h < ∞, and h never exceeds half the hull
 // span (the beta estimator's admissible range).
 func TestClosedFormFinitePositive(t *testing.T) {
-	selectors := map[string]func([]float64) (float64, error){
-		"beta-closed-form": BetaClosedForm,
-		"exact-mise":       ExactMISECDF,
-	}
+	selectors := closedFormSelectors()
 	for shapeName, xs := range closedFormShapes(t) {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range xs {
@@ -113,10 +129,7 @@ func TestClosedFormShrinksWithN(t *testing.T) {
 		big[i] = r.Normal()
 	}
 	small := big[:1<<10]
-	for name, sel := range map[string]func([]float64) (float64, error){
-		"beta-closed-form": BetaClosedForm,
-		"exact-mise":       ExactMISECDF,
-	} {
+	for name, sel := range closedFormSelectors() {
 		hs, err := sel(small)
 		if err != nil {
 			t.Fatal(err)
@@ -131,29 +144,30 @@ func TestClosedFormShrinksWithN(t *testing.T) {
 	}
 }
 
-// TestClosedFormContextBitIdentical pins the Context variants to the
-// from-scratch entry points: same samples, same bits.
+// TestClosedFormContextBitIdentical pins both selectors to the sorted
+// data rather than to how the context got it: a context that sorts the
+// sample and one that aliases the caller's sorted copy give the same
+// bits.
 func TestClosedFormContextBitIdentical(t *testing.T) {
 	for shapeName, xs := range closedFormShapes(t) {
-		ctx, err := kde.NewFitContext(xs)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		aliased, err := kde.NewFitContextSorted(sorted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h1, err1 := BetaClosedForm(xs)
-		h2, err2 := BetaClosedFormContext(ctx)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: errs %v / %v", shapeName, err1, err2)
-		}
-		if h1 != h2 {
-			t.Fatalf("%s: BetaClosedForm %v != Context %v", shapeName, h1, h2)
-		}
-		h1, err1 = ExactMISECDF(xs)
-		h2, err2 = ExactMISECDFContext(ctx)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: errs %v / %v", shapeName, err1, err2)
-		}
-		if h1 != h2 {
-			t.Fatalf("%s: ExactMISECDF %v != Context %v", shapeName, h1, h2)
+		for name, sel := range map[string]func(*kde.FitContext) (float64, error){
+			"beta-closed-form": BetaClosedFormContext,
+			"exact-mise":       ExactMISECDFContext,
+		} {
+			h1, err1 := sel(fitContext(t, xs))
+			h2, err2 := sel(aliased)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s/%s: errs %v / %v", shapeName, name, err1, err2)
+			}
+			if h1 != h2 {
+				t.Fatalf("%s/%s: sorting context %v != aliasing context %v", shapeName, name, h1, h2)
+			}
 		}
 	}
 }
@@ -161,10 +175,7 @@ func TestClosedFormContextBitIdentical(t *testing.T) {
 // TestClosedFormDegenerate pins the error surface: empty and
 // zero-scale samples fail exactly like the other rules do.
 func TestClosedFormDegenerate(t *testing.T) {
-	for name, sel := range map[string]func([]float64) (float64, error){
-		"beta-closed-form": BetaClosedForm,
-		"exact-mise":       ExactMISECDF,
-	} {
+	for name, sel := range closedFormSelectors() {
 		if _, err := sel(nil); err == nil {
 			t.Fatalf("%s: no error on empty sample", name)
 		}
@@ -197,10 +208,7 @@ func FuzzClosedFormSelectors(f *testing.F) {
 		for i := uint64(0); i < extra%512; i++ {
 			xs = append(xs, a+(b-a)*r.Float64())
 		}
-		for name, sel := range map[string]func([]float64) (float64, error){
-			"beta-closed-form": BetaClosedForm,
-			"exact-mise":       ExactMISECDF,
-		} {
+		for name, sel := range closedFormSelectors() {
 			h, err := sel(xs)
 			if err != nil {
 				continue
@@ -224,16 +232,17 @@ func TestClosedFormMetricsStructural(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Normal()
 	}
-	if _, err := BetaClosedForm(xs); err != nil {
+	ctx := fitContext(t, xs)
+	if _, err := BetaClosedFormContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExactMISECDF(xs); err != nil {
+	if _, err := ExactMISECDFContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NormalScaleBandwidth(xs, kernel.Epanechnikov{}); err != nil {
+	if _, err := NormalScaleBandwidthSorted(ctx.Sorted(), kernel.Epanechnikov{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LSCVBandwidth(xs, kernel.Epanechnikov{}, 0.05, 3, 12); err != nil {
+	if _, err := LSCVBandwidthSorted(ctx.Sorted(), kernel.Epanechnikov{}, 0.05, 3, 12, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,13 +20,13 @@ func TestOptimalBandwidthDegenerateN(t *testing.T) {
 }
 
 func TestNormalScaleRulesEmptyInput(t *testing.T) {
-	if _, err := NormalScaleBandwidth(nil, kernel.Epanechnikov{}); err == nil {
+	if _, err := NormalScaleBandwidthSorted(nil, kernel.Epanechnikov{}); err == nil {
 		t.Fatal("empty sample should error")
 	}
-	if _, err := NormalScaleBins(nil, 0, 1, 0); err == nil {
+	if _, err := NormalScaleBinWidthSorted(nil); err == nil {
 		t.Fatal("empty sample should error")
 	}
-	if _, err := NormalScaleBins([]float64{5, 5, 5}, 0, 1, 0); err == nil {
+	if _, err := NormalScaleBinWidthSorted([]float64{5, 5, 5}); err == nil {
 		t.Fatal("degenerate sample should error")
 	}
 }
@@ -41,14 +41,12 @@ func TestBinsForWidthNaN(t *testing.T) {
 }
 
 func TestDPIDegenerateSamples(t *testing.T) {
-	if _, err := DPIBandwidth(nil, kernel.Epanechnikov{}, 2, 0, 1); err == nil {
-		t.Fatal("empty sample should error")
-	}
-	if _, err := DPIBandwidth([]float64{5, 5}, kernel.Epanechnikov{}, 2, 0, 10); err == nil {
+	ctx := fitContext(t, []float64{5, 5})
+	if _, err := DPIBandwidthContext(ctx, kernel.Epanechnikov{}, 2, 0, 10); err == nil {
 		t.Fatal("degenerate sample should error")
 	}
-	if _, err := DPIBinWidth(nil, 2, 0, 1); err == nil {
-		t.Fatal("empty sample should error")
+	if _, err := DPIBinWidthContext(ctx, 2, 0, 10); err == nil {
+		t.Fatal("degenerate sample should error")
 	}
 }
 
@@ -78,7 +76,7 @@ func TestKernelSelfConvolutionNonEpanechnikov(t *testing.T) {
 
 func TestLSCVWithNonEpanechnikovKernel(t *testing.T) {
 	samples := normalSamples(t, 200, 0, 1, 40)
-	h, err := LSCVBandwidth(samples, kernel.Triangular{}, 0.05, 3, 24)
+	h, err := LSCVBandwidthSorted(sortedCopy(samples), kernel.Triangular{}, 0.05, 3, 24, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +90,7 @@ func TestLSCVRejectsDegenerateGrid(t *testing.T) {
 	// hid caller bugs, so it is now a typed option error.
 	samples := normalSamples(t, 100, 0, 1, 41)
 	for _, gridN := range []int{-5, 0, 1} {
-		_, err := LSCVBandwidth(samples, kernel.Epanechnikov{}, 0.05, 3, gridN)
+		_, err := LSCVBandwidthSorted(sortedCopy(samples), kernel.Epanechnikov{}, 0.05, 3, gridN, 0)
 		if !errors.Is(err, errs.ErrBadOption) {
 			t.Fatalf("gridN=%d: want errs.ErrBadOption, got %v", gridN, err)
 		}
@@ -100,7 +98,7 @@ func TestLSCVRejectsDegenerateGrid(t *testing.T) {
 }
 
 func TestOracleDefaultGrid(t *testing.T) {
-	h, err := Oracle(func(h float64) float64 { return (h - 1) * (h - 1) }, 0.1, 10, 0)
+	h, err := OracleWorkers(func(h float64) float64 { return (h - 1) * (h - 1) }, 0.1, 10, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

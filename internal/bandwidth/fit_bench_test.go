@@ -11,13 +11,15 @@ package bandwidth
 //	FitOracle vs FitOracleSeed    candidate estimators from one context vs
 //	                              a fresh kde.New (sort included) each
 //
-// The rules are deliberately benchmarked through their public entry
-// points, so the DPI numbers include the one sort the engine still pays.
+// Each iteration builds the rule's input from the raw sample — the fit
+// context, or LSCV's sorted copy — so the numbers include the one sort
+// the engine still pays.
 
 import (
 	"fmt"
 	"testing"
 
+	"selest/internal/fsort"
 	"selest/internal/kde"
 	"selest/internal/kernel"
 	"selest/internal/xrand"
@@ -50,7 +52,11 @@ func BenchmarkFitDPI(b *testing.B) {
 		samples := fitBenchSamples(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := DPIBandwidth(samples, kernel.Epanechnikov{}, 2, 0, 1e6); err != nil {
+				ctx, err := kde.NewFitContext(samples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := DPIBandwidthContext(ctx, kernel.Epanechnikov{}, 2, 0, 1e6); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +86,9 @@ func BenchmarkFitLSCV(b *testing.B) {
 		samples := fitBenchSamples(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := LSCVBandwidth(samples, kernel.Epanechnikov{}, 100, 5e4, 25); err != nil {
+				sorted := append([]float64(nil), samples...)
+				fsort.Float64s(sorted)
+				if _, err := LSCVBandwidthSorted(sorted, kernel.Epanechnikov{}, 100, 5e4, 25, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,7 +140,7 @@ func BenchmarkFitOracle(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Oracle(loss, 1e3, 1e5, 49); err != nil {
+				if _, err := OracleWorkers(loss, 1e3, 1e5, 49, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -159,14 +167,18 @@ func BenchmarkFitOracleSeed(b *testing.B) {
 }
 
 // BenchmarkFitBetaClosedForm / BenchmarkFitExactMISE measure the
-// closed-form selectors through their public entry points, symmetric
-// with FitDPI — the one sort each still pays is included.
+// closed-form selectors from the raw sample, symmetric with FitDPI — the
+// fit context's one sort is included.
 func BenchmarkFitBetaClosedForm(b *testing.B) {
 	for _, n := range fitSizes {
 		samples := fitBenchSamples(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BetaClosedForm(samples); err != nil {
+				ctx, err := kde.NewFitContext(samples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := BetaClosedFormContext(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -179,7 +191,11 @@ func BenchmarkFitExactMISE(b *testing.B) {
 		samples := fitBenchSamples(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ExactMISECDF(samples); err != nil {
+				ctx, err := kde.NewFitContext(samples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ExactMISECDFContext(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,7 +3,8 @@ package bandwidth
 // Fit-path engine equivalence suite: the shared-context DPI, the batched
 // grid evaluation, and the parallel searches must reproduce the seed
 // (sort-per-fit, pointwise, sequential) implementations. The seed paths
-// are kept here verbatim as references — they are also what the
+// are kept here as references — verbatim apart from the normal-scale
+// start, which now only exists over sorted input — and are also what the
 // before/after benchmarks in fit_bench_test.go measure against.
 
 import (
@@ -62,7 +63,7 @@ func estimateRoughnessFirstRef(samples []float64, k kernel.Kernel, h, lo, hi flo
 
 // dpiBandwidthRef is the seed DPI iteration, kept verbatim.
 func dpiBandwidthRef(samples []float64, k kernel.Kernel, steps int, lo, hi float64) (float64, error) {
-	h, err := NormalScaleBandwidth(samples, k)
+	h, err := NormalScaleBandwidthSorted(sortedCopy(samples), k)
 	if err != nil {
 		return 0, err
 	}
@@ -90,7 +91,7 @@ func dpiBandwidthRef(samples []float64, k kernel.Kernel, steps int, lo, hi float
 
 // dpiBinWidthRef is the seed bin-width DPI iteration, kept verbatim.
 func dpiBinWidthRef(samples []float64, steps int, lo, hi float64) (float64, error) {
-	h, err := NormalScaleBinWidth(samples)
+	h, err := NormalScaleBinWidthSorted(sortedCopy(samples))
 	if err != nil {
 		return 0, err
 	}
@@ -99,7 +100,7 @@ func dpiBinWidthRef(samples []float64, steps int, lo, hi float64) (float64, erro
 	}
 	n := len(samples)
 	k := kernel.Epanechnikov{}
-	pilotH, err := NormalScaleBandwidth(samples, k)
+	pilotH, err := NormalScaleBandwidthSorted(sortedCopy(samples), k)
 	if err != nil {
 		return 0, err
 	}
@@ -166,7 +167,7 @@ func TestDPIBandwidthMatchesSeedReference(t *testing.T) {
 			{"normal", normalSamples(t, 1500, 500, 80, 11)},
 			{"bimodal", clusteredSamples(t, 1500, 12)},
 		} {
-			got, err := DPIBandwidth(mk.samples, kernel.Epanechnikov{}, steps, 0, 1000)
+			got, err := DPIBandwidthContext(fitContext(t, mk.samples), kernel.Epanechnikov{}, steps, 0, 1000)
 			if err != nil {
 				t.Fatalf("%s steps=%d: %v", mk.name, steps, err)
 			}
@@ -184,7 +185,7 @@ func TestDPIBandwidthMatchesSeedReference(t *testing.T) {
 func TestDPIBinWidthMatchesSeedReference(t *testing.T) {
 	samples := clusteredSamples(t, 2000, 21)
 	for _, steps := range []int{0, 2} {
-		got, err := DPIBinWidth(samples, steps, 0, 1000)
+		got, err := DPIBinWidthContext(fitContext(t, samples), steps, 0, 1000)
 		if err != nil {
 			t.Fatalf("steps=%d: %v", steps, err)
 		}
@@ -198,25 +199,30 @@ func TestDPIBinWidthMatchesSeedReference(t *testing.T) {
 	}
 }
 
-// TestDPIBandwidthContextMatchesFreeFunction pins that the exported
-// context variant and the samples variant agree exactly (one sorts, the
-// other receives sorted — same code underneath).
-func TestDPIBandwidthContextMatchesFreeFunction(t *testing.T) {
+// TestDPIContextSameFromSortedInput pins that both DPI rules agree
+// exactly over a context that sorts the sample (NewFitContext) and one
+// that aliases the caller's sorted copy (NewFitContextSorted, as core's
+// build path does): same sorted data, same code underneath.
+func TestDPIContextSameFromSortedInput(t *testing.T) {
 	samples := normalSamples(t, 1000, 300, 50, 31)
-	ctx, err := kde.NewFitContext(samples)
+	aliased, err := kde.NewFitContextSorted(sortedCopy(samples))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hFree, err := DPIBandwidth(samples, kernel.Epanechnikov{}, 2, 0, 600)
-	if err != nil {
-		t.Fatal(err)
+	var hs, ws []float64
+	for _, ctx := range []*kde.FitContext{fitContext(t, samples), aliased} {
+		h, err := DPIBandwidthContext(ctx, kernel.Epanechnikov{}, 2, 0, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := DPIBinWidthContext(ctx, 2, 0, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, ws = append(hs, h), append(ws, w)
 	}
-	hCtx, err := DPIBandwidthContext(ctx, kernel.Epanechnikov{}, 2, 0, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hFree != hCtx {
-		t.Fatalf("DPIBandwidth %v != DPIBandwidthContext %v", hFree, hCtx)
+	if hs[0] != hs[1] || ws[0] != ws[1] {
+		t.Fatalf("sorting context: h %v, width %v; aliasing context: h %v, width %v", hs[0], ws[0], hs[1], ws[1])
 	}
 }
 
@@ -225,24 +231,16 @@ func TestDPIBandwidthContextMatchesFreeFunction(t *testing.T) {
 // sequential LogGridMin scan selects, for both the devirtualised
 // Epanechnikov walk and the generic kernel path.
 func TestLSCVWorkersBitIdentical(t *testing.T) {
-	samples := clusteredSamples(t, 600, 41)
-	sorted := sortedCopy(samples)
+	sorted := sortedCopy(clusteredSamples(t, 600, 41))
 	for _, k := range []kernel.Kernel{kernel.Epanechnikov{}, kernel.Triangular{}} {
 		want := lscvBandwidthRef(sorted, k, 0.5, 200, 25)
 		for _, workers := range []int{1, 2, 8} {
-			got, err := LSCVBandwidthWorkers(samples, k, 0.5, 200, 25, workers)
+			got, err := LSCVBandwidthSorted(sorted, k, 0.5, 200, 25, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", k.Name(), workers, err)
 			}
 			if got != want {
 				t.Fatalf("%s workers=%d: h %v != seed %v", k.Name(), workers, got, want)
-			}
-			gotSorted, err := LSCVBandwidthSorted(sorted, k, 0.5, 200, 25, workers)
-			if err != nil {
-				t.Fatalf("%s sorted workers=%d: %v", k.Name(), workers, err)
-			}
-			if gotSorted != want {
-				t.Fatalf("%s sorted workers=%d: h %v != seed %v", k.Name(), workers, gotSorted, want)
 			}
 		}
 	}
@@ -310,14 +308,14 @@ func TestOracleBinsWorkersBitIdentical(t *testing.T) {
 // the dpi-labeled histogram.
 func TestPilotHistogramRecords(t *testing.T) {
 	before := pilotNanosDPI.Count()
-	if _, err := DPIBandwidth(normalSamples(t, 400, 100, 10, 51), kernel.Epanechnikov{}, 2, 0, 200); err != nil {
+	if _, err := DPIBandwidthContext(fitContext(t, normalSamples(t, 400, 100, 10, 51)), kernel.Epanechnikov{}, 2, 0, 200); err != nil {
 		t.Fatal(err)
 	}
 	if got := pilotNanosDPI.Count(); got < before+2 {
 		t.Fatalf("pilot histogram count moved %d -> %d, want at least +2", before, got)
 	}
 	beforeBW := pilotNanosDPIBinWidth.Count()
-	if _, err := DPIBinWidth(normalSamples(t, 400, 100, 10, 52), 1, 0, 200); err != nil {
+	if _, err := DPIBinWidthContext(fitContext(t, normalSamples(t, 400, 100, 10, 52)), 1, 0, 200); err != nil {
 		t.Fatal(err)
 	}
 	if got := pilotNanosDPIBinWidth.Count(); got < beforeBW+1 {

@@ -7,56 +7,34 @@ import (
 
 	"selest/internal/errs"
 	"selest/internal/faultinject"
-	"selest/internal/fsort"
 	"selest/internal/kernel"
 	"selest/internal/parallel"
 	"selest/internal/telemetry"
 	"selest/internal/xmath"
 )
 
-// LSCVBandwidth selects the bandwidth by least-squares cross-validation,
-// an extension beyond the paper's rules. LSCV minimises an unbiased
-// estimate of the integrated squared error:
+// LSCVBandwidthSorted selects the bandwidth by least-squares
+// cross-validation, an extension beyond the paper's rules. LSCV minimises
+// an unbiased estimate of the integrated squared error:
 //
 //	LSCV(h) = ∫f̂² − (2/n)·Σ_i f̂_{−i}(X_i)
 //
 // over a logarithmic bandwidth grid spanning [hLo, hHi]. It is fully
 // data-driven (no normal reference), at the price of O(grid·n·k) work and
-// the well-known tendency to undersmooth on heavy-duplicate data.
+// the well-known tendency to undersmooth on heavy-duplicate data. The
+// sample must be sorted ascending, and is only read: fit-path callers
+// holding a kde.FitContext pass its Sorted() slice.
 //
 // gridN must be at least 2; smaller values are rejected with an error
 // wrapping errs.ErrBadOption (the seed behaviour of silently substituting
 // a 32-point grid hid caller bugs).
 //
-// Grid points are scored concurrently across a bounded worker pool; the
-// scores and the selected bandwidth are bit-identical to a sequential
-// scan at any worker count (see LSCVBandwidthWorkers).
-func LSCVBandwidth(samples []float64, k kernel.Kernel, hLo, hHi float64, gridN int) (float64, error) {
-	return LSCVBandwidthWorkers(samples, k, hLo, hHi, gridN, 0)
-}
-
-// LSCVBandwidthWorkers is LSCVBandwidth with an explicit worker count for
-// the grid scan (≤0 means GOMAXPROCS). Each grid point's score is an
-// independent pure function of (sorted samples, h); scores land in
-// per-index slots and the argmin is taken sequentially afterwards with
-// the same first-wins tie-breaking as xmath.LogGridMin, so the result is
-// bit-identical at any worker count.
-func LSCVBandwidthWorkers(samples []float64, k kernel.Kernel, hLo, hHi float64, gridN, workers int) (float64, error) {
-	defer ruleNanosLSCV.ObserveSince(time.Now())
-	if err := faultinject.Check("bandwidth.lscv"); err != nil {
-		return 0, err
-	}
-	if len(samples) < 2 {
-		return 0, fmt.Errorf("bandwidth: LSCV needs at least 2 samples")
-	}
-	sorted := append([]float64(nil), samples...)
-	fsort.Float64s(sorted)
-	return lscvSorted(sorted, k, hLo, hHi, gridN, workers)
-}
-
-// LSCVBandwidthSorted is LSCVBandwidth over already-sorted input (which
-// it only reads): fit-path callers holding a kde.FitContext pass its
-// Sorted() slice and skip the copy-and-sort.
+// Grid points are scored concurrently across workers goroutines (≤0
+// means GOMAXPROCS). Each grid point's score is an independent pure
+// function of (sorted samples, h); scores land in per-index slots and the
+// argmin is taken sequentially afterwards with the same first-wins
+// tie-breaking as xmath.LogGridMin, so the result is bit-identical to a
+// sequential scan at any worker count.
 func LSCVBandwidthSorted(sorted []float64, k kernel.Kernel, hLo, hHi float64, gridN, workers int) (float64, error) {
 	defer ruleNanosLSCV.ObserveSince(time.Now())
 	if err := faultinject.Check("bandwidth.lscv"); err != nil {
@@ -65,10 +43,6 @@ func LSCVBandwidthSorted(sorted []float64, k kernel.Kernel, hLo, hHi float64, gr
 	if len(sorted) < 2 {
 		return 0, fmt.Errorf("bandwidth: LSCV needs at least 2 samples")
 	}
-	return lscvSorted(sorted, k, hLo, hHi, gridN, workers)
-}
-
-func lscvSorted(sorted []float64, k kernel.Kernel, hLo, hHi float64, gridN, workers int) (float64, error) {
 	if telemetry.Enabled() {
 		fitKindSearched.Inc()
 	}

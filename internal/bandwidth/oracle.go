@@ -7,26 +7,20 @@ import (
 	"selest/internal/parallel"
 )
 
-// Oracle performs the grid search behind the paper's "h-opt" reference
-// columns (figures 9 and 11): it scans smoothing parameters on a
-// logarithmic grid and returns the one minimising a caller-supplied loss —
-// in the experiments, the mean relative error over a query workload with
-// known true selectivities. The paper stresses this is "not a practical
-// method" (it needs the answers in advance); it exists to judge how close
-// the practical rules get.
+// OracleWorkers performs the grid search behind the paper's "h-opt"
+// reference columns (figures 9 and 11): it scans smoothing parameters on
+// a logarithmic grid and returns the one minimising a caller-supplied
+// loss — in the experiments, the mean relative error over a query
+// workload with known true selectivities. The paper stresses this is "not
+// a practical method" (it needs the answers in advance); it exists to
+// judge how close the practical rules get.
 //
-// Grid points are evaluated concurrently, so loss must be safe for
-// concurrent invocation (the experiment losses are pure functions of h).
-// The selected parameter is bit-identical to the seed's sequential
-// xmath.LogGridMin scan: same grid points, same strict-less first-wins
-// tie-breaking. Use OracleWorkers to bound (or serialise, workers=1) the
-// pool for losses that are expensive or not concurrency-safe.
-func Oracle(loss func(h float64) float64, hLo, hHi float64, gridN int) (float64, error) {
-	return OracleWorkers(loss, hLo, hHi, gridN, 0)
-}
-
-// OracleWorkers is Oracle with an explicit worker count (≤0 means
-// GOMAXPROCS; 1 recovers the fully sequential seed behaviour).
+// Grid points are evaluated concurrently across workers goroutines (≤0
+// means GOMAXPROCS; 1 recovers the fully sequential seed behaviour), so
+// with more than one worker loss must be safe for concurrent invocation
+// (the experiment losses are pure functions of h). The selected parameter
+// is bit-identical to the seed's sequential xmath.LogGridMin scan: same
+// grid points, same strict-less first-wins tie-breaking.
 func OracleWorkers(loss func(h float64) float64, hLo, hHi float64, gridN, workers int) (float64, error) {
 	if !(hLo > 0 && hHi > hLo) {
 		return 0, fmt.Errorf("bandwidth: oracle needs 0 < hLo < hHi, got [%v, %v]", hLo, hHi)
@@ -52,17 +46,12 @@ func OracleWorkers(loss func(h float64) float64, hLo, hHi float64, gridN, worker
 	return h, nil
 }
 
-// OracleBins scans integer bin counts in [kLo, kHi] and returns the count
-// minimising the loss. Used for the histogram h-opt columns, where the
-// smoothing parameter is discrete. Like Oracle, candidate counts are
-// evaluated concurrently (loss must tolerate that) and the selection
-// matches the seed's ascending sequential scan exactly.
-func OracleBins(loss func(k int) float64, kLo, kHi int) (int, error) {
-	return OracleBinsWorkers(loss, kLo, kHi, 0)
-}
-
-// OracleBinsWorkers is OracleBins with an explicit worker count (≤0 means
-// GOMAXPROCS; 1 recovers the fully sequential seed behaviour).
+// OracleBinsWorkers scans integer bin counts in [kLo, kHi] and returns
+// the count minimising the loss. Used for the histogram h-opt columns,
+// where the smoothing parameter is discrete. Like OracleWorkers,
+// candidate counts are evaluated across workers goroutines (loss must
+// tolerate that) and the selection matches the seed's ascending
+// sequential scan exactly.
 func OracleBinsWorkers(loss func(k int) float64, kLo, kHi, workers int) (int, error) {
 	if kLo < 1 || kHi < kLo {
 		return 0, fmt.Errorf("bandwidth: oracle bins needs 1 <= kLo <= kHi, got [%d, %d]", kLo, kHi)

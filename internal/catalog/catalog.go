@@ -255,12 +255,24 @@ var catalogMagic = [4]byte{'S', 'E', 'L', 'C'}
 const catalogVersion = 2
 
 // Save writes the whole catalog — one atomically loaded state, so the
-// file is a consistent point-in-time snapshot even while writers land.
-// The stream ends with a CRC32 footer, so Load can diagnose a partial
-// write (a crash mid-Save, a truncated copy) as ErrTornSnapshot instead
-// of silently rebuilding from half a catalog.
+// file is a consistent point-in-time snapshot even while writers land —
+// as one WriteEntries stream in (table, column) order.
 func (c *Catalog) Save(w io.Writer) error {
 	st := c.state.Load()
+	cols := st.columns()
+	entries := make([]*Entry, len(cols))
+	for i, tc := range cols {
+		entries[i] = st.entries[key{tc[0], tc[1]}]
+	}
+	return WriteEntries(w, entries)
+}
+
+// WriteEntries writes entries, in the order given, as one SELC stream:
+// the format Save writes and Load and ReadEntries read. It builds no
+// estimator. The stream ends with a CRC32 footer, so a reader can
+// diagnose a partial write (a crash mid-write, a truncated copy) as
+// ErrTornSnapshot instead of silently rebuilding from half a catalog.
+func WriteEntries(w io.Writer, entries []*Entry) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(catalogMagic[:]); err != nil {
 		return fmt.Errorf("catalog: %w", err)
@@ -271,12 +283,10 @@ func (c *Catalog) Save(w io.Writer) error {
 	// Everything after the version flows through the checksum.
 	sum := crc32.NewIEEE()
 	cw := io.MultiWriter(bw, sum)
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(st.entries))); err != nil {
+	if err := binary.Write(cw, binary.LittleEndian, uint32(len(entries))); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	// Deterministic order for reproducible files.
-	for _, tc := range st.columns() {
-		e := st.entries[key{tc[0], tc[1]}]
+	for _, e := range entries {
 		for _, s := range []string{e.Table, e.Column, string(e.Method), string(e.Rule)} {
 			if len(s) > math.MaxUint16 {
 				return fmt.Errorf("catalog: string too long")
@@ -333,10 +343,28 @@ func torn(err error) error {
 
 // Load reads a catalog and rebuilds every estimator. A stream that ends
 // mid-entry or fails its checksum returns an error wrapping
-// ErrTornSnapshot, so recovery code can tell a crash-torn file from a
-// missing or foreign one. Version-1 files (pre-checksum) still load; their
-// truncations are detected structurally only.
+// ErrTornSnapshot (see ReadEntries), so recovery code can tell a
+// crash-torn file from a missing or foreign one.
 func Load(r io.Reader) (*Catalog, error) {
+	entries, err := ReadEntries(r)
+	if err != nil {
+		return nil, err
+	}
+	c := New()
+	for _, e := range entries {
+		if err := c.Put(e); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// ReadEntries reads a SELC stream's entries in stream order, building
+// no estimator. A stream that ends mid-entry or fails its checksum
+// returns an error wrapping ErrTornSnapshot. Version-1 streams
+// (pre-checksum) still read; their truncations are detected structurally
+// only.
+func ReadEntries(r io.Reader) ([]*Entry, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -363,7 +391,7 @@ func Load(r io.Reader) (*Catalog, error) {
 	if count > maxEntries {
 		return nil, fmt.Errorf("catalog: entry count %d exceeds limit", count)
 	}
-	c := New()
+	var entries []*Entry
 	readString := func() (string, error) {
 		var n uint16
 		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
@@ -410,9 +438,7 @@ func Load(r io.Reader) (*Catalog, error) {
 		if err != nil {
 			return nil, fmt.Errorf("catalog: entry %d: %w", i, torn(err))
 		}
-		if err := c.Put(&e); err != nil {
-			return nil, err
-		}
+		entries = append(entries, &e)
 	}
 	if version >= 2 {
 		want := cr.sum.Sum32()
@@ -424,7 +450,7 @@ func Load(r io.Reader) (*Catalog, error) {
 			return nil, fmt.Errorf("catalog: %w: checksum mismatch (file %08x, computed %08x)", ErrTornSnapshot, got, want)
 		}
 	}
-	return c, nil
+	return entries, nil
 }
 
 // AtomicWriteFile writes a file crash-safely: the content goes to a

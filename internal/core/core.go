@@ -18,6 +18,7 @@ import (
 	"selest/internal/kde"
 	"selest/internal/kernel"
 	"selest/internal/sample"
+	"selest/internal/telemetry"
 	"selest/internal/wavelet"
 )
 
@@ -103,8 +104,10 @@ const (
 )
 
 // Options configures Build. The zero value plus a domain builds a kernel
-// estimator with Epanechnikov kernel, boundary kernels, and the normal
-// scale rule — the paper's recommended default for smooth data.
+// estimator with the Epanechnikov kernel and the normal scale rule, and
+// no boundary treatment (Boundary's zero value is kde.BoundaryNone); the
+// paper's best kernel configuration sets Boundary to
+// kde.BoundaryKernels.
 type Options struct {
 	// Method selects the estimator; empty defaults to Kernel.
 	Method Method
@@ -160,47 +163,60 @@ type Options struct {
 // ErrInvalidDomain, ErrBadOption) so callers can branch with errors.Is.
 // Every successful fit records its method, duration, and derived
 // smoothing parameter into the telemetry registry.
+//
+// Build is the fit path's one sort: it copies the samples, sorts the copy
+// once (internal/fsort), and fits from it exactly as BuildSorted would,
+// so every rule and builder below takes the sorted sample or a
+// kde.FitContext over it.
 func Build(samples []float64, opts Options) (Estimator, error) {
-	return build(samples, opts, false)
+	sorted := append([]float64(nil), samples...)
+	fsort.Float64s(sorted)
+	return build(sorted, opts)
 }
 
 // BuildSorted is Build over samples sorted ascending that the caller
-// never modifies afterwards, such as an online reservoir's sorted view.
-// Kernel and beta-kernel fits alias them instead of copying and sorting,
-// equi-depth reads its quantiles from them directly, and every other
-// method takes Build's path, so the answers are bit-identical to Build's
-// over the same samples. Unsorted input is an error wrapping
-// ErrBadOption.
+// never modifies afterwards, such as an online reservoir's sorted view:
+// it skips Build's copy and sort, and the kernel and beta-kernel fits
+// alias the samples. The answers are bit-identical to Build's over the
+// same samples. Unsorted input is an error wrapping ErrBadOption.
 func BuildSorted(sorted []float64, opts Options) (Estimator, error) {
-	return build(sorted, opts, true)
+	// The kernel methods' fit context checks the order of what it
+	// aliases; every other method is checked here, so each view is read
+	// once for it.
+	if method := opts.method(); method != Kernel && method != BetaKernel && !slices.IsSorted(sorted) {
+		return nil, fmt.Errorf("core: build %s: samples are not sorted: %w", method, ErrBadOption)
+	}
+	if telemetry.Enabled() {
+		fitSortsAvoided.Inc()
+	}
+	return build(sorted, opts)
 }
 
-func build(samples []float64, opts Options, sorted bool) (Estimator, error) {
-	method := opts.Method
-	if method == "" {
-		method = Kernel
-	}
-	if len(samples) == 0 {
+// build fits the estimator opts describes from samples sorted ascending.
+func build(sorted []float64, opts Options) (Estimator, error) {
+	method := opts.method()
+	if len(sorted) == 0 {
 		return nil, fmt.Errorf("core: build %s: %w", method, ErrEmptySample)
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", method, err)
 	}
-	// The kernel methods' fit context checks the order of what it
-	// aliases; every other method is checked here, so each view is read
-	// once for it.
-	if sorted && method != Kernel && method != BetaKernel && !slices.IsSorted(samples) {
-		return nil, fmt.Errorf("core: build %s: samples are not sorted: %w", method, ErrBadOption)
-	}
 	start := time.Now()
-	est, err := dispatch(samples, opts, method, sorted)
+	est, err := dispatch(sorted, opts, method)
 	recordFit(method, start, err)
 	return est, err
 }
 
-// dispatch routes the validated option set to the method's builder;
-// sorted says the samples are sorted and may be aliased.
-func dispatch(samples []float64, opts Options, method Method, sorted bool) (Estimator, error) {
+// method returns the configured method, defaulting to Kernel.
+func (o Options) method() Method {
+	if o.Method == "" {
+		return Kernel
+	}
+	return o.Method
+}
+
+// dispatch routes the validated option set to the method's builder.
+func dispatch(samples []float64, opts Options, method Method) (Estimator, error) {
 	if err := faultinject.Check("core.build." + string(method)); err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", method, err)
 	}
@@ -210,38 +226,31 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 	case Uniform:
 		return histogram.BuildUniform(samples, opts.DomainLo, opts.DomainHi)
 	case EquiWidth:
-		k, err := binCount(samples, nil, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildEquiWidth(samples, k, opts.DomainLo, opts.DomainHi)
 	case EquiDepth:
-		// One radix sort, or none for sorted input, serves the bin-width
-		// rule's quartiles and the histogram's boundaries.
-		view := samples
-		if !sorted {
-			view = append([]float64(nil), samples...)
-			fsort.Float64s(view)
-		}
-		k, err := binCount(samples, view, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildEquiDepthSorted(view, k)
+		return histogram.BuildEquiDepthSorted(samples, k)
 	case MaxDiff:
-		k, err := binCount(samples, nil, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildMaxDiff(samples, k)
 	case VOptimal:
-		k, err := binCount(samples, nil, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildVOptimal(samples, k, 0)
 	case EndBiased:
-		k, err := binCount(samples, nil, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +266,7 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 			DomainHi:     opts.DomainHi,
 		})
 	case ASH:
-		k, err := binCount(samples, nil, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -267,20 +276,20 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 		}
 		return histogram.BuildASH(samples, k, shifts, opts.DomainLo, opts.DomainHi)
 	case FrequencyPolygon:
-		k, err := binCount(samples, nil, opts, method)
+		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
 		return histogram.BuildFrequencyPolygon(samples, k, opts.DomainLo, opts.DomainHi)
 	case Kernel:
 		// One fit context serves the bandwidth rule (every DPI pilot, every
-		// LSCV grid point) and the final estimator: the sample is sorted and
-		// moment-indexed exactly once per Build.
-		ctx, err := fitContext(samples, sorted)
+		// LSCV grid point) and the final estimator: the sample is
+		// moment-indexed exactly once per build.
+		ctx, err := kde.NewFitContextSorted(samples)
 		if err != nil {
 			return nil, err
 		}
-		h, err := kernelBandwidthCtx(ctx, opts, method)
+		h, err := kernelBandwidth(ctx, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -292,10 +301,10 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 			DomainHi:  opts.DomainHi,
 		})
 	case BetaKernel:
-		// Same shared-context discipline as Kernel: one sort and one moment
-		// index serve the closed-form rule and the estimator. The default
-		// rule here is BetaClosedForm — the rule the method exists for.
-		ctx, err := fitContext(samples, sorted)
+		// Same shared-context discipline as Kernel: one moment index
+		// serves the closed-form rule and the estimator. The default rule
+		// here is BetaClosedForm — the rule the method exists for.
+		ctx, err := kde.NewFitContextSorted(samples)
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +312,7 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 		if betaOpts.Rule == "" {
 			betaOpts.Rule = BetaClosedForm
 		}
-		h, err := kernelBandwidthCtx(ctx, betaOpts, method)
+		h, err := kernelBandwidth(ctx, betaOpts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +322,11 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 			DomainHi:  opts.DomainHi,
 		})
 	case VariableKernel:
-		h, err := kernelBandwidth(samples, opts, method)
+		ctx, err := kde.NewFitContextSorted(samples)
+		if err != nil {
+			return nil, err
+		}
+		h, err := kernelBandwidth(ctx, opts, method)
 		if err != nil {
 			return nil, err
 		}
@@ -331,21 +344,10 @@ func dispatch(samples []float64, opts Options, method Method, sorted bool) (Esti
 	}
 }
 
-// fitContext builds the kernel methods' fit context: over a sorted copy,
-// or aliasing samples the caller says are sorted, once they check out.
-func fitContext(samples []float64, sorted bool) (*kde.FitContext, error) {
-	if sorted {
-		return kde.NewFitContextSorted(samples)
-	}
-	return kde.NewFitContext(samples)
-}
-
-// binCount resolves the histogram bin count from Options, recording the
-// derived count for the method in the telemetry registry. sorted, when
-// non-nil, is a sorted copy of samples the caller holds anyway: the rules
-// then read their order statistics from it instead of sorting again, with
-// bit-identical results.
-func binCount(samples, sorted []float64, opts Options, method Method) (int, error) {
+// binCount resolves the histogram bin count from Options over the sorted
+// sample, recording the derived count for the method in the telemetry
+// registry.
+func binCount(sorted []float64, opts Options, method Method) (int, error) {
 	if opts.Bins > 0 {
 		recordBins(method, opts.Bins)
 		return opts.Bins, nil
@@ -364,23 +366,11 @@ func binCount(samples, sorted []float64, opts Options, method Method) (int, erro
 	)
 	switch rule {
 	case NormalScale:
-		if sorted != nil {
-			width, err = bandwidth.NormalScaleBinWidthWithSorted(samples, sorted)
-		} else {
-			width, err = bandwidth.NormalScaleBinWidth(samples)
-		}
+		width, err = bandwidth.NormalScaleBinWidthSorted(sorted)
 	case DPI:
-		steps := opts.DPISteps
-		if steps == 0 {
-			steps = 2
-		}
-		if sorted != nil {
-			var ctx *kde.FitContext
-			if ctx, err = kde.NewFitContextSorted(sorted); err == nil {
-				width, err = bandwidth.DPIBinWidthContext(ctx, steps, opts.DomainLo, opts.DomainHi)
-			}
-		} else {
-			width, err = bandwidth.DPIBinWidth(samples, steps, opts.DomainLo, opts.DomainHi)
+		var ctx *kde.FitContext
+		if ctx, err = kde.NewFitContextSorted(sorted); err == nil {
+			width, err = bandwidth.DPIBinWidthContext(ctx, opts.dpiSteps(), opts.DomainLo, opts.DomainHi)
 		}
 	case LSCV, BetaClosedForm, ExactMISE:
 		return 0, fmt.Errorf("core: %s selects kernel bandwidths, not bin counts: %w", rule, ErrBadOption)
@@ -395,23 +385,10 @@ func binCount(samples, sorted []float64, opts Options, method Method) (int, erro
 	return k, nil
 }
 
-// kernelBandwidth resolves the kernel bandwidth from Options, recording
-// the derived bandwidth for the method in the telemetry registry.
-func kernelBandwidth(samples []float64, opts Options, method Method) (float64, error) {
-	if opts.Bandwidth > 0 {
-		recordBandwidth(method, opts.Bandwidth)
-		return opts.Bandwidth, nil
-	}
-	ctx, err := kde.NewFitContext(samples)
-	if err != nil {
-		return 0, err
-	}
-	return kernelBandwidthCtx(ctx, opts, method)
-}
-
-// kernelBandwidthCtx is kernelBandwidth over a pre-built fit context, so
-// the Kernel build path shares one sorted copy between rule and estimator.
-func kernelBandwidthCtx(ctx *kde.FitContext, opts Options, method Method) (float64, error) {
+// kernelBandwidth resolves the kernel bandwidth from Options over the
+// fit context the method's estimator is fitted from, recording the
+// derived bandwidth for the method in the telemetry registry.
+func kernelBandwidth(ctx *kde.FitContext, opts Options, method Method) (float64, error) {
 	if opts.Bandwidth > 0 {
 		recordBandwidth(method, opts.Bandwidth)
 		return opts.Bandwidth, nil
@@ -432,11 +409,7 @@ func kernelBandwidthCtx(ctx *kde.FitContext, opts Options, method Method) (float
 	case NormalScale:
 		h, err = bandwidth.NormalScaleBandwidthSorted(ctx.Sorted(), k)
 	case DPI:
-		steps := opts.DPISteps
-		if steps == 0 {
-			steps = 2
-		}
-		h, err = bandwidth.DPIBandwidthContext(ctx, k, steps, opts.DomainLo, opts.DomainHi)
+		h, err = bandwidth.DPIBandwidthContext(ctx, k, opts.dpiSteps(), opts.DomainLo, opts.DomainHi)
 	case LSCV:
 		span := opts.DomainHi - opts.DomainLo
 		h, err = bandwidth.LSCVBandwidthSorted(ctx.Sorted(), k, span/1e4, span/2, 48, 0)
@@ -452,4 +425,12 @@ func kernelBandwidthCtx(ctx *kde.FitContext, opts Options, method Method) (float
 	}
 	recordBandwidth(method, h)
 	return h, nil
+}
+
+// dpiSteps returns the DPI iteration count, defaulting to 2.
+func (o Options) dpiSteps() int {
+	if o.DPISteps == 0 {
+		return 2
+	}
+	return o.DPISteps
 }

@@ -139,9 +139,9 @@ func TestMethodsComplete(t *testing.T) {
 
 // TestBuildSortedMatchesBuild pins the sorted entry to Build: for every
 // method and the rules the kernel methods serve with, a fit over sorted
-// samples answers bit-identically to Build over the same samples (and,
-// for the methods that sort anyway, over the unsorted ones), and unsorted
-// input is an ErrBadOption error for every method, never a panic.
+// samples answers bit-identically to Build over the same samples, sorted
+// or not (Build sorts them first), and unsorted input is an ErrBadOption
+// error for every method, never a panic.
 func TestBuildSortedMatchesBuild(t *testing.T) {
 	samples := testSamples(3000, 11)
 	sorted := append([]float64(nil), samples...)
@@ -181,9 +181,6 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 				t.Fatalf("%s: Build: %v", name, err)
 			}
 			refs = append(refs, ref)
-			if o.Method != Kernel && o.Method != BetaKernel && o.Method != EquiDepth {
-				break // only the sorting methods match over unsorted input
-			}
 		}
 		for _, ref := range refs {
 			for _, q := range queries {
@@ -194,6 +191,42 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 		}
 		if _, err := BuildSorted(samples, o); !errors.Is(err, ErrBadOption) {
 			t.Fatalf("%s: unsorted input: %v, want ErrBadOption", name, err)
+		}
+	}
+}
+
+// TestSortsAvoidedCounter pins what selest_fit_sorts_avoided_total
+// counts on the build path: a fit that reuses a sort it did not pay for.
+// Build pays its own sort, so only the estimators it fits from its fit
+// context count; BuildSorted counts its caller's sorted view on top.
+func TestSortsAvoidedCounter(t *testing.T) {
+	samples := testSamples(2000, 13)
+	sorted := append([]float64(nil), samples...)
+	fsort.Float64s(sorted)
+	for _, c := range []struct {
+		opts   Options
+		sorted bool
+		want   int64
+	}{
+		{Options{Method: EquiDepth}, false, 0},
+		{Options{Method: EquiDepth}, true, 1},
+		{Options{Method: EquiDepth, Rule: DPI}, false, 2}, // the two pilots
+		{Options{Method: Kernel}, false, 1},               // the estimator
+		{Options{Method: Kernel}, true, 2},
+	} {
+		c.opts.DomainLo, c.opts.DomainHi = 0, 1000
+		before := fitSortsAvoided.Value()
+		var err error
+		if c.sorted {
+			_, err = BuildSorted(sorted, c.opts)
+		} else {
+			_, err = Build(samples, c.opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fitSortsAvoided.Value() - before; got != c.want {
+			t.Errorf("%s/%s sorted=%v: %d sorts avoided, want %d", c.opts.Method, c.opts.Rule, c.sorted, got, c.want)
 		}
 	}
 }

@@ -102,8 +102,11 @@ func TestBuildWaveletCoefficients(t *testing.T) {
 }
 
 func TestKernelBandwidthLSCVPath(t *testing.T) {
-	samples := testSamples(400, 25)
-	h, err := kernelBandwidth(samples, Options{Rule: LSCV, DomainLo: 0, DomainHi: 1000}, Kernel)
+	ctx, err := kde.NewFitContext(testSamples(400, 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := kernelBandwidth(ctx, Options{Rule: LSCV, DomainLo: 0, DomainHi: 1000}, Kernel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"selest/internal/bandwidth"
 	"selest/internal/dataset"
 	"selest/internal/fsort"
 	"selest/internal/histogram"
+	"selest/internal/kde"
 	"selest/internal/sample"
+	"selest/internal/stats"
 	"selest/internal/xrand"
 )
 
@@ -60,11 +61,17 @@ func equiDepthCorpus() []histCase {
 }
 
 // TestEquiDepthBuildMatchesTwoSortPath pins the single-sort equi-depth
-// build: core.Build reads the bin-width rule's quartiles from the copy it
-// sorts for the boundaries, and must produce the same bounds and counts
-// as deriving the width from the unsorted sample (its own sort) and then
-// building the histogram (a second sort), under both bin-width rules.
+// build: core.Build sorts one copy and reads the bin-width rule's
+// quartiles and the histogram's boundaries from it, and must produce the
+// same bounds and counts as the rule and the histogram each sorting a
+// copy of their own, under both bin-width rules, without reordering the
+// caller's sample.
 func TestEquiDepthBuildMatchesTwoSortPath(t *testing.T) {
+	sortedCopy := func(xs []float64) []float64 {
+		s := append([]float64(nil), xs...)
+		fsort.Float64s(s)
+		return s
+	}
 	for _, c := range equiDepthCorpus() {
 		for _, rule := range []BandwidthRule{NormalScale, DPI} {
 			var (
@@ -72,14 +79,17 @@ func TestEquiDepthBuildMatchesTwoSortPath(t *testing.T) {
 				err   error
 			)
 			if rule == NormalScale {
-				width, err = bandwidth.NormalScaleBinWidth(c.samples)
+				width, err = bandwidth.NormalScaleBinWidthSorted(sortedCopy(c.samples))
 			} else {
-				width, err = bandwidth.DPIBinWidth(c.samples, 2, c.lo, c.hi)
+				var ctx *kde.FitContext
+				if ctx, err = kde.NewFitContext(c.samples); err == nil {
+					width, err = bandwidth.DPIBinWidthContext(ctx, 2, c.lo, c.hi)
+				}
 			}
 			if err != nil {
 				t.Fatalf("%s/%s: width: %v", c.name, rule, err)
 			}
-			want, err := histogram.BuildEquiDepth(c.samples, bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
+			want, err := histogram.BuildEquiDepthSorted(sortedCopy(c.samples), bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
 			if err != nil {
 				t.Fatalf("%s/%s: two-sort build: %v", c.name, rule, err)
 			}
@@ -119,10 +129,10 @@ func checkSameHistogram(t *testing.T, label string, got, want *histogram.Histogr
 	}
 }
 
-// TestEquiDepthBuildSortedInput pins the equi-depth fit of a sample in
-// sorted order, as an online refit hands it over, to the fit of the same
-// sample in reservoir order. The normal-scale bin width then sums the
-// standard deviation in sorted order, which may move its last bits, but
+// TestEquiDepthBuildSortedInput pins the one numeric consequence of
+// sorting at Build's door: the normal-scale bin width sums the standard
+// deviation in sorted order, where the rule used to sum it in the
+// caller's (reservoir) order. That may move the width's last bits, but
 // the bin count, bounds and counts must not move. Besides the corpus
 // above it covers the eight attribute streams of the repository
 // benchmark's ingest-refit workload (perfbench/workload.go), each as the
@@ -144,20 +154,21 @@ func TestEquiDepthBuildSortedInput(t *testing.T) {
 	for _, c := range corpus {
 		sorted := append([]float64(nil), c.samples...)
 		fsort.Float64s(sorted)
-		for _, rule := range []BandwidthRule{NormalScale, DPI} {
-			if strings.HasPrefix(c.name, "ingest-refit/") && rule != NormalScale {
-				continue // the workload's equi-depth attributes run the default rule
-			}
-			opts := Options{Method: EquiDepth, Rule: rule, DomainLo: c.lo, DomainHi: c.hi}
-			want, err := Build(c.samples, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: reservoir order: %v", c.name, rule, err)
-			}
-			got, err := Build(sorted, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: sorted: %v", c.name, rule, err)
-			}
-			checkSameHistogram(t, fmt.Sprintf("%s/%s: sorted input", c.name, rule), got.(*histogram.Histogram), want.(*histogram.Histogram))
+		// The scale as summed in the caller's order: min(sd, IQR/1.348),
+		// falling back to whichever estimate is positive.
+		s := stats.StdDev(c.samples)
+		if q := stats.IQR(c.samples) / 1.348; q > 0 && !(s > 0 && s <= q) {
+			s = q
 		}
+		width := math.Cbrt(24*math.SqrtPi) * s * math.Pow(float64(len(c.samples)), -1.0/3.0)
+		want, err := histogram.BuildEquiDepthSorted(sorted, bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
+		if err != nil {
+			t.Fatalf("%s: caller-order width: %v", c.name, err)
+		}
+		got, err := Build(c.samples, Options{Method: EquiDepth, Rule: NormalScale, DomainLo: c.lo, DomainHi: c.hi})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkSameHistogram(t, c.name+": sorted-order scale", got.(*histogram.Histogram), want)
 	}
 }

@@ -13,6 +13,11 @@ import (
 // production framing raises — which methods are being fitted, how long a
 // fit costs, and what smoothing parameter the rules actually derived.
 
+// fitSortsAvoided is kde's selest_fit_sorts_avoided_total series (the
+// registry hands both packages the same counter): BuildSorted counts the
+// copy-and-sort its caller's sorted view spares.
+var fitSortsAvoided = telemetry.Default.Counter("selest_fit_sorts_avoided_total")
+
 // recordFit records one Build outcome for a method: a success counter
 // plus a duration histogram, or a failure counter.
 func recordFit(method Method, start time.Time, err error) {

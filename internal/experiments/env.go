@@ -13,6 +13,7 @@ import (
 
 	"selest/internal/core"
 	"selest/internal/dataset"
+	"selest/internal/fsort"
 	"selest/internal/query"
 	"selest/internal/sample"
 	"selest/internal/xrand"
@@ -199,6 +200,14 @@ func (e *Env) Workload(name string, size float64) (*query.Workload, error) {
 		ent.w = w
 	})
 	return ent.w, ent.err
+}
+
+// sortedCopy returns xs sorted ascending in a fresh slice, for the rules
+// and builders that take sorted input.
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	fsort.Float64s(s)
+	return s
 }
 
 // hashName is a tiny FNV-1a over the file name, decorrelating per-file

@@ -50,7 +50,7 @@ func extBandwidthBuild(rule string, samples []float64, lo, hi float64, w *query.
 			mre, _ := errmetrics.MRE(cand, w)
 			return mre
 		}
-		h, oerr := bandwidth.Oracle(loss, span/1e4, span/2, 25)
+		h, oerr := bandwidth.OracleWorkers(loss, span/1e4, span/2, 25, 0)
 		if oerr != nil {
 			return nil, 0, oerr
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"selest/internal/bandwidth"
+	"selest/internal/core"
 	"selest/internal/dist"
 	"selest/internal/distinct"
 	"selest/internal/errmetrics"
@@ -126,11 +127,7 @@ func ExtFeedback(env *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := bandwidth.NormalScaleBandwidth(samples, kernel.Epanechnikov{})
-	if err != nil {
-		return nil, err
-	}
-	base, err := kde.New(samples, kde.Config{Bandwidth: h, Boundary: kde.BoundaryKernels, DomainLo: lo, DomainHi: hi})
+	base, err := core.Build(samples, core.Options{Method: core.Kernel, Boundary: kde.BoundaryKernels, DomainLo: lo, DomainHi: hi})
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +189,13 @@ func ExtSketch(env *Env) (*Report, error) {
 			return nil, err
 		}
 		lo, hi := f.Domain()
-		bins, err := bandwidth.NormalScaleBins(samples, lo, hi, 8192)
+		sorted := sortedCopy(samples)
+		width, err := bandwidth.NormalScaleBinWidthSorted(sorted)
 		if err != nil {
 			return nil, err
 		}
-		if bins < 10 {
-			bins = 10
-		}
-		sampled, err := histogram.BuildEquiDepth(samples, bins)
+		bins := max(bandwidth.BinsForWidth(width, lo, hi, 8192), 10)
+		sampled, err := histogram.BuildEquiDepthSorted(sorted, bins)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +203,7 @@ func ExtSketch(env *Env) (*Report, error) {
 
 		// Exact equi-depth over the full file: the reference the sketch
 		// approximates.
-		exact, err := histogram.BuildEquiDepth(f.Records, bins)
+		exact, err := histogram.BuildEquiDepthSorted(sortedCopy(f.Records), bins)
 		if err != nil {
 			return nil, err
 		}
@@ -254,11 +250,11 @@ func Ext2D(env *Env) (*Report, error) {
 
 	sx := xs[:cfg.SampleSize]
 	sy := ys[:cfg.SampleSize]
-	hx, err := bandwidth.NormalScaleBandwidth(sx, kernel.Epanechnikov{})
+	hx, err := bandwidth.NormalScaleBandwidthSorted(sortedCopy(sx), kernel.Epanechnikov{})
 	if err != nil {
 		return nil, err
 	}
-	hy, err := bandwidth.NormalScaleBandwidth(sy, kernel.Epanechnikov{})
+	hy, err := bandwidth.NormalScaleBandwidthSorted(sortedCopy(sy), kernel.Epanechnikov{})
 	if err != nil {
 		return nil, err
 	}
@@ -361,11 +357,15 @@ func ExtJoin(env *Env) (*Report, error) {
 		return nil, err
 	}
 	kdeOf := func(samples []float64) (*kde.Estimator, error) {
-		h, err := bandwidth.NormalScaleBandwidth(samples, kernel.Epanechnikov{})
+		ctx, err := kde.NewFitContext(samples)
 		if err != nil {
 			return nil, err
 		}
-		return kde.New(samples, kde.Config{Bandwidth: h, Boundary: kde.BoundaryReflect, DomainLo: lo, DomainHi: hi})
+		h, err := bandwidth.NormalScaleBandwidthSorted(ctx.Sorted(), kernel.Epanechnikov{})
+		if err != nil {
+			return nil, err
+		}
+		return ctx.NewEstimator(kde.Config{Bandwidth: h, Boundary: kde.BoundaryReflect, DomainLo: lo, DomainHi: hi})
 	}
 	fR, err := kdeOf(rSmp)
 	if err != nil {

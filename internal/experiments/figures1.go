@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"selest/internal/bandwidth"
 	"selest/internal/core"
 	"selest/internal/errmetrics"
 	"selest/internal/histogram"
 	"selest/internal/kde"
-	"selest/internal/kernel"
 	"selest/internal/query"
 	"selest/internal/sample"
 	"selest/internal/stats"
@@ -64,11 +62,7 @@ func Fig3(env *Env) (*Report, error) {
 		return nil, err
 	}
 	lo, hi := f.Domain()
-	h, err := bandwidth.NormalScaleBandwidth(samples, kernel.Epanechnikov{})
-	if err != nil {
-		return nil, err
-	}
-	est, err := kde.New(samples, kde.Config{Bandwidth: h, Boundary: kde.BoundaryNone, DomainLo: lo, DomainHi: hi})
+	est, err := core.Build(samples, core.Options{Method: core.Kernel, Boundary: kde.BoundaryNone, DomainLo: lo, DomainHi: hi})
 	if err != nil {
 		return nil, err
 	}

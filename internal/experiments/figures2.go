@@ -19,7 +19,7 @@ import (
 // builder on one workload — the paper's "optimum number of bins we
 // observed in our experiments".
 func oracleBinsFor(build func(k int) (errmetrics.Estimator, error), w *query.Workload) (int, error) {
-	return bandwidth.OracleBins(func(k int) float64 {
+	return bandwidth.OracleBinsWorkers(func(k int) float64 {
 		est, err := build(k)
 		if err != nil {
 			return math.Inf(1)
@@ -29,7 +29,7 @@ func oracleBinsFor(build func(k int) (errmetrics.Estimator, error), w *query.Wor
 			return math.Inf(1)
 		}
 		return mre
-	}, 2, 2000)
+	}, 2, 2000, 0)
 }
 
 // Fig8 reproduces figure 8: the MRE of 1% queries for equi-width,
@@ -80,8 +80,9 @@ func Fig8(env *Env) (*Report, error) {
 		ewh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
 			return histogram.BuildEquiWidth(samples, k, lo, hi)
 		})
+		sorted := sortedCopy(samples)
 		edh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
-			return histogram.BuildEquiDepth(samples, k)
+			return histogram.BuildEquiDepthSorted(sorted, k)
 		})
 		mdh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
 			return histogram.BuildMaxDiff(samples, k)
@@ -145,10 +146,11 @@ func Fig9(env *Env) (*Report, error) {
 		}
 		mreOpt, _ := errmetrics.MRE(hOpt, w)
 
-		kNS, err := bandwidth.NormalScaleBins(samples, lo, hi, 8192)
+		width, err := bandwidth.NormalScaleBinWidthSorted(sortedCopy(samples))
 		if err != nil {
 			return nil, err
 		}
+		kNS := bandwidth.BinsForWidth(width, lo, hi, 8192)
 		hNS, err := build(kNS)
 		if err != nil {
 			return nil, err
@@ -182,10 +184,6 @@ func Fig10(env *Env) (*Report, error) {
 		return nil, err
 	}
 	lo, hi := f.Domain()
-	h, err := bandwidth.NormalScaleBandwidth(samples, kernel.Epanechnikov{})
-	if err != nil {
-		return nil, err
-	}
 	sweep, err := query.PositionSweep(f.Records, lo, hi, 0.01, 200)
 	if err != nil {
 		return nil, err
@@ -201,7 +199,7 @@ func Fig10(env *Env) (*Report, error) {
 		{"reflection", kde.BoundaryReflect},
 		{"boundary kernels", kde.BoundaryKernels},
 	} {
-		est, err := kde.New(samples, kde.Config{Bandwidth: h, Boundary: m.mode, DomainLo: lo, DomainHi: hi})
+		est, err := core.Build(samples, core.Options{Method: core.Kernel, Boundary: m.mode, DomainLo: lo, DomainHi: hi})
 		if err != nil {
 			return nil, err
 		}

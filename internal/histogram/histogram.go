@@ -169,18 +169,12 @@ func BuildUniform(samples []float64, lo, hi float64) (*Histogram, error) {
 	return h, nil
 }
 
-// BuildEquiDepth builds an equi-depth histogram with (up to) k bins: bin
-// boundaries sit at the sample quantiles so every bin holds about the same
-// number of samples. Duplicate quantiles (heavy duplicate values) collapse,
-// so the result may have fewer than k bins.
-func BuildEquiDepth(samples []float64, k int) (*Histogram, error) {
-	return BuildEquiDepthSorted(sortedCopy(samples), k)
-}
-
-// BuildEquiDepthSorted is BuildEquiDepth over an already-sorted sample
-// slice, for callers that sorted it for another purpose too (core.Build
-// reads the bin-width rule's quartiles from the same copy). The histogram
-// keeps bin counts, not samples, so sorted is only read during the build.
+// BuildEquiDepthSorted builds an equi-depth histogram with (up to) k
+// bins from a sample sorted ascending: bin boundaries sit at the sample
+// quantiles so every bin holds about the same number of samples.
+// Duplicate quantiles (heavy duplicate values) collapse, so the result may
+// have fewer than k bins. The histogram keeps bin counts, not samples, so
+// sorted is only read during the build.
 func BuildEquiDepthSorted(sorted []float64, k int) (*Histogram, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histogram: bin count must be >= 1, got %d", k)

@@ -112,7 +112,7 @@ func TestEquiDepthBalancedCounts(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Normal()
 	}
-	h, err := BuildEquiDepth(samples, 10)
+	h, err := BuildEquiDepthSorted(sortedCopy(samples), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEquiDepthHeavyDuplicates(t *testing.T) {
 			samples[i] = float64(i)
 		}
 	}
-	h, err := BuildEquiDepth(samples, 10)
+	h, err := BuildEquiDepthSorted(sortedCopy(samples), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,10 @@ func TestEquiDepthHeavyDuplicates(t *testing.T) {
 }
 
 func TestEquiDepthDegenerate(t *testing.T) {
-	if _, err := BuildEquiDepth([]float64{7, 7, 7}, 4); err == nil {
+	if _, err := BuildEquiDepthSorted([]float64{7, 7, 7}, 4); err == nil {
 		t.Fatal("constant sample should error")
 	}
-	if _, err := BuildEquiDepth(nil, 4); err == nil {
+	if _, err := BuildEquiDepthSorted(nil, 4); err == nil {
 		t.Fatal("empty sample should error")
 	}
 }
@@ -337,7 +337,7 @@ func TestQuickHistogramInvariants(t *testing.T) {
 		"equi-depth": func() (interface {
 			Selectivity(a, b float64) float64
 		}, error) {
-			return BuildEquiDepth(samples, 17)
+			return BuildEquiDepthSorted(sortedCopy(samples), 17)
 		},
 		"max-diff": func() (interface {
 			Selectivity(a, b float64) float64

@@ -106,7 +106,7 @@ func seedHybridNew(samples []float64, lo, hi float64, cfg Config) (*Estimator, e
 }
 
 func seedChangePoints(sorted []float64, lo, hi float64, cfg Config) ([]float64, error) {
-	h, err := bandwidth.NormalScaleBandwidth(sorted, kernel.Epanechnikov{})
+	h, err := bandwidth.NormalScaleBandwidthSorted(sorted, kernel.Epanechnikov{})
 	if err != nil {
 		return nil, nil
 	}
@@ -160,7 +160,7 @@ func seedLocalEstimator(segment []float64, lo, hi float64) *kde.Estimator {
 	if len(segment) < 4 {
 		return nil
 	}
-	h, err := bandwidth.NormalScaleBandwidth(segment, kernel.Epanechnikov{})
+	h, err := bandwidth.NormalScaleBandwidthSorted(segment, kernel.Epanechnikov{})
 	if err != nil || h <= 0 {
 		return nil
 	}

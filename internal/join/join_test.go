@@ -30,11 +30,15 @@ func intColumn(n int, mean, std float64, seed uint64) []float64 {
 
 func kdeFor(t *testing.T, samples []float64) *kde.Estimator {
 	t.Helper()
-	h, err := bandwidth.NormalScaleBandwidth(samples, kernel.Epanechnikov{})
+	ctx, err := kde.NewFitContext(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := kde.New(samples, kde.Config{Bandwidth: h, Boundary: kde.BoundaryReflect, DomainLo: 0, DomainHi: 1000})
+	h, err := bandwidth.NormalScaleBandwidthSorted(ctx.Sorted(), kernel.Epanechnikov{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := ctx.NewEstimator(kde.Config{Bandwidth: h, Boundary: kde.BoundaryReflect, DomainLo: 0, DomainHi: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"math"
 	"sort"
 
-	"selest/internal/fsort"
 	"selest/internal/kernel"
 	"selest/internal/telemetry"
 	"selest/internal/xmath"
@@ -74,18 +73,6 @@ type BetaEstimator struct {
 	// wl/wr are the per-sample block weights, kept for the linear
 	// reference path and the moment-free fallback.
 	wl, wr []float64
-}
-
-// NewBeta builds a beta-kernel estimator from a sample set (copied).
-// Callers holding a FitContext should use FitContext.NewBetaEstimator,
-// which reuses the context's sort and moment index.
-func NewBeta(samples []float64, cfg BetaConfig) (*BetaEstimator, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("kde: empty sample set")
-	}
-	sorted := append([]float64(nil), samples...)
-	fsort.Float64s(sorted)
-	return newBetaSorted(sorted, cfg, nil)
 }
 
 // newBetaSorted builds the estimator over an already-sorted slice, which

@@ -9,6 +9,7 @@ package kde
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"selest/internal/xrand"
@@ -27,7 +28,7 @@ func TestBetaMatchesLinear(t *testing.T) {
 			if h <= 0 {
 				h = 1
 			}
-			e, err := NewBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
+			e, err := fitBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
 			if err != nil {
 				t.Fatalf("%s/h=%v: %v", sc.name, h, err)
 			}
@@ -62,7 +63,7 @@ func TestBetaMassUnity(t *testing.T) {
 			if h <= 0 {
 				h = 1
 			}
-			e, err := NewBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
+			e, err := fitBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
 			if err != nil {
 				t.Fatalf("%s/h=%v: %v", sc.name, h, err)
 			}
@@ -99,7 +100,7 @@ func TestBetaDensity(t *testing.T) {
 	for i := range xs {
 		xs[i] = math.Floor(r.Float64() * 1e6)
 	}
-	e, err := NewBeta(xs, BetaConfig{Bandwidth: 3e4, DomainLo: 0, DomainHi: 1e6})
+	e, err := fitBeta(xs, BetaConfig{Bandwidth: 3e4, DomainLo: 0, DomainHi: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestBetaDensity(t *testing.T) {
 // failures.
 func TestBetaAdversarial(t *testing.T) {
 	// Constant data, defaulted domain → point mass.
-	e, err := NewBeta([]float64{7, 7, 7, 7}, BetaConfig{Bandwidth: 1})
+	e, err := fitBeta([]float64{7, 7, 7, 7}, BetaConfig{Bandwidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestBetaAdversarial(t *testing.T) {
 	}
 
 	// n = 1 with a proper domain: a single renormalised kernel.
-	e, err = NewBeta([]float64{5}, BetaConfig{Bandwidth: 2, DomainLo: 0, DomainHi: 10})
+	e, err = fitBeta([]float64{5}, BetaConfig{Bandwidth: 2, DomainLo: 0, DomainHi: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestBetaAdversarial(t *testing.T) {
 
 	// Ties at the boundary: half the samples at the domain edge.
 	xs := []float64{0, 0, 0, 0, 0, 3, 5, 9, 10, 10}
-	e, err = NewBeta(xs, BetaConfig{Bandwidth: 4, DomainLo: 0, DomainHi: 10})
+	e, err = fitBeta(xs, BetaConfig{Bandwidth: 4, DomainLo: 0, DomainHi: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestBetaAdversarial(t *testing.T) {
 	if e.Bandwidth() != 4 {
 		t.Fatalf("bandwidth %v, want 4", e.Bandwidth())
 	}
-	e, err = NewBeta(xs, BetaConfig{Bandwidth: 100, DomainLo: 0, DomainHi: 10})
+	e, err = fitBeta(xs, BetaConfig{Bandwidth: 100, DomainLo: 0, DomainHi: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,24 +188,24 @@ func TestBetaAdversarial(t *testing.T) {
 
 	// Construction failures: empty samples, bad bandwidth, samples outside
 	// the domain, NaN samples, NaN domain.
-	if _, err := NewBeta(nil, BetaConfig{Bandwidth: 1}); err == nil {
+	if _, err := fitBeta(nil, BetaConfig{Bandwidth: 1}); err == nil {
 		t.Fatal("empty sample set must fail")
 	}
 	for _, h := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := NewBeta([]float64{1, 2}, BetaConfig{Bandwidth: h}); err == nil {
+		if _, err := fitBeta([]float64{1, 2}, BetaConfig{Bandwidth: h}); err == nil {
 			t.Fatalf("bandwidth %v must fail", h)
 		}
 	}
-	if _, err := NewBeta([]float64{1, 20}, BetaConfig{Bandwidth: 1, DomainLo: 0, DomainHi: 10}); err == nil {
+	if _, err := fitBeta([]float64{1, 20}, BetaConfig{Bandwidth: 1, DomainLo: 0, DomainHi: 10}); err == nil {
 		t.Fatal("samples outside the domain must fail")
 	}
-	if _, err := NewBeta([]float64{1, math.NaN(), 3}, BetaConfig{Bandwidth: 1, DomainLo: 0, DomainHi: 10}); err == nil {
+	if _, err := fitBeta([]float64{1, math.NaN(), 3}, BetaConfig{Bandwidth: 1, DomainLo: 0, DomainHi: 10}); err == nil {
 		t.Fatal("NaN sample must fail")
 	}
-	if _, err := NewBeta([]float64{1, 2}, BetaConfig{Bandwidth: 1, DomainLo: math.NaN(), DomainHi: 10}); err == nil {
+	if _, err := fitBeta([]float64{1, 2}, BetaConfig{Bandwidth: 1, DomainLo: math.NaN(), DomainHi: 10}); err == nil {
 		t.Fatal("NaN domain must fail")
 	}
-	if _, err := NewBeta([]float64{1, 2}, BetaConfig{Bandwidth: 1, DomainLo: 10, DomainHi: 0}); err == nil {
+	if _, err := fitBeta([]float64{1, 2}, BetaConfig{Bandwidth: 1, DomainLo: 10, DomainHi: 0}); err == nil {
 		t.Fatal("inverted domain must fail")
 	}
 }
@@ -214,7 +215,7 @@ func TestBetaAdversarial(t *testing.T) {
 // conservation intact.
 func TestBetaFallbackOnExtremeMagnitude(t *testing.T) {
 	xs := []float64{-2e100, -1e100, 0, 1e100, 2e100}
-	e, err := NewBeta(xs, BetaConfig{Bandwidth: 1e100})
+	e, err := fitBeta(xs, BetaConfig{Bandwidth: 1e100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +231,8 @@ func TestBetaFallbackOnExtremeMagnitude(t *testing.T) {
 }
 
 // TestBetaContextBitIdentical: fitting through a FitContext must give
-// bit-identical results to the from-scratch fit — same sorted data, same
-// moment index, same closed forms.
+// bit-identical results to a fit that builds its own moment index over
+// the same sorted data — same index, same closed forms.
 func TestBetaContextBitIdentical(t *testing.T) {
 	for _, sc := range momentCorpus(t) {
 		span := sc.hi - sc.lo
@@ -240,7 +241,9 @@ func TestBetaContextBitIdentical(t *testing.T) {
 			h = 1
 		}
 		cfg := BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi}
-		fresh, err := NewBeta(sc.samples, cfg)
+		sorted := append([]float64(nil), sc.samples...)
+		sort.Float64s(sorted)
+		fresh, err := newBetaSorted(sorted, cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
@@ -276,7 +279,7 @@ func TestBetaBatchMatchesSingle(t *testing.T) {
 		if h <= 0 {
 			h = 1
 		}
-		e, err := NewBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
+		e, err := fitBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
@@ -333,7 +336,7 @@ func TestBetaZeroAllocQueries(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Float64() * 1e6
 	}
-	e, err := NewBeta(xs, BetaConfig{Bandwidth: 2e4, DomainLo: 0, DomainHi: 1e6})
+	e, err := fitBeta(xs, BetaConfig{Bandwidth: 2e4, DomainLo: 0, DomainHi: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +402,7 @@ func FuzzBetaSelectivity(f *testing.F) {
 				xs[i] = v
 			}
 		}
-		e, err := NewBeta(xs, BetaConfig{Bandwidth: hFrac * span, DomainLo: 0, DomainHi: span})
+		e, err := fitBeta(xs, BetaConfig{Bandwidth: hFrac * span, DomainLo: 0, DomainHi: span})
 		if err != nil {
 			t.Skip()
 		}
@@ -424,4 +427,14 @@ func FuzzBetaSelectivity(f *testing.F) {
 			t.Fatalf("moment %v vs linear %v for Q(%v,%v)", fast, lin, a, b)
 		}
 	})
+}
+
+// fitBeta fits a beta-kernel estimator through its one constructor: a
+// fresh fit context's NewBetaEstimator.
+func fitBeta(samples []float64, cfg BetaConfig) (*BetaEstimator, error) {
+	ctx, err := NewFitContext(samples)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.NewBetaEstimator(cfg)
 }

@@ -50,18 +50,18 @@ func NewFitContext(samples []float64) (*FitContext, error) {
 // NewFitContextSorted builds a fit context over an already-sorted slice,
 // which it aliases — the caller must not mutate it afterwards. This is
 // the zero-copy entry for callers that already hold sorted data, such as
-// the hybrid estimator's per-bin segments (contiguous sub-slices of one
-// sorted array) and online refits over the reservoir's sorted view.
-// Unsorted input is an error wrapping errs.ErrBadOption.
+// core's build path (which sorts once at its door), the hybrid
+// estimator's per-bin segments (contiguous sub-slices of one sorted
+// array) and online refits over the reservoir's sorted view. Unsorted
+// input is an error wrapping errs.ErrBadOption. The context spares no
+// sort of its own, so it leaves selest_fit_sorts_avoided_total alone;
+// each estimator fitted from it counts there.
 func NewFitContextSorted(sorted []float64) (*FitContext, error) {
 	if len(sorted) == 0 {
 		return nil, fmt.Errorf("kde: empty sample set")
 	}
 	if !slices.IsSorted(sorted) {
 		return nil, fmt.Errorf("kde: NewFitContextSorted needs sorted input: %w", errs.ErrBadOption)
-	}
-	if telemetry.Enabled() {
-		fitSortsAvoided.Inc()
 	}
 	return newFitContextSorted(sorted), nil
 }
@@ -93,8 +93,8 @@ func (c *FitContext) NewEstimator(cfg Config) (*Estimator, error) {
 }
 
 // NewBetaEstimator fits a beta-kernel estimator (beta.go) from the
-// context, reusing its sort and prefix-moment index. Results are
-// bit-identical to NewBeta over the same samples.
+// context, reusing its sort and prefix-moment index. It is the beta
+// kernel's one constructor.
 func (c *FitContext) NewBetaEstimator(cfg BetaConfig) (*BetaEstimator, error) {
 	if telemetry.Enabled() {
 		fitSortsAvoided.Inc()

@@ -31,13 +31,16 @@ var (
 	kdeBatchCalls   = telemetry.Default.Counter("selest_kde_batch_calls_total")
 	kdeBatchQueries = telemetry.Default.Counter("selest_kde_batch_queries_total")
 
-	// Fit-path counters. fitSortsAvoided counts estimator (or context)
-	// constructions that reused already-sorted data instead of re-sorting —
-	// the FitContext's reason to exist; on the seed path every DPI pilot,
+	// Fit-path counters. fitSortsAvoided counts fits that reused a sort
+	// instead of sorting again: every estimator fitted from a FitContext
+	// (the FitContext's reason to exist — on the seed path every DPI pilot,
 	// LSCV fit, oracle candidate, and hybrid bin paid its own O(n log n)
-	// sort. fitGridEvals counts density grid points answered by the
-	// DensityGrid sweep (the batched replacement for pointwise pilot
-	// evaluation in the roughness functionals and the change-point scan).
+	// sort), plus every core.BuildSorted call, whose caller's sorted view
+	// spares core.Build's copy-and-sort. The sort core.Build performs
+	// itself is not counted. fitGridEvals counts density grid points
+	// answered by the DensityGrid sweep (the batched replacement for
+	// pointwise pilot evaluation in the roughness functionals and the
+	// change-point scan).
 	fitSortsAvoided = telemetry.Default.Counter("selest_fit_sorts_avoided_total")
 	fitGridEvals    = telemetry.Default.Counter("selest_fit_grid_evals_total")
 )

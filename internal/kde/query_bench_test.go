@@ -46,11 +46,15 @@ func querySetup(b *testing.B, n int) *queryBenchSetup {
 		c := span * (0.2 + 0.6*float64(i%5)/5)
 		xs[i] = math.Floor(math.Min(math.Max(c+(r.Float64()-0.5)*span*0.1, 0), span-1))
 	}
-	h, err := bandwidth.DPIBandwidth(xs, kernel.Epanechnikov{}, 2, 0, span)
+	ctx, err := kde.NewFitContext(xs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	est, err := kde.New(xs, kde.Config{
+	h, err := bandwidth.DPIBandwidthContext(ctx, kernel.Epanechnikov{}, 2, 0, span)
+	if err != nil {
+		b.Fatal(err)
+	}
+	est, err := ctx.NewEstimator(kde.Config{
 		Bandwidth: h, Boundary: kde.BoundaryReflect, DomainLo: 0, DomainHi: span,
 	})
 	if err != nil {
@@ -168,11 +172,15 @@ func spreadSetupFor(b *testing.B, name string, pool, n int, mode kde.BoundaryMod
 			c := span * (0.2 + 0.6*float64(j%5)/5)
 			xs[j] = math.Floor(math.Min(math.Max(c+(r.Float64()-0.5)*span*0.1, 0), span-1))
 		}
-		h, err := bandwidth.NormalScaleBandwidth(xs, kernel.Epanechnikov{})
+		ctx, err := kde.NewFitContext(xs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if s.ests[i], err = kde.New(xs, kde.Config{Bandwidth: h, Boundary: mode, DomainLo: 0, DomainHi: span}); err != nil {
+		h, err := bandwidth.NormalScaleBandwidthSorted(ctx.Sorted(), kernel.Epanechnikov{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.ests[i], err = ctx.NewEstimator(kde.Config{Bandwidth: h, Boundary: mode, DomainLo: 0, DomainHi: span}); err != nil {
 			b.Fatal(err)
 		}
 	}

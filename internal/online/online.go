@@ -509,6 +509,20 @@ func (e *Estimator) Generation() uint64 {
 	return s.generation
 }
 
+// Restore refills the reservoir from a saved sample of a stream of seen
+// records (see sample.ShardedReservoir.Restore) and fits it once, as
+// warm-start recovery does before any record arrives. The values are
+// not inserts: Inserts and selest_online_inserts_total do not move, and
+// no cadence or drift trigger fires.
+func (e *Estimator) Restore(values []float64, seen int) error {
+	e.reservoir.Restore(values, seen)
+	return e.Flush()
+}
+
+// Seen returns the length of the stream the reservoir samples: the
+// records inserted plus the stream length a Restore carried over.
+func (e *Estimator) Seen() int { return e.reservoir.Seen() }
+
 // Refits returns how many times the estimator has been rebuilt.
 func (e *Estimator) Refits() int { return int(e.refits.Load()) }
 

@@ -310,10 +310,34 @@ func mergeSorted(base, admitted, evicted []float64) []float64 {
 	return append(out, base[i:]...)
 }
 
+// Restore replaces the contents with a saved sample xs of a stream of
+// seen elements, such as a snapshot of this reservoir. xs is dealt over
+// the shards as AddBatch deals it, and each shard then takes its
+// round-robin share of the seen count, as though it had taken all seen
+// elements, so later elements are admitted with probability
+// K/(seen+i) rather than K/(len(xs)+i). A seen below len(xs), as from a
+// snapshot that predates stream lengths, counts xs alone. The shards'
+// RNG states are not part of a snapshot and are not restored.
+func (s *ShardedReservoir) Restore(xs []float64, seen int) {
+	s.Reset()
+	s.AddBatch(xs)
+	seen = max(seen, len(xs))
+	n := len(s.shards)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.res.seen = (seen - i + n - 1) / n
+		sh.mu.Unlock()
+	}
+	s.seen.Store(int64(seen))
+	s.cursor.Store(uint64(seen))
+}
+
 // Len returns how many elements are currently resident across all shards.
 func (s *ShardedReservoir) Len() int { return int(s.held.Load()) }
 
-// Seen returns how many elements have been offered.
+// Seen returns the stream length: how many elements have been offered,
+// including the length a Restore carried over.
 func (s *ShardedReservoir) Seen() int { return int(s.seen.Load()) }
 
 // Shards returns the stripe count.

@@ -480,3 +480,39 @@ func TestSortedDuringAddBatch(t *testing.T) {
 	reading.Wait()
 	checkSorted(t, s, "after the writers")
 }
+
+// TestShardedRestoreKeepsStreamLength pins Restore against a reservoir
+// that took the whole stream: after restoring its sample with the
+// stream length, every shard holds the same number of values, has seen
+// the same share of the stream, and deals the next element to the same
+// shard.
+func TestShardedRestoreKeepsStreamLength(t *testing.T) {
+	const capacity, shards, seen = 10, 3, 1001
+	stream := make([]float64, seen)
+	for i := range stream {
+		stream[i] = float64(i)
+	}
+	live := NewSharded(5, capacity, shards)
+	live.AddBatch(stream)
+	restored := NewSharded(9, capacity, shards)
+	restored.Add(-1) // Restore replaces whatever the reservoir held
+	restored.Restore(live.Snapshot(), seen)
+	if restored.Seen() != seen || restored.Len() != capacity {
+		t.Fatalf("restored: %d values over a stream of %d, want %d over %d", restored.Len(), restored.Seen(), capacity, seen)
+	}
+	for _, rv := range []*ShardedReservoir{live, restored} {
+		rv.Add(-2)
+	}
+	for i := range live.shards {
+		l, r := live.shards[i].res, restored.shards[i].res
+		if l.Seen() != r.Seen() || l.Len() != r.Len() {
+			t.Fatalf("shard %d: restored holds %d over %d, live %d over %d", i, r.Len(), r.Seen(), l.Len(), l.Seen())
+		}
+	}
+	// A stream length below the sample, as from snapshots that predate
+	// it, counts the sample alone.
+	restored.Restore([]float64{1, 2, 3, 4}, 0)
+	if restored.Seen() != 4 || restored.Len() != 4 {
+		t.Fatalf("restored: %d values over a stream of %d, want 4 over 4", restored.Len(), restored.Seen())
+	}
+}

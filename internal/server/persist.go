@@ -6,6 +6,14 @@
 // whole file is written through catalog.AtomicWriteFile, so a kill at any
 // instant leaves either the previous snapshot whole or the new one whole.
 //
+// Saving fits nothing: the samples go through the catalog's stream codec
+// (catalog.WriteEntries) rather than Catalog.Put, and recovery reads them
+// back the same way and fits each attribute once, from its manifest
+// config. Entries are stored under the sampling method with no rule or
+// bandwidth — a fit any sample supports — so a binary whose recovery
+// loads the stream through catalog.Load, which fits every entry, still
+// reads these files.
+//
 // Determinism is a design requirement, not an accident: attributes are
 // serialised in sorted (tenant, attr) order and reservoir samples are
 // sorted before persisting, so saving, restarting, and saving again
@@ -34,13 +42,16 @@ var snapshotMagic = [4]byte{'S', 'E', 'L', 'S'}
 const snapshotVersion = 1
 
 // manifestAttr is one attribute's persisted identity: enough to rebuild
-// its serving machinery (the AttrConfig) plus the stream cardinality the
-// reservoir alone cannot recall.
+// its serving machinery (the AttrConfig) plus the stream cardinality and
+// the reservoir's stream length, which the sample alone cannot recall.
+// Snapshots that predate Seen omit it and recover as a stream of just
+// their sample.
 type manifestAttr struct {
 	Tenant string     `json:"tenant"`
 	Attr   string     `json:"attr"`
 	Config AttrConfig `json:"config"`
 	Rows   int64      `json:"rows"`
+	Seen   int64      `json:"seen,omitempty"`
 }
 
 // SaveSnapshot persists the whole service crash-safely to path. It is
@@ -75,14 +86,17 @@ func (s *Server) SnapshotBytes() ([]byte, error) {
 
 func (s *Server) writeSnapshot(w io.Writer, attrs []*attribute) error {
 	man := make([]manifestAttr, 0, len(attrs))
-	cat := catalog.New()
+	var entries []*catalog.Entry
 	for _, a := range attrs {
 		rows := a.rows.Load()
+		// The stream length is read before the sample, so it never counts
+		// a record the sample has not seen.
 		man = append(man, manifestAttr{
 			Tenant: a.tenant,
 			Attr:   a.name,
 			Config: a.cfg,
 			Rows:   rows,
+			Seen:   int64(a.est.Seen()),
 		})
 		smp := a.est.ReservoirValues()
 		if len(smp) == 0 {
@@ -91,32 +105,17 @@ func (s *Server) writeSnapshot(w io.Writer, attrs []*attribute) error {
 			continue
 		}
 		sort.Float64s(smp) // canonical order: re-saves are bit-identical
-		entry := &catalog.Entry{
-			Table:     a.tenant,
-			Column:    a.name,
-			Samples:   smp,
-			DomainLo:  a.cfg.DomainLo,
-			DomainHi:  a.cfg.DomainHi,
-			Method:    a.cfg.methodOrDefault(),
-			Rule:      a.cfg.Rule,
-			Boundary:  a.cfg.Boundary,
-			Bins:      a.cfg.Bins,
-			Bandwidth: a.cfg.Bandwidth,
-			RowCount:  rows,
-		}
-		if err := cat.Put(entry); err != nil {
-			// The configured method cannot rebuild from this sample
-			// (degenerate data, tiny sample). Samples must still
-			// survive: store them under the always-buildable sampling
-			// method — recovery rebuilds serving from the manifest's
-			// config regardless of the entry's method.
-			entry.Method = core.Sampling
-			entry.Rule = ""
-			entry.Bandwidth = 0
-			if err := cat.Put(entry); err != nil {
-				return fmt.Errorf("server: snapshot %s/%s: %w", a.tenant, a.name, err)
-			}
-		}
+		entries = append(entries, &catalog.Entry{
+			Table:    a.tenant,
+			Column:   a.name,
+			Samples:  smp,
+			DomainLo: a.cfg.DomainLo,
+			DomainHi: a.cfg.DomainHi,
+			Method:   core.Sampling,
+			Boundary: a.cfg.Boundary,
+			Bins:     a.cfg.Bins,
+			RowCount: rows,
+		})
 	}
 	manifest, err := json.Marshal(man)
 	if err != nil {
@@ -138,15 +137,16 @@ func (s *Server) writeSnapshot(w io.Writer, attrs []*attribute) error {
 	if err := binary.Write(bw, binary.LittleEndian, crc32.ChecksumIEEE(manifest)); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	if err := cat.Save(bw); err != nil {
+	if err := catalog.WriteEntries(bw, entries); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// readSnapshot parses a snapshot stream into its manifest and catalog,
-// diagnosing partial writes as catalog.ErrTornSnapshot.
-func readSnapshot(r io.Reader) ([]manifestAttr, *catalog.Catalog, error) {
+// readSnapshot parses a snapshot stream into its manifest and its
+// catalog entries, keyed by (tenant, attr), diagnosing partial writes as
+// catalog.ErrTornSnapshot.
+func readSnapshot(r io.Reader) ([]manifestAttr, map[[2]string]*catalog.Entry, error) {
 	br := bufio.NewReader(r)
 	torn := func(err error) error {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -191,21 +191,25 @@ func readSnapshot(r io.Reader) ([]manifestAttr, *catalog.Catalog, error) {
 	if err := json.Unmarshal(manifest, &man); err != nil {
 		return nil, nil, fmt.Errorf("server: decode manifest: %w", err)
 	}
-	cat, err := catalog.Load(br)
+	list, err := catalog.ReadEntries(br)
 	if err != nil {
 		return nil, nil, err
 	}
-	return man, cat, nil
+	entries := make(map[[2]string]*catalog.Entry, len(list))
+	for _, e := range list {
+		entries[[2]string{e.Table, e.Column}] = e
+	}
+	return man, entries, nil
 }
 
 // Recover warm-starts the server from a snapshot file: every manifest
 // attribute is recreated with its persisted configuration, its reservoir
-// is refilled from the catalog sample, its estimator is rebuilt
-// immediately (queries answer from the fit rung right away, not from
-// uniform), and its row count is restored. Missing files return
-// os.ErrNotExist for the caller to treat as a cold start; torn files
-// return catalog.ErrTornSnapshot so the caller can decide between
-// failing loudly and serving cold.
+// is refilled from the catalog sample with its stream length, its
+// estimator is fitted once right away (queries answer from the fit rung
+// immediately, not from uniform), and its row count is restored. Missing
+// files return os.ErrNotExist for the caller to treat as a cold start;
+// torn files return catalog.ErrTornSnapshot so the caller can decide
+// between failing loudly and serving cold.
 func (s *Server) Recover(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -222,7 +226,7 @@ func (s *Server) Recover(path string) error {
 // never a silent partial recovery), so shipping needs no checksum of its
 // own.
 func (s *Server) RecoverReader(r io.Reader) error {
-	man, cat, err := readSnapshot(r)
+	man, entries, err := readSnapshot(r)
 	if err != nil {
 		if errors.Is(err, catalog.ErrTornSnapshot) {
 			srvTornSnapshots.Inc()
@@ -237,7 +241,7 @@ func (s *Server) RecoverReader(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if entry, err := cat.Entry(m.Tenant, m.Attr); err == nil {
+		if entry, ok := entries[[2]string{m.Tenant, m.Attr}]; ok {
 			// The sample is at most one reservoir, so every value is
 			// kept deterministically — no RNG is consumed and a re-save
 			// reproduces the file byte for byte. Refit errors here are
@@ -245,9 +249,7 @@ func (s *Server) RecoverReader(r io.Reader) error {
 			// owns builder failures, and the reservoir rung answers
 			// until a fit lands — recovery restores state, availability
 			// is the ladder's job.
-			if err := a.est.InsertBatch(entry.Samples); err != nil {
-				srvDrainDrop.Inc()
-			} else if err := a.est.Flush(); err != nil {
+			if err := a.est.Restore(entry.Samples, int(m.Seen)); err != nil {
 				srvDrainDrop.Inc()
 			}
 		}

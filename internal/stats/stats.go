@@ -125,37 +125,23 @@ func iqrSorted(sorted []float64) float64 {
 	return QuantileSorted(sorted, 0.75) - QuantileSorted(sorted, 0.25)
 }
 
-// Scale returns the paper's robust scale estimate for the normal scale
-// rules: min(sample standard deviation, IQR/1.348). Using the minimum
-// hedges against the oversmoothing that a heavy-tailed or multi-modal
-// sample inflicts on the raw standard deviation (paper §4.1).
+// ScaleSorted returns the paper's robust scale estimate for the normal
+// scale rules over a sample sorted ascending: min(sample standard
+// deviation, IQR/1.348). Using the minimum hedges against the
+// oversmoothing that a heavy-tailed or multi-modal sample inflicts on the
+// raw standard deviation (paper §4.1). The quartiles come straight from
+// the order statistics with no sorting copy, and the standard deviation
+// is accumulated in sorted order.
 //
 // If one of the two estimates is zero or NaN (constant or near-constant
-// samples), the other is used; if both degenerate, Scale returns 0 and the
-// caller must treat the sample as degenerate.
-func Scale(xs []float64) float64 {
-	return combineScale(StdDev(xs), IQR(xs)/iqrToSigma)
-}
-
-// ScaleWithSorted is Scale for callers that also hold sorted, a sorted
-// copy of xs: the quartiles come from sorted instead of a fresh sorting
-// copy, while the standard deviation is still accumulated over xs in its
-// own order — so the result is bit-identical to Scale(xs).
-func ScaleWithSorted(xs, sorted []float64) float64 {
-	return combineScale(StdDev(xs), iqrSorted(sorted)/iqrToSigma)
-}
-
-// ScaleSorted is Scale for already-sorted input: the quartiles come
-// straight from the order statistics with no sorting copy. The standard
-// deviation is accumulated in sorted order, so the result can differ from
-// Scale on the same (unsorted) sample by a few ulps of summation
-// rounding — the fit-path engine's callers tolerate 1e-12.
+// samples), the other is used; if both degenerate, ScaleSorted returns 0
+// and the caller must treat the sample as degenerate.
 func ScaleSorted(sorted []float64) float64 {
-	return ScaleWithSorted(sorted, sorted)
+	return combineScale(StdDev(sorted), iqrSorted(sorted)/iqrToSigma)
 }
 
 // combineScale applies the paper's min(sd, IQR/1.348) rule with the
-// degenerate-estimate fallbacks documented on Scale.
+// degenerate-estimate fallbacks documented on ScaleSorted.
 func combineScale(sd, iqrS float64) float64 {
 	sdOK := !math.IsNaN(sd) && sd > 0
 	iqrOK := !math.IsNaN(iqrS) && iqrS > 0
@@ -224,17 +210,18 @@ func Summarize(xs []float64) Summary {
 	}
 	q25 := QuantileSorted(sorted, 0.25)
 	q75 := QuantileSorted(sorted, 0.75)
+	std, iqr := StdDev(xs), q75-q25
 	return Summary{
 		N:              len(xs),
 		Mean:           Mean(xs),
-		Std:            StdDev(xs),
+		Std:            std,
 		Min:            sorted[0],
 		Max:            sorted[len(sorted)-1],
 		Q25:            q25,
 		Q50:            QuantileSorted(sorted, 0.5),
 		Q75:            q75,
-		IQR:            q75 - q25,
-		ScaleEst:       ScaleWithSorted(xs, sorted),
+		IQR:            iqr,
+		ScaleEst:       combineScale(std, iqr/iqrToSigma),
 		DistinctValues: distinct,
 	}
 }

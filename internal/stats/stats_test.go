@@ -101,21 +101,23 @@ func TestScalePicksMinimum(t *testing.T) {
 			xs[i] = r.Normal()
 		}
 	}
-	s := Scale(xs)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s := ScaleSorted(sorted)
 	sd := StdDev(xs)
 	if s >= sd {
-		t.Fatalf("Scale = %v should be below inflated stddev %v", s, sd)
+		t.Fatalf("ScaleSorted = %v should be below inflated stddev %v", s, sd)
 	}
 }
 
 func TestScaleDegenerate(t *testing.T) {
-	if got := Scale([]float64{5, 5, 5, 5}); got != 0 {
-		t.Fatalf("Scale of constant sample = %v, want 0", got)
+	if got := ScaleSorted([]float64{5, 5, 5, 5}); got != 0 {
+		t.Fatalf("ScaleSorted of constant sample = %v, want 0", got)
 	}
 	// Half constant: IQR is 0 but stddev is positive -> use stddev.
 	xs := []float64{1, 1, 1, 1, 1, 1, 1, 100}
-	if got := Scale(xs); got <= 0 {
-		t.Fatalf("Scale with zero IQR = %v, want stddev fallback > 0", got)
+	if got := ScaleSorted(xs); got <= 0 {
+		t.Fatalf("ScaleSorted with zero IQR = %v, want stddev fallback > 0", got)
 	}
 }
 
@@ -206,8 +208,9 @@ func TestQuickECDFMonotone(t *testing.T) {
 // TestRadixSortedStatsBitIdentical pins the statistics that now sort
 // with internal/fsort against the comparison sort they used before: the
 // order is the same (NaNs first), so quartiles, the scale estimate and
-// the KS statistic agree bit for bit — including ScaleWithSorted, which
-// takes its quartiles from a caller's sorted copy instead of sorting.
+// the KS statistic agree bit for bit. Summarize's scale estimate keeps
+// the standard deviation summed in the caller's order, and ScaleSorted
+// sums it in sorted order.
 func TestRadixSortedStatsBitIdentical(t *testing.T) {
 	r := xrand.New(17)
 	for _, n := range []int{10, 300, 5000} {
@@ -229,10 +232,8 @@ func TestRadixSortedStatsBitIdentical(t *testing.T) {
 		iqr := QuantileSorted(ref, 0.75) - QuantileSorted(ref, 0.25)
 		same("IQR", IQR(xs), iqr)
 		same("iqrSorted", iqrSorted(ref), iqr)
-		scale := combineScale(StdDev(xs), iqr/iqrToSigma)
-		same("Scale", Scale(xs), scale)
-		same("ScaleWithSorted", ScaleWithSorted(xs, ref), scale)
-		same("Summarize.ScaleEst", Summarize(xs).ScaleEst, scale)
+		same("ScaleSorted", ScaleSorted(ref), combineScale(StdDev(ref), iqr/iqrToSigma))
+		same("Summarize.ScaleEst", Summarize(xs).ScaleEst, combineScale(StdDev(xs), iqr/iqrToSigma))
 
 		// KolmogorovSmirnov against a direct sup-gap walk over
 		// comparison-sorted copies.

@@ -29,12 +29,12 @@ race-online:
 # The serving-engine suite under the race detector: snapshot/locked
 # bit-equivalence (per record and run-batched), torn-pair detection,
 # single-flight coalescing, the degradation soak, cadence counting of
-# inserts that land during a build, sharded-reservoir concurrency
-# (per-element and run-batched admission), sorted views (merge and full
-# paths against a sorted snapshot, and under concurrent AddBatch), and
-# catalog snapshot churn.
+# inserts that land during a build, reservoir concurrency (per-element
+# and run-batched admission against readers), sorted views (merge and
+# full paths against a sorted snapshot, and under concurrent AddBatch),
+# and catalog snapshot churn.
 race-serve:
-	$(GO) test -race -run 'Snapshot|Torn|Coalesce|Soak|Sharded|Churn|SelectivityOK|InsertBatch|AddBatch|Sorted|DuringBuild' \
+	$(GO) test -race -run 'Snapshot|Torn|Coalesce|Soak|ConcurrentAdds|Churn|SelectivityOK|InsertBatch|AddBatch|Sorted|DuringBuild' \
 		./internal/online/ ./internal/sample/ ./internal/catalog/
 
 # The service chaos suite under the race detector: refit-panic soak with
@@ -180,7 +180,7 @@ race-fit:
 
 # The closed-form refit determinism pin under the race detector: online
 # refits under the beta-closed-form rule must be bit-identical across
-# shard counts and concurrent insert interleavings.
+# repeated runs of concurrent insert interleavings.
 race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/

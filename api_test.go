@@ -38,9 +38,8 @@ func TestBuildRobustSentinelErrors(t *testing.T) {
 	if _, _, err := selest.BuildRobust([]float64{math.NaN(), math.Inf(1)}, selest.Options{}); !errors.Is(err, selest.ErrEmptySample) {
 		t.Fatalf("BuildRobust(no finite samples) = %v, want ErrEmptySample", err)
 	}
-	// Robust mode through the Build front door reports the same sentinel.
-	if _, err := selest.Build(nil, selest.Options{Robust: true}); !errors.Is(err, selest.ErrEmptySample) {
-		t.Fatalf("Build(robust, nil sample) = %v, want ErrEmptySample", err)
+	if _, _, err := selest.BuildRobust(nil, selest.Options{}); !errors.Is(err, selest.ErrEmptySample) {
+		t.Fatalf("BuildRobust(nil sample) = %v, want ErrEmptySample", err)
 	}
 }
 

@@ -60,7 +60,7 @@ func (ts *testService) client(t *testing.T, mutate ...func(*client.Options)) *cl
 }
 
 func testCfg() client.AttrConfig {
-	return client.AttrConfig{DomainLo: 0, DomainHi: 1, ReservoirSize: 64, RefitEvery: 64, Shards: 1, Seed: 7}
+	return client.AttrConfig{DomainLo: 0, DomainHi: 1, ReservoirSize: 64, RefitEvery: 64, Seed: 7}
 }
 
 // TestClientParity runs the full API surface through the client and

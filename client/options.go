@@ -200,15 +200,11 @@ type AttrConfig struct {
 	Boundary  int     `json:"boundary,omitempty"`
 	Bins      int     `json:"bins,omitempty"`
 	Bandwidth float64 `json:"bandwidth,omitempty"`
-	// ReservoirSize/RefitEvery/Shards/Seed parameterise the online
-	// engine (zeroes take the server defaults).
+	// ReservoirSize/RefitEvery/Seed parameterise the online engine
+	// (zeroes take the server defaults).
 	ReservoirSize int    `json:"reservoir_size,omitempty"`
 	RefitEvery    int    `json:"refit_every,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
-	// DegradeAfter/PromoteAfter shape the builder ladder.
-	DegradeAfter int `json:"degrade_after,omitempty"`
-	PromoteAfter int `json:"promote_after,omitempty"`
 }
 
 func (c *AttrConfig) validate() error {

@@ -11,8 +11,8 @@
 // methods on fit failure, guarded estimates); degenerate all-equal data
 // always takes that path, serving a point-mass estimator with a warning
 // instead of exiting. -online streams the data through the serving
-// engine instead — sharded reservoir ingest, refits on the -refit-every
-// cadence, one final flush — and answers queries from the last published
+// engine instead — reservoir ingest, refits on the -refit-every cadence,
+// one final flush — and answers queries from the last published
 // snapshot, reporting "no fit published" rather than a silent zero when
 // no snapshot exists.
 //
@@ -55,7 +55,6 @@ func main() {
 		robust      = flag.Bool("robust", false, "build through the graceful-degradation ladder: sanitize input, fall back to simpler methods on fit failure, guard every estimate")
 		onlineMode  = flag.Bool("online", false, "stream the data through the online serving engine (reservoir ingest + refits) instead of a one-shot fit")
 		refitEvery  = flag.Int("refit-every", 0, "online mode: refit after this many inserts (0 = fill once, flush at end of stream)")
-		shards      = flag.Int("shards", 1, "online mode: reservoir ingest shards")
 		column      = flag.String("column", "", "CSV input: column name or 0-based index (default: first field)")
 		header      = flag.Bool("header", false, "CSV input: first row is a header")
 		evaluate    = flag.String("evaluate", "", "evaluate against a .selq workload file instead of answering ad-hoc queries")
@@ -148,7 +147,7 @@ func main() {
 		if *evaluate != "" || *compare {
 			fail(fmt.Errorf("-online answers ad-hoc queries with one method; drop -evaluate/-compare"))
 		}
-		if err := runOnline(os.Stdout, values, queries, opts, *samples, *refitEvery, *shards, *seed); err != nil {
+		if err := runOnline(os.Stdout, values, queries, opts, *samples, *refitEvery, *seed); err != nil {
 			fail(err)
 		}
 		return
@@ -180,16 +179,15 @@ func main() {
 	}
 }
 
-// runOnline streams the data through the serving engine — sharded
-// reservoir ingest, refits on the -refit-every cadence, one final Flush
+// runOnline streams the data through the serving engine — reservoir
+// ingest, refits on the -refit-every cadence, one final Flush
 // at end of stream — then answers the queries from the last published
 // snapshot. SelectivityOK distinguishes "no fit published" from a
 // genuine zero-selectivity answer.
-func runOnline(w io.Writer, values []float64, queries []rangeQuery, opts selest.Options, reservoir, refitEvery, shards int, seed uint64) error {
+func runOnline(w io.Writer, values []float64, queries []rangeQuery, opts selest.Options, reservoir, refitEvery int, seed uint64) error {
 	est, err := selest.NewOnline(opts, selest.OnlineConfig{
 		ReservoirSize: reservoir,
 		RefitEvery:    refitEvery,
-		Shards:        shards,
 		Seed:          seed,
 	})
 	if err != nil {
@@ -201,8 +199,8 @@ func runOnline(w io.Writer, values []float64, queries []rangeQuery, opts selest.
 	if err := est.Flush(); err != nil {
 		return fmt.Errorf("online flush: %w", err)
 	}
-	fmt.Fprintf(w, "online: %d records streamed, %d refits (%d failed), generation %d, %d ingest shards\n\n",
-		est.Inserts(), est.Refits(), est.FailedRefits(), est.Generation(), shards)
+	fmt.Fprintf(w, "online: %d records streamed, %d refits (%d failed), generation %d\n\n",
+		est.Inserts(), est.Refits(), est.FailedRefits(), est.Generation())
 	for _, q := range queries {
 		exact := exactCount(values, q.a, q.b)
 		fmt.Fprintf(w, "Q(%g, %g): exact %d records (selectivity %.6f)\n", q.a, q.b, exact, float64(exact)/float64(len(values)))

@@ -165,7 +165,7 @@ func TestRunOnline(t *testing.T) {
 	}
 	opts := selest.Options{Method: selest.Kernel, Boundary: selest.BoundaryKernels, DomainLo: 0, DomainHi: 1000}
 	var out strings.Builder
-	err := runOnline(&out, values, []rangeQuery{{100, 300}}, opts, 500, 1000, 4, 7)
+	err := runOnline(&out, values, []rangeQuery{{100, 300}}, opts, 500, 1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestRunOnline(t *testing.T) {
 func TestRunOnlineNoFit(t *testing.T) {
 	opts := selest.Options{Method: selest.Kernel, DomainLo: 0, DomainHi: 1}
 	var out strings.Builder
-	err := runOnline(&out, nil, []rangeQuery{{0, 1}}, opts, 100, 0, 1, 1)
+	err := runOnline(&out, nil, []rangeQuery{{0, 1}}, opts, 100, 0, 1)
 	if err == nil {
 		t.Fatal("empty stream should fail the final flush")
 	}

@@ -147,15 +147,6 @@ type Options struct {
 	// HybridConfig tunes the hybrid estimator; the zero value applies the
 	// defaults of package hybrid.
 	HybridConfig hybrid.Config
-
-	// Robust routes construction through the graceful-degradation ladder
-	// of internal/robust: inputs are sanitized, fit failures step down the
-	// ladder (kernel → equi-depth → sampling → uniform), and every
-	// estimate is guarded to be finite and in [0, 1]. The flag is
-	// interpreted by the top-level selest.Build (and cmd/selest's -robust
-	// flag); core.Build itself always performs the strict single-method
-	// fit.
-	Robust bool
 }
 
 // Build constructs the estimator described by opts from the sample set.

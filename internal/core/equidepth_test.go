@@ -145,7 +145,7 @@ func TestEquiDepthBuildSortedInput(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		f := gens[k%len(gens)](20-5*(k/4), 2*reservoir, uint64(k)*7919+1)
 		lo, hi := f.Domain()
-		rv := sample.NewSharded(uint64(k)+1, reservoir, 1)
+		rv := sample.NewReservoir(xrand.New(uint64(k)+1), reservoir)
 		rv.AddBatch(f.Records)
 		corpus = append(corpus,
 			histCase{fmt.Sprintf("ingest-refit/a%d/set-up", k), f.Records[:reservoir], lo, hi},

@@ -22,9 +22,9 @@ var (
 )
 
 // Serving-engine telemetry. A refit "stall" is the time the refit spends
-// reading the reservoir's shards (their replacement logs, or a full
-// copy) — the only interval where a refit holds any lock an inserter can
-// contend on; queries never stall at all, which is the point. Swaps count published snapshots, coalesced counts insert-path
+// reading the reservoir (its replacement log, or a full copy) — the only
+// interval where a refit holds any lock an inserter can contend on;
+// queries never stall at all, which is the point. Swaps count published snapshots, coalesced counts insert-path
 // triggers absorbed by an in-flight build, and the rung gauge mirrors
 // DegradationLevel so dashboards see ladder position without polling.
 var (

@@ -25,9 +25,9 @@
 // A single-flight guard coalesces concurrent refit triggers into one
 // build (Flush still waits for and then supersedes an in-flight build;
 // FlushContext bounds that wait with a deadline and abandons a stuck
-// build to the background), and the reservoir itself stripes inserts over
-// independently locked shards so writers stop serializing on one mutex.
-// See DESIGN.md §11.
+// build to the background). Inserts take the reservoir's one lock once
+// per run of records; a refit holds it only while it takes the
+// reservoir's log or copies its contents. See DESIGN.md §11.
 package online
 
 import (
@@ -39,6 +39,7 @@ import (
 	"selest/internal/sample"
 	"selest/internal/stats"
 	"selest/internal/telemetry"
+	"selest/internal/xrand"
 )
 
 // Fitted is the estimator surface a fit must provide.
@@ -72,14 +73,6 @@ type Config struct {
 	DriftCheckEvery int
 	// Seed drives the reservoir's RNG.
 	Seed uint64
-	// Shards stripes reservoir ingest over this many independently
-	// locked shards, so concurrent Inserts stop serializing on one
-	// mutex. Zero and one keep the single reservoir (and its exact
-	// seeded sampling behaviour); heavy parallel ingest should set this
-	// near GOMAXPROCS. Sharding keeps the sample uniform (each shard is
-	// a uniform reservoir over a round-robin 1-in-Shards slice of the
-	// stream) but changes which individual records a given seed retains.
-	Shards int
 
 	// DegradeAfter is the strike count of the degradation ladder: after
 	// this many consecutive refit failures the estimator moves to the
@@ -113,9 +106,6 @@ func (c *Config) applyDefaults() {
 	if c.DegradeAfter == 0 {
 		c.DegradeAfter = 3
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 }
 
 // snapshot is the immutable unit of publication: a fit, the sample it
@@ -131,9 +121,9 @@ type snapshot struct {
 
 // Estimator is a self-maintaining online selectivity estimator. It is
 // safe for concurrent use: queries read the current snapshot through an
-// atomic pointer (no locks, no allocations), inserts stripe over the
-// sharded reservoir, and refits run off-lock behind a single-flight
-// guard.
+// atomic pointer (no locks, no allocations), inserts admit whole runs
+// under the reservoir's lock, and refits run off-lock behind a
+// single-flight guard.
 //
 // Refit failures never take down the query path: the previous snapshot
 // keeps serving, builder panics are contained into errors, and after
@@ -146,7 +136,7 @@ type Estimator struct {
 	// snap is the serving state. nil until the first successful fit.
 	snap atomic.Pointer[snapshot]
 
-	reservoir *sample.ShardedReservoir
+	reservoir *sample.Reservoir
 
 	inserts    atomic.Int64
 	sinceRefit atomic.Int64
@@ -184,9 +174,6 @@ func New(build Builder, cfg Config) (*Estimator, error) {
 	if cfg.DriftAlpha < 0 || cfg.DriftAlpha >= 1 {
 		return nil, fmt.Errorf("online: drift alpha %v outside [0, 1)", cfg.DriftAlpha)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("online: negative shard count %d", cfg.Shards)
-	}
 	builders := make([]Builder, 0, 1+len(cfg.Fallbacks))
 	builders = append(builders, build)
 	for _, fb := range cfg.Fallbacks {
@@ -198,7 +185,7 @@ func New(build Builder, cfg Config) (*Estimator, error) {
 	return &Estimator{
 		builders:  builders,
 		cfg:       cfg,
-		reservoir: sample.NewSharded(cfg.Seed, cfg.ReservoirSize, cfg.Shards),
+		reservoir: sample.NewReservoir(xrand.New(cfg.Seed), cfg.ReservoirSize),
 		refitSlot: make(chan struct{}, 1),
 	}, nil
 }
@@ -217,7 +204,7 @@ func (e *Estimator) Insert(v float64) error {
 // could fire — at the record that fills the reservoir before the first
 // fit, at the next RefitEvery boundary, at the next DriftCheckEvery
 // boundary — and each run enters the reservoir through one
-// ShardedReservoir.AddBatch, with one update of each counter. The checks
+// Reservoir.AddBatch, with one update of each counter. The checks
 // run at the end of each run, so a single writer gets the same reservoir,
 // the same refits and the same fits as feeding the records one at a time.
 // The insert that crosses a refit boundary runs the build itself —
@@ -367,9 +354,9 @@ func (e *Estimator) refit() error {
 	// sample holds; only those are taken off when the refit settles, and
 	// inserts that land while the build runs count toward the next one.
 	seenRefit, seenCheck := e.sinceRefit.Load(), e.sinceCheck.Load()
-	// Reading the shards is the only section that touches the ingest
-	// locks — the sole stall any writer can observe from a refit. Record
-	// it as the serving engine's stall number.
+	// Taking the log or copying the contents is the only section that
+	// holds the ingest lock — the sole stall any writer can observe from
+	// a refit. Record it as the serving engine's stall number.
 	view := e.reservoir.Sorted()
 	onlineRefitStallNanos.ObserveDuration(view.Capture)
 	if view.Merged < 0 {
@@ -510,7 +497,7 @@ func (e *Estimator) Generation() uint64 {
 }
 
 // Restore refills the reservoir from a saved sample of a stream of seen
-// records (see sample.ShardedReservoir.Restore) and fits it once, as
+// records (see sample.Reservoir.Restore) and fits it once, as
 // warm-start recovery does before any record arrives. The values are
 // not inserts: Inserts and selest_online_inserts_total do not move, and
 // no cadence or drift trigger fires.

@@ -23,7 +23,8 @@ import (
 //     design holds the write lock for the whole build; the snapshot
 //     design publishes with one pointer swap.
 //   - BenchmarkServeInsert* / BenchmarkServeMixed*: ingest and mixed
-//     workloads, sharded striping vs one mutex.
+//     workloads, the engine's reservoir lock vs the RWMutex held across
+//     inserts and refits.
 //
 // The locked baseline is lockedEstimator (locked_ref_test.go), the
 // pre-engine implementation preserved verbatim.
@@ -159,7 +160,7 @@ func (l *latencyRecorder) report(b *testing.B) {
 // duringRefitCfg holds the n=1e6 reservoir the DPI refit rebuilds from.
 const duringRefitReservoir = 1_000_000
 
-var duringRefitCfg = Config{ReservoirSize: duringRefitReservoir, RefitEvery: -1, Shards: 8, Seed: 1}
+var duringRefitCfg = Config{ReservoirSize: duringRefitReservoir, RefitEvery: -1, Seed: 1}
 
 func benchQueryDuringRefit(b *testing.B, query func(a, bq float64) float64, flush func() error) {
 	var rec latencyRecorder
@@ -191,17 +192,14 @@ func BenchmarkServeQueryDuringRefitSnapshot(b *testing.B) {
 }
 
 func BenchmarkServeQueryDuringRefitMutex(b *testing.B) {
-	cfg := duringRefitCfg
-	cfg.Shards = 1
-	e := fillLocked(b, dpiBuilder, cfg, duringRefitReservoir)
+	e := fillLocked(b, dpiBuilder, duringRefitCfg, duringRefitReservoir)
 	benchQueryDuringRefit(b, e.Selectivity, e.Flush)
 }
 
-// serveInsertCfg disables refits so the insert benchmarks measure pure
-// reservoir ingest: striped shards vs the single write lock.
-func BenchmarkServeInsertSharded(b *testing.B) {
-	cfg := Config{ReservoirSize: 8192, RefitEvery: -1, Shards: 8, Seed: 1}
-	e, err := New(benchBuilder, cfg)
+// The insert benchmarks disable refits so they measure pure reservoir
+// ingest: the engine's reservoir lock vs the locked estimator's RWMutex.
+func BenchmarkServeInsertSnapshot(b *testing.B) {
+	e, err := New(benchBuilder, Config{ReservoirSize: 8192, RefitEvery: -1, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func BenchmarkServeInsertMutex(b *testing.B) {
 // The mixed workload: 1 insert per 8 queries per goroutine with cadence
 // refits live, the closest shape to the online-aggregation serving loop.
 func BenchmarkServeMixedSnapshot(b *testing.B) {
-	cfg := Config{ReservoirSize: 2000, RefitEvery: 20000, Shards: 8, Seed: 1}
+	cfg := Config{ReservoirSize: 2000, RefitEvery: 20000, Seed: 1}
 	e := fillEngine(b, benchBuilder, cfg, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()

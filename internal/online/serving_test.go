@@ -52,7 +52,7 @@ func TestSelectivityOKAndReady(t *testing.T) {
 
 // TestSnapshotMatchesLockedBitForBit drives the snapshot engine and the
 // preserved RWMutex implementation through the same drifting stream
-// (same seed, one shard) and pins that every probed answer is identical
+// (same seed) and pins that every probed answer is identical
 // bit for bit — the snapshot design changes the concurrency story, not
 // one bit of the estimate. The reference always takes the stream one
 // Insert at a time; the engine takes it the same way, or as InsertBatch
@@ -202,7 +202,7 @@ func TestNoTornSnapshotPair(t *testing.T) {
 		}
 		return &checksumFit{sum: sum, n: len(samples)}, nil
 	}
-	e, err := New(build, Config{ReservoirSize: 64, RefitEvery: 64, Shards: 4, Seed: 3})
+	e, err := New(build, Config{ReservoirSize: 64, RefitEvery: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestServeSoakThroughDegradation(t *testing.T) {
 		return sample.NewPureEstimator(samples), nil
 	}
 	e, err := New(primary, Config{
-		ReservoirSize: 64, RefitEvery: 128, Shards: 4, Seed: 9,
+		ReservoirSize: 64, RefitEvery: 128, Seed: 9,
 		DegradeAfter: 2, Fallbacks: []Builder{fallback},
 	})
 	if err != nil {

@@ -95,6 +95,37 @@ func TestReservoirFillsToCapacity(t *testing.T) {
 	}
 }
 
+// TestReservoirFillsExactlyAtCapacity pins the trigger property the
+// online estimator's first refit relies on: the reservoir keeps every
+// element and evicts none while filling, reaches capacity exactly on
+// the capacity-th element, and then stays full.
+func TestReservoirFillsExactlyAtCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 5, 64, 97, 100, 2000} {
+		rv := NewReservoir(xrand.New(uint64(capacity)), capacity)
+		for i := 0; i < capacity-1; i++ {
+			if kept, evicted := rv.AddBatch([]float64{float64(i)}); kept != 1 || evicted != 0 {
+				t.Fatalf("cap %d: element %d while filling: kept %d, evicted %d", capacity, i, kept, evicted)
+			}
+		}
+		if rv.Len() != capacity-1 {
+			t.Fatalf("cap %d: Len = %d before the last fill element", capacity, rv.Len())
+		}
+		if !rv.Add(float64(capacity)) {
+			t.Fatalf("cap %d: the capacity-th element was not kept", capacity)
+		}
+		if rv.Len() != capacity {
+			t.Fatalf("cap %d: Len = %d at capacity", capacity, rv.Len())
+		}
+		// Once full, Len stays pinned at capacity.
+		for i := 0; i < 3*capacity; i++ {
+			rv.Add(float64(i))
+		}
+		if rv.Len() != capacity || rv.Seen() != 4*capacity {
+			t.Fatalf("cap %d: Len/Seen = %d/%d after overflow", capacity, rv.Len(), rv.Seen())
+		}
+	}
+}
+
 func TestReservoirUniformity(t *testing.T) {
 	// Stream 0..99 through capacity-10 reservoirs; every element should be
 	// retained with probability ~0.1.

@@ -39,17 +39,15 @@ func waitCond(t *testing.T, what string, timeout time.Duration, cond func() bool
 	}
 }
 
-// TestChaosRefitPanicSoak is the degradation-ladder soak (ISSUE satellite
-// 3): mixed query/ingest load runs while the primary builder is made to
-// panic via faultinject. The pins: the builder rung descends to a
-// fallback, recovers to the primary once the fault clears (PromoteAfter),
-// and not a single query errors at any point.
+// TestChaosRefitPanicSoak is the degradation-ladder soak: mixed
+// query/ingest load runs while the primary builder is made to panic via
+// faultinject. The pins: the builder rung descends to a
+// fallback, recovers to the primary once the fault clears (after
+// promoteAfter clean refits), and not a single query errors at any point.
 func TestChaosRefitPanicSoak(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
-	cfg.DegradeAfter = 2
-	cfg.PromoteAfter = 2
 	if err := s.CreateAttr("acme", "price", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,7 @@ func TestChaosRefitPanicSoak(t *testing.T) {
 	waitCond(t, "builder rung to descend", 15*time.Second, func() bool {
 		return a.est.DegradationLevel() >= 1
 	})
-	// With PromoteAfter set the rung legitimately flaps (promote → strike
+	// With promotion on the rung legitimately flaps (promote → strike
 	// → demote) while the fault holds, so the gauge is polled, not
 	// spot-checked.
 	waitCond(t, "rung gauge to descend", 15*time.Second, func() bool {

@@ -127,7 +127,7 @@ func admissionCounts() (admitted, rejected int64) {
 // the test), no cadence, no drift — so only fresh reads refit, inside a
 // request, and both servers always hold the same fit.
 func parityAttrCfg(seed int) string {
-	return fmt.Sprintf(`{"domain_lo":0,"domain_hi":1,"reservoir_size":4096,"refit_every":-1,"shards":1,"seed":%d}`, seed)
+	return fmt.Sprintf(`{"domain_lo":0,"domain_hi":1,"reservoir_size":4096,"refit_every":-1,"seed":%d}`, seed)
 }
 
 func newParityPair(t *testing.T, opts Options) *parityPair {
@@ -488,6 +488,27 @@ func TestWireBudgetTimesOut(t *testing.T) {
 		res, err := wire.DecodeEstimateBatchRes(f.Payload)
 		if f.Op != wire.OpEstimateBatch|wire.RespFlag || err != nil || len(res.Results) != n || !res.Results[0].Degraded {
 			t.Fatalf("wire fresh batch past its budget: op %s, %v; want %d results, the first degraded", f.Op, err, n)
+		}
+	}
+}
+
+// TestCreateAttrIgnoresRetiredFields pins that config fields the service
+// no longer has (shards, degrade_after, promote_after), which older
+// clients send and older snapshot manifests carry, are accepted and
+// ignored on both transports: a create that carries them succeeds, and
+// the same create without them is then a no-op, not a conflict.
+func TestCreateAttrIgnoresRetiredFields(t *testing.T) {
+	p := newParityPair(t, Options{})
+	cfg := parityAttrCfg(7)
+	retired := strings.TrimSuffix(cfg, "}") + `,"shards":3,"degrade_after":2,"promote_after":2}`
+	for step, c := range []string{retired, cfg} {
+		if out := p.check(step, parityOp{op: wire.OpCreateAttr, tenant: "acme", attr: "retired", cfg: c}); out.code != "" {
+			t.Fatalf("create with %s: %s %s", c, out.code, out.msg)
+		}
+	}
+	for _, s := range []*Server{p.hs, p.ws} {
+		if n := s.Stats().Attributes; n != 5 {
+			t.Fatalf("%d attributes, want the pair's 4 and acme/retired", n)
 		}
 	}
 }

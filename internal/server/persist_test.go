@@ -160,8 +160,10 @@ func TestSnapshotsFitNothing(t *testing.T) {
 // stopped fitting (entries under their configured methods) and before
 // the manifest carried stream lengths: testdata/snapshot-v1-noseen.selest,
 // from a kernel attribute and an equi-depth attribute over 2-shard
-// reservoirs and a cold attribute. Each sampled attribute serves a fit
-// of exactly its saved sample, over a stream of just that sample.
+// reservoirs and a cold attribute. Their configs still carry the retired
+// shards and promote_after fields, which recovery ignores. Each sampled
+// attribute serves a fit of exactly its saved sample, over a stream of
+// just that sample.
 func TestRecoverOlderSnapshot(t *testing.T) {
 	const path = "testdata/snapshot-v1-noseen.selest"
 	f, err := os.Open(path)

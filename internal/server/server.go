@@ -76,18 +76,20 @@ type AttrConfig struct {
 	Boundary  kde.BoundaryMode   `json:"boundary,omitempty"`
 	Bins      int                `json:"bins,omitempty"`
 	Bandwidth float64            `json:"bandwidth,omitempty"`
-	// ReservoirSize/RefitEvery/Shards/Seed parameterise the online
-	// engine. Zeroes take the online package defaults (2000 / 10× / 1).
+	// ReservoirSize/RefitEvery/Seed parameterise the online engine.
+	// Zeroes take the online package defaults (2000 / 10×).
 	ReservoirSize int    `json:"reservoir_size,omitempty"`
 	RefitEvery    int    `json:"refit_every,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
-	// DegradeAfter/PromoteAfter shape the builder ladder: strikes before
-	// demotion, clean refits before promotion. Zero PromoteAfter
-	// defaults to 4 — the service wants rungs to recover.
-	DegradeAfter int `json:"degrade_after,omitempty"`
-	PromoteAfter int `json:"promote_after,omitempty"`
 }
+
+// The service's builder ladder: an attribute moves down a rung after
+// degradeAfter consecutive failed refits and climbs back after
+// promoteAfter clean ones, so its rungs recover once a fault clears.
+const (
+	degradeAfter = 3
+	promoteAfter = 4
+)
 
 func (c *AttrConfig) validate() error {
 	if math.IsNaN(c.DomainLo) || math.IsInf(c.DomainLo, 0) ||
@@ -97,7 +99,7 @@ func (c *AttrConfig) validate() error {
 	if !(c.DomainHi > c.DomainLo) {
 		return fmt.Errorf("%w: empty domain [%v, %v]", ErrBadRange, c.DomainLo, c.DomainHi)
 	}
-	if c.ReservoirSize < 0 || c.RefitEvery < -1 || c.Shards < 0 || c.Bins < 0 {
+	if c.ReservoirSize < 0 || c.RefitEvery < -1 || c.Bins < 0 {
 		return fmt.Errorf("%w: negative size parameter", ErrBadValue)
 	}
 	if math.IsNaN(c.Bandwidth) || c.Bandwidth < 0 {
@@ -245,17 +247,13 @@ func (s *Server) CreateAttr(tenantName, attrName string, cfg AttrConfig) error {
 // create builds and registers an attribute whose request passed the
 // shape check.
 func (s *Server) create(tenantName, attrName string, cfg AttrConfig) error {
-	if cfg.PromoteAfter == 0 {
-		cfg.PromoteAfter = 4
-	}
 	primary, fallbacks := cfg.builders()
 	est, err := online.New(primary, online.Config{
 		ReservoirSize: cfg.ReservoirSize,
 		RefitEvery:    cfg.RefitEvery,
-		Shards:        cfg.Shards,
 		Seed:          cfg.Seed,
-		DegradeAfter:  cfg.DegradeAfter,
-		PromoteAfter:  cfg.PromoteAfter,
+		DegradeAfter:  degradeAfter,
+		PromoteAfter:  promoteAfter,
 		Fallbacks:     fallbacks,
 	})
 	if err != nil {

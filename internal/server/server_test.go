@@ -9,15 +9,14 @@ import (
 )
 
 // testAttrCfg is a small deterministic attribute: reservoir 64, cadence
-// refit every 64 inserts, single shard so sampling is the exact seeded
-// Vitter sequence.
+// refit every 64 inserts, seeded so sampling is the exact seeded Vitter
+// sequence.
 func testAttrCfg() AttrConfig {
 	return AttrConfig{
 		DomainLo:      0,
 		DomainHi:      1,
 		ReservoirSize: 64,
 		RefitEvery:    64,
-		Shards:        1,
 		Seed:          7,
 	}
 }

@@ -63,8 +63,6 @@ func TestWireChaosRefitPanicSoak(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
-	cfg.DegradeAfter = 2
-	cfg.PromoteAfter = 2
 	if err := s.CreateAttr("acme", "price", cfg); err != nil {
 		t.Fatal(err)
 	}

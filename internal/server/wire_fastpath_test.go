@@ -133,11 +133,11 @@ func TestWireFastPathEstimateZeroAllocs(t *testing.T) {
 // TestWireFastPathReservoirRungZeroAllocs pins the reservoir rung — an
 // attribute with ingested values but no fit yet — at 0 allocs/op on the
 // inline path: the pure-sampling fraction is counted in place under the
-// shard locks, never from a copy of the reservoir.
+// reservoir's lock, never from a copy of the reservoir.
 func TestWireFastPathReservoirRungZeroAllocs(t *testing.T) {
 	s := mustServer(t, Options{})
 	cfg := testAttrCfg()
-	cfg.ReservoirSize, cfg.Shards = 4096, 3
+	cfg.ReservoirSize = 4096
 	if err := s.CreateAttr("acme", "price", cfg); err != nil {
 		t.Fatal(err)
 	}

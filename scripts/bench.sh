@@ -34,7 +34,8 @@ GO=${GO:-go}
 #   refit      online refits per bandwidth rule, the steady-state merge
 #              refit, the selector alone, the copy+sort+index floor
 #   serve      snapshot engine against the RWMutex baseline: parallel
-#              queries, queries during an n = 1e6 DPI refit, ingest, mixed.
+#              queries, queries during an n = 1e6 DPI refit, parallel
+#              ingest through the reservoir's one lock, mixed.
 #              The smoke runs 200 iterations at GOMAXPROCS 8: enough to
 #              exercise the background-refit loop at least once without
 #              the during-refit pair's 1e6-insert prefill dominating.

@@ -132,20 +132,8 @@ type Options = core.Options
 
 // Build constructs an estimator from a sample set of attribute values.
 // Samples are copied; the estimator is immutable and safe for concurrent
-// use.
-//
-// With Options.Robust set, construction routes through the
-// graceful-degradation ladder (see BuildRobust): the sample set is
-// sanitized, fit failures step down to simpler methods, and the returned
-// estimator never panics or answers outside [0, 1].
+// use. BuildRobust is the graceful-degradation counterpart.
 func Build(samples []float64, opts Options) (Estimator, error) {
-	if opts.Robust {
-		est, _, err := robust.Build(samples, opts)
-		if err != nil {
-			return nil, err
-		}
-		return est, nil
-	}
 	return core.Build(samples, opts)
 }
 

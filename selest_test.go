@@ -89,12 +89,12 @@ func TestBuildRobustDegradesAndReports(t *testing.T) {
 	}
 }
 
-func TestOptionsRobustRoutesThroughLadder(t *testing.T) {
+func TestBuildRobustGuardsQueries(t *testing.T) {
 	samples := make([]float64, 100)
 	for i := range samples {
 		samples[i] = float64(i % 10) // heavy duplicates, still non-constant
 	}
-	est, err := selest.Build(samples, selest.Options{Robust: true, DomainLo: 0, DomainHi: 9})
+	est, _, err := selest.BuildRobust(samples, selest.Options{DomainLo: 0, DomainHi: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick experiments-check ci
+.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick experiments-check ci
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,19 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every package under internal/ must be imported by another package of
+# the module: Go's internal/ rule keeps other modules out, so one that
+# nothing here imports is code no program reaches. `go list`'s .Imports
+# leaves out test files, so a package only its own tests import fails
+# too. Needs only `go list`, so it runs offline.
+orphan-packages:
+	@list=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./...) || exit 1; \
+	printf '%s\n' "$$list" | awk '\
+		{ pkg[NR] = $$1; for (i = 2; i <= NF; i++) imported[$$i] = 1 } \
+		END { for (n = 1; n <= NR; n++) if (pkg[n] ~ /\/internal\// && !(pkg[n] in imported)) { \
+			print "orphan package (imported by no package of the module): " pkg[n]; bad = 1 } \
+			exit bad }'
 
 race:
 	$(GO) test -race ./...
@@ -185,4 +198,4 @@ race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/
 
-ci: vet staticcheck govulncheck test experiments-check race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick
+ci: vet orphan-packages staticcheck govulncheck test experiments-check race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick

@@ -206,6 +206,30 @@ func (o Options) method() Method {
 	return o.Method
 }
 
+// Ladder returns the options of each rung of a degradation ladder: the
+// requested method (opts.Method, Kernel when unset) first, then one rung
+// per method of below that differs from it, since repeating the
+// requested method would repeat its failure. A histogram rung swaps a
+// kernel-only rule for the normal-scale rule: LSCV and the closed-form
+// rules select kernel bandwidths, not bin counts, so stepping down never
+// fails on the rule alone.
+func Ladder(opts Options, below []Method) []Options {
+	top := opts.method()
+	rungs := make([]Options, 0, 1+len(below))
+	for i, m := range append([]Method{top}, below...) {
+		if i > 0 && m == top {
+			continue
+		}
+		o := opts
+		o.Method = m
+		if isHistogramMethod(m) && KernelOnlyRule(o.Rule) {
+			o.Rule = NormalScale
+		}
+		rungs = append(rungs, o)
+	}
+	return rungs
+}
+
 // dispatch routes the validated option set to the method's builder.
 func dispatch(samples []float64, opts Options, method Method) (Estimator, error) {
 	if err := faultinject.Check("core.build." + string(method)); err != nil {

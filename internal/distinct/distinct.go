@@ -4,17 +4,10 @@
 // consumes exactly this statistic, and the paper's domain-cardinality
 // discussion (Fig. 5) turns on how many distinct values an attribute has.
 //
-// Implemented estimators, all taking a sample of size n from a relation
-// of N records:
-//
-//   - Goodman's unbiased estimator (exact in expectation, erratic for
-//     small sampling fractions — included as the classical baseline);
-//   - Chao's coverage estimator d + f1²/(2·f2);
-//   - GEE, the Guaranteed-Error Estimator of Charikar et al.:
-//     √(N/n)·f1 + Σ_{i≥2} f_i.
-//
-// f_i denotes the number of values appearing exactly i times in the
-// sample.
+// The estimator is GEE, the Guaranteed-Error Estimator of Charikar et
+// al., taking a sample of size n from a relation of N records:
+// √(N/n)·f1 + Σ_{i≥2} f_i, where f_i denotes the number of values
+// appearing exactly i times in the sample.
 package distinct
 
 import (
@@ -52,17 +45,6 @@ func Profile(sample []float64) (*FrequencyProfile, error) {
 	return p, nil
 }
 
-// Chao returns Chao's lower-bound estimator d + f1²/(2·f2). With no
-// doubletons (f2 = 0) the bias-corrected form d + f1·(f1−1)/2 applies.
-func (p *FrequencyProfile) Chao() float64 {
-	f1 := float64(p.F[1])
-	f2 := float64(p.F[2])
-	if f2 == 0 {
-		return float64(p.D) + f1*(f1-1)/2
-	}
-	return float64(p.D) + f1*f1/(2*f2)
-}
-
 // GEE returns the Guaranteed-Error Estimator for a sample of size N
 // drawn from a relation of tableSize records:
 //
@@ -88,54 +70,6 @@ func (p *FrequencyProfile) GEE(tableSize int) (float64, error) {
 	}
 	if est > float64(tableSize) {
 		est = float64(tableSize)
-	}
-	return est, nil
-}
-
-// Goodman returns Goodman's unbiased estimator for sampling without
-// replacement. It is exact in expectation but numerically explosive for
-// small sampling fractions; callers should prefer GEE when n ≪ N. The
-// implementation uses the telescoping-product form to avoid factorial
-// overflow, and clamps to [D, tableSize].
-func (p *FrequencyProfile) Goodman(tableSize int) (float64, error) {
-	if tableSize < p.N {
-		return 0, fmt.Errorf("distinct: table size %d below sample size %d", tableSize, p.N)
-	}
-	N, n := float64(tableSize), float64(p.N)
-	if p.N == tableSize {
-		return float64(p.D), nil
-	}
-	// Goodman: D̂ = d + Σ_{i=1..n} (−1)^{i+1} · C(N−n+i−1, i) / C(n, i) · f_i
-	// computed with incremental binomial ratios.
-	est := float64(p.D)
-	for i := 1; i <= p.N; i++ {
-		fi, ok := p.F[i]
-		if !ok {
-			continue
-		}
-		// term = C(N−n+i−1, i) / C(n, i)
-		logTerm := 0.0
-		for j := 1; j <= i; j++ {
-			logTerm += math.Log(N - n + float64(j) - 1 + 1 - 1) // N−n+j−1 choose parts
-			logTerm -= math.Log(n - float64(j) + 1)
-		}
-		term := math.Exp(logTerm) * float64(fi)
-		if i%2 == 1 {
-			est += term
-		} else {
-			est -= term
-		}
-		// Bail out when terms explode: the estimator is known-unstable and
-		// the clamp below will dominate anyway.
-		if math.IsInf(term, 0) || term > 1e15 {
-			break
-		}
-	}
-	if est < float64(p.D) {
-		est = float64(p.D)
-	}
-	if est > N {
-		est = N
 	}
 	return est, nil
 }

@@ -1,7 +1,7 @@
 // Package errmetrics evaluates selectivity estimators against query
 // workloads with known ground truth: the mean relative error (the paper's
-// MRE, §5.1.2), the mean absolute error, and the error-versus-position
-// curves behind figures 3 and 10.
+// MRE, §5.1.2) and the error-versus-position curves behind figures 3
+// and 10.
 package errmetrics
 
 import (
@@ -41,20 +41,6 @@ func MRE(e Estimator, w *query.Workload) (mre float64, skipped int) {
 	return sum / float64(used), skipped
 }
 
-// MAE returns the mean absolute error in records:
-// (1/|F|) Σ_Q | |Q| − σ̂·N |. All queries count, including empty ones.
-func MAE(e Estimator, w *query.Workload) float64 {
-	if len(w.Queries) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i, q := range w.Queries {
-		est := e.Selectivity(q.A, q.B) * float64(w.N)
-		sum += math.Abs(float64(w.TrueCounts[i]) - est)
-	}
-	return sum / float64(len(w.Queries))
-}
-
 // PositionError is one point of an error-versus-position curve.
 type PositionError struct {
 	// Pos is the query's left edge.
@@ -83,31 +69,4 @@ func ByPosition(e Estimator, w *query.Workload) []PositionError {
 		out[i] = pe
 	}
 	return out
-}
-
-// MaxAbsSigned returns the largest |Signed| over the curve — the headline
-// number of Fig. 3 ("an absolute error of up to 500 occurs").
-func MaxAbsSigned(points []PositionError) float64 {
-	worst := 0.0
-	for _, p := range points {
-		if a := math.Abs(p.Signed); a > worst {
-			worst = a
-		}
-	}
-	return worst
-}
-
-// MeanRelative averages the finite Relative values of a curve.
-func MeanRelative(points []PositionError) float64 {
-	sum, n := 0.0, 0
-	for _, p := range points {
-		if !math.IsNaN(p.Relative) {
-			sum += p.Relative
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }

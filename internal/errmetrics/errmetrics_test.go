@@ -68,18 +68,6 @@ func TestMREAllEmpty(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	w := makeWorkload()
-	// est counts: 100, 100, 100 → abs errors 0, 50, 100.
-	mae := MAE(constEstimator(0.1), w)
-	if math.Abs(mae-50) > 1e-12 {
-		t.Fatalf("MAE = %v, want 50", mae)
-	}
-	if !math.IsNaN(MAE(constEstimator(0), &query.Workload{N: 10})) {
-		t.Fatal("empty workload MAE should be NaN")
-	}
-}
-
 func TestByPosition(t *testing.T) {
 	w := makeWorkload()
 	points := ByPosition(constEstimator(0.1), w)
@@ -100,25 +88,5 @@ func TestByPosition(t *testing.T) {
 	}
 	if points[2].Signed != 100 {
 		t.Fatalf("point 2 signed = %v, want 100", points[2].Signed)
-	}
-}
-
-func TestMaxAbsSigned(t *testing.T) {
-	pts := []PositionError{{Signed: -30}, {Signed: 10}, {Signed: 25}}
-	if got := MaxAbsSigned(pts); got != 30 {
-		t.Fatalf("MaxAbsSigned = %v, want 30", got)
-	}
-	if MaxAbsSigned(nil) != 0 {
-		t.Fatal("empty curve should give 0")
-	}
-}
-
-func TestMeanRelative(t *testing.T) {
-	pts := []PositionError{{Relative: 0.2}, {Relative: 0.4}, {Relative: math.NaN()}}
-	if got := MeanRelative(pts); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("MeanRelative = %v, want 0.3", got)
-	}
-	if !math.IsNaN(MeanRelative([]PositionError{{Relative: math.NaN()}})) {
-		t.Fatal("all-NaN curve should give NaN")
 	}
 }

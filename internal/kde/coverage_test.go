@@ -92,20 +92,6 @@ func TestEstimator2DInvertedAndOutOfDomain(t *testing.T) {
 	}
 }
 
-func TestEstimatorNDOutOfDomainDensity(t *testing.T) {
-	e, err := NewND([][]float64{{1, 1}}, ConfigND{
-		Bandwidths: []float64{1, 1}, Reflect: true,
-		Lo: []float64{0, 0}, Hi: []float64{2, 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.Density([]float64{-1, 1})
-	if err != nil || d != 0 {
-		t.Fatalf("out-of-domain ND density = (%v, %v)", d, err)
-	}
-}
-
 func TestVariableSelectivityClipping(t *testing.T) {
 	samples := uniformSamples(t, 200, 0, 10, 53)
 	e, err := NewVariable(samples, VariableConfig{PilotBandwidth: 1, Reflect: true, DomainLo: 0, DomainHi: 10})

@@ -50,7 +50,7 @@ func feed(t *testing.T, e *Estimator, lo, n int) (lastErr error) {
 // the stale-but-valid fit keeps answering.
 func TestRefitErrorKeepsServing(t *testing.T) {
 	fl := &flake{failAfter: 1, err: errors.New("fit diverged")}
-	e, err := New(fl.build, Config{ReservoirSize: 50, RefitEvery: 50, DegradeAfter: -1})
+	e, err := New(fl.build, Config{ReservoirSize: 50, RefitEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRefitErrorKeepsServing(t *testing.T) {
 // fit still serving.
 func TestBuilderPanicContained(t *testing.T) {
 	fl := &flake{failAfter: 1, panics: true}
-	e, err := New(fl.build, Config{ReservoirSize: 50, RefitEvery: 50, DegradeAfter: -1})
+	e, err := New(fl.build, Config{ReservoirSize: 50, RefitEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBuilderPanicContained(t *testing.T) {
 	}
 }
 
-// TestDegradeAfterStrikes checks that DegradeAfter consecutive failures
+// TestDegradeAfterStrikes checks that degradeAfter consecutive failures
 // of the primary builder move the estimator to the fallback, which then
 // serves fresh fits again.
 func TestDegradeAfterStrikes(t *testing.T) {
@@ -113,7 +113,6 @@ func TestDegradeAfterStrikes(t *testing.T) {
 	e, err := New(fl.build, Config{
 		ReservoirSize: 50,
 		RefitEvery:    50,
-		DegradeAfter:  3,
 		Fallbacks:     []Builder{fallback},
 	})
 	if err != nil {
@@ -164,7 +163,6 @@ func TestDegradationLadderExhausted(t *testing.T) {
 	e, err := New(fl.build, Config{
 		ReservoirSize: 50,
 		RefitEvery:    50,
-		DegradeAfter:  2,
 		Fallbacks:     []Builder{badFallback},
 	})
 	if err != nil {
@@ -198,7 +196,6 @@ func TestDriftRefitDrainedReservoir(t *testing.T) {
 		RefitEvery:      -1, // drift-only refits
 		DriftAlpha:      0.5,
 		DriftCheckEvery: 4,
-		DegradeAfter:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +254,6 @@ func TestConcurrentServeThroughFailures(t *testing.T) {
 	e, err := New(build, Config{
 		ReservoirSize: 32,
 		RefitEvery:    16,
-		DegradeAfter:  2,
 		Fallbacks:     []Builder{fallback},
 	})
 	if err != nil {

@@ -121,7 +121,7 @@ func TestFlushBackwardsCompatible(t *testing.T) {
 		}
 		return sample.NewPureEstimator(samples), nil
 	}
-	e, err := New(build, Config{ReservoirSize: 16, RefitEvery: -1, Seed: 1, DegradeAfter: -1})
+	e, err := New(build, Config{ReservoirSize: 16, RefitEvery: -1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFlushBackwardsCompatible(t *testing.T) {
 }
 
 // TestPromoteAfterClimbsLadder drives the estimator down a rung with
-// failures, then heals the primary builder and pins that PromoteAfter
+// failures, then heals the primary builder and pins that promoteAfter
 // consecutive clean refits climb back to rung 0 — the "descends and
 // recovers" half of the service degradation story.
 func TestPromoteAfterClimbsLadder(t *testing.T) {
@@ -154,7 +154,6 @@ func TestPromoteAfterClimbsLadder(t *testing.T) {
 	}
 	e, err := New(primary, Config{
 		ReservoirSize: 16, RefitEvery: -1, Seed: 1,
-		DegradeAfter: 2, PromoteAfter: 2,
 		Fallbacks: []Builder{fallback},
 	})
 	if err != nil {
@@ -162,27 +161,32 @@ func TestPromoteAfterClimbsLadder(t *testing.T) {
 	}
 	fillEstimator(t, e, 15) // below capacity: no auto refit on fill
 
-	// Two failing flushes spend the strike budget and land on rung 1
-	// (the second failure degrades and retries the fallback inline).
-	if err := e.Flush(); err == nil {
-		t.Fatal("first flush should report the primary failure")
+	// Three failing flushes spend the strike budget and land on rung 1
+	// (the third failure degrades and retries the fallback inline).
+	for strike := 1; strike < degradeAfter; strike++ {
+		if err := e.Flush(); err == nil {
+			t.Fatalf("flush %d should report the primary failure", strike)
+		}
 	}
 	if err := e.Flush(); err != nil {
-		t.Fatalf("second flush should degrade and succeed on the fallback: %v", err)
+		t.Fatalf("flush %d should degrade and succeed on the fallback: %v", degradeAfter, err)
 	}
 	if got := e.DegradationLevel(); got != 1 {
 		t.Fatalf("degradation level = %d, want 1", got)
 	}
 
-	// One clean refit on the fallback is not enough to promote...
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
+	// promoteAfter−1 clean refits on the fallback are not enough to
+	// promote...
+	for clean := 1; clean < promoteAfter; clean++ {
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.DegradationLevel(); got != 1 {
+			t.Fatalf("promoted after %d clean refits (level %d), want promoteAfter=%d", clean, got, promoteAfter)
+		}
 	}
-	if got := e.DegradationLevel(); got != 1 {
-		t.Fatalf("promoted after 1 clean refit (level %d), want PromoteAfter=2", got)
-	}
-	// ...the second is. (The degrading flush's successful fallback build
-	// reset the streak, so these two flushes are the streak.)
+	// ...the next one is. (The degrading flush's successful fallback
+	// build reset the streak, so these flushes are the streak.)
 	primaryHealthy = true
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
@@ -196,33 +200,6 @@ func TestPromoteAfterClimbsLadder(t *testing.T) {
 	}
 	if got := e.DegradationLevel(); got != 0 {
 		t.Fatalf("healthy primary demoted itself (level %d)", got)
-	}
-}
-
-// TestPromoteAfterZeroKeepsOneWayLadder pins the default: without
-// PromoteAfter the ladder never climbs back.
-func TestPromoteAfterZeroKeepsOneWayLadder(t *testing.T) {
-	primary := func(samples []float64) (Fitted, error) {
-		return nil, errors.New("always down")
-	}
-	fallback := func(samples []float64) (Fitted, error) {
-		return sample.NewPureEstimator(samples), nil
-	}
-	e, err := New(primary, Config{
-		ReservoirSize: 16, RefitEvery: -1, Seed: 1,
-		DegradeAfter: 1, Fallbacks: []Builder{fallback},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillEstimator(t, e, 15) // below capacity: no auto refit on fill
-	for i := 0; i < 5; i++ {
-		if err := e.Flush(); err != nil {
-			t.Fatalf("flush %d: %v", i, err)
-		}
-	}
-	if got := e.DegradationLevel(); got != 1 {
-		t.Fatalf("degradation level = %d, want a permanent 1", got)
 	}
 }
 

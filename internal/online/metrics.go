@@ -1,6 +1,10 @@
 package online
 
-import "selest/internal/telemetry"
+import (
+	"sync"
+
+	"selest/internal/telemetry"
+)
 
 // Stream-maintenance telemetry. The insert path is the online
 // estimator's hot loop, so its counters sit behind the Enabled gate like
@@ -25,14 +29,17 @@ var (
 // reading the reservoir (its replacement log, or a full copy) — the only
 // interval where a refit holds any lock an inserter can contend on;
 // queries never stall at all, which is the point. Swaps count published snapshots, coalesced counts insert-path
-// triggers absorbed by an in-flight build, and the rung gauge mirrors
-// DegradationLevel so dashboards see ladder position without polling.
+// triggers absorbed by an in-flight build, and the degraded gauge counts
+// the process's estimators that build from a fallback rung: +1 when an
+// estimator leaves its primary builder, −1 when it climbs back. selestd
+// runs one estimator per attribute and never drops one, so the gauge
+// reads how many attributes serve degraded fits.
 var (
-	onlineRefitStallNanos = telemetry.Default.Histogram("selest_online_refit_stall_ns")
-	onlineSnapshotSwaps   = telemetry.Default.Counter("selest_online_snapshot_swaps_total")
-	onlineRefitCoalesced  = telemetry.Default.Counter("selest_online_refit_coalesced_total")
-	onlineBuilderRung     = telemetry.Default.Gauge("selest_online_builder_rung")
-	// Promotions count rung recoveries (PromoteAfter climbs); abandoned
+	onlineRefitStallNanos    = telemetry.Default.Histogram("selest_online_refit_stall_ns")
+	onlineSnapshotSwaps      = telemetry.Default.Counter("selest_online_snapshot_swaps_total")
+	onlineRefitCoalesced     = telemetry.Default.Counter("selest_online_refit_coalesced_total")
+	onlineDegradedEstimators = telemetry.Default.Gauge("selest_online_degraded_estimators")
+	// Promotions count rung recoveries (promoteAfter climbs); abandoned
 	// flushes count FlushContext calls that hit their deadline while a
 	// build was still running — the shutdown path's "gave up waiting"
 	// signal.
@@ -51,3 +58,20 @@ var (
 	onlineRefitSortsFull    = telemetry.Default.Counter(telemetry.Label("selest_online_refit_sorts_total", "path", "full"))
 	onlineRefitMergedValues = telemetry.Default.Histogram("selest_online_refit_merged_values")
 )
+
+// degraded is the count behind selest_online_degraded_estimators. The
+// lock orders each change with its publication, so concurrent demotions
+// and promotions never leave a stale count on the gauge, and the next
+// change after a Registry.Reset republishes the true count.
+var (
+	degradedMu sync.Mutex
+	degraded   int
+)
+
+// addDegraded moves the degraded-estimator count by delta and publishes it.
+func addDegraded(delta int) {
+	degradedMu.Lock()
+	defer degradedMu.Unlock()
+	degraded += delta
+	onlineDegradedEstimators.Set(float64(degraded))
+}

@@ -74,24 +74,23 @@ type Config struct {
 	// Seed drives the reservoir's RNG.
 	Seed uint64
 
-	// DegradeAfter is the strike count of the degradation ladder: after
-	// this many consecutive refit failures the estimator moves to the
-	// next Fallbacks builder. Zero defaults to 3; negative disables
-	// degradation.
-	DegradeAfter int
 	// Fallbacks are builders tried in order once the current builder has
-	// accumulated DegradeAfter consecutive failures — typically simpler,
+	// failed degradeAfter consecutive refits — typically simpler,
 	// harder-to-break fits (an equi-depth histogram, pure sampling).
 	Fallbacks []Builder
-	// PromoteAfter, when positive, lets the ladder recover: after this
-	// many consecutive successful refits on a fallback rung the estimator
-	// climbs one rung back toward the primary builder and tries it at the
-	// next refit. Zero (the default) keeps the historical behaviour —
-	// degradation is one-way. DegradeAfter strikes on the promoted rung
-	// demote it again, so a still-broken primary flaps at a bounded,
-	// configurable rate rather than on every refit.
-	PromoteAfter int
 }
+
+// The degradation ladder's strike counts. After degradeAfter consecutive
+// failed refits the estimator moves to the next Fallbacks builder; after
+// promoteAfter consecutive clean refits on a fallback it climbs one rung
+// back toward the primary builder and tries it at the next refit.
+// degradeAfter strikes on the promoted rung demote it again, so a
+// still-broken primary flaps at a bounded rate rather than on every
+// refit.
+const (
+	degradeAfter = 3
+	promoteAfter = 4
+)
 
 func (c *Config) applyDefaults() {
 	if c.ReservoirSize == 0 {
@@ -102,9 +101,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DriftCheckEvery == 0 {
 		c.DriftCheckEvery = c.ReservoirSize
-	}
-	if c.DegradeAfter == 0 {
-		c.DegradeAfter = 3
 	}
 }
 
@@ -127,8 +123,8 @@ type snapshot struct {
 //
 // Refit failures never take down the query path: the previous snapshot
 // keeps serving, builder panics are contained into errors, and after
-// Config.DegradeAfter consecutive failures the estimator degrades to the
-// next Config.Fallbacks builder.
+// degradeAfter consecutive failures the estimator degrades to the next
+// Config.Fallbacks builder.
 type Estimator struct {
 	builders []Builder
 	cfg      Config
@@ -345,7 +341,7 @@ func (e *Estimator) tryRefit() error {
 // builder and, once the strike budget is spent, the estimator degrades to
 // the next fallback builder and retries it immediately so serving
 // freshness recovers without waiting out another refit cadence. On
-// success, PromoteAfter consecutive clean refits climb one rung back
+// success, promoteAfter consecutive clean refits climb one rung back
 // toward the primary builder.
 func (e *Estimator) refit() error {
 	start := time.Now()
@@ -375,7 +371,7 @@ func (e *Estimator) refit() error {
 		e.consecOK.Store(0)
 		e.setLastErr(err)
 		onlineRefitFails.Inc()
-		if e.cfg.DegradeAfter <= 0 || fails < int64(e.cfg.DegradeAfter) || int(e.builderIdx.Load())+1 >= len(e.builders) {
+		if fails < degradeAfter || int(e.builderIdx.Load())+1 >= len(e.builders) {
 			// Back off until the next cadence boundary instead of
 			// retrying the failed fit on every insert.
 			e.sinceRefit.Add(-seenRefit)
@@ -383,11 +379,12 @@ func (e *Estimator) refit() error {
 			onlineBackoffs.Inc()
 			return fmt.Errorf("online: refit (fit kept serving): %w", err)
 		}
-		rung := e.builderIdx.Add(1)
+		if e.builderIdx.Add(1) == 1 {
+			addDegraded(1)
+		}
 		e.consecFails.Store(0)
 		degradedThisRefit = true
 		onlineDegradations.Inc()
-		onlineBuilderRung.Set(float64(rung))
 		fit, err = e.buildSafe(smp)
 	}
 
@@ -412,14 +409,15 @@ func (e *Estimator) refit() error {
 	// the first refit that began on the rung — and the climb happens
 	// after the publish, so the next refit, not this one, pays the risk
 	// of the better builder failing again.
-	if e.cfg.PromoteAfter > 0 && e.builderIdx.Load() > 0 {
+	if e.builderIdx.Load() > 0 {
 		if degradedThisRefit {
 			e.consecOK.Store(0)
-		} else if e.consecOK.Add(1) >= int64(e.cfg.PromoteAfter) {
-			rung := e.builderIdx.Add(-1)
+		} else if e.consecOK.Add(1) >= promoteAfter {
+			if e.builderIdx.Add(-1) == 0 {
+				addDegraded(-1)
+			}
 			e.consecOK.Store(0)
 			onlinePromotions.Inc()
-			onlineBuilderRung.Set(float64(rung))
 		}
 	}
 	return nil
@@ -521,7 +519,7 @@ func (e *Estimator) Inserts() int { return int(e.inserts.Load()) }
 func (e *Estimator) FailedRefits() int { return int(e.failedRefits.Load()) }
 
 // ConsecutiveFailures returns the current builder's unbroken failure
-// streak; DegradeAfter of these move the estimator down the ladder.
+// streak; degradeAfter of these move the estimator down the ladder.
 func (e *Estimator) ConsecutiveFailures() int { return int(e.consecFails.Load()) }
 
 // DegradationLevel returns how many rungs down the fallback ladder the

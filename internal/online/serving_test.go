@@ -273,7 +273,7 @@ func TestCoalesceAndFlushWaits(t *testing.T) {
 		}
 		return sample.NewPureEstimator(samples), nil
 	}
-	e, err := New(build, Config{ReservoirSize: 10, RefitEvery: 10, DegradeAfter: -1})
+	e, err := New(build, Config{ReservoirSize: 10, RefitEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestServeSoakThroughDegradation(t *testing.T) {
 	}
 	e, err := New(primary, Config{
 		ReservoirSize: 64, RefitEvery: 128, Seed: 9,
-		DegradeAfter: 2, Fallbacks: []Builder{fallback},
+		Fallbacks: []Builder{fallback},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -446,10 +446,14 @@ func TestServeSoakThroughDegradation(t *testing.T) {
 	case <-wedged:
 		t.Fatal("soak wedged")
 	}
-	// The writers can finish before the primary has failed twice: the
-	// goroutine holding the refit slot may be descheduled while every
+	// The writers can finish before the primary has failed three times:
+	// the goroutine holding the refit slot may be descheduled while every
 	// trigger coalesces into it, and then no insert is left to trigger
-	// another. Keep flushing until the ladder has degraded.
+	// another. And while the primary stays down the rung flaps (promote,
+	// three strikes, demote). So stop the flusher, then flush from this
+	// goroutine alone until the ladder sits on the fallback.
+	close(stop)
+	auxWG.Wait()
 	for e.DegradationLevel() != 1 {
 		select {
 		case <-wedged:
@@ -458,8 +462,6 @@ func TestServeSoakThroughDegradation(t *testing.T) {
 			e.Flush() // errors expected while the ladder degrades
 		}
 	}
-	close(stop)
-	auxWG.Wait()
 	readersWG.Wait()
 
 	if e.Inserts() != writers*perWriter {

@@ -232,59 +232,27 @@ func Build(samples []float64, opts core.Options) (*Estimator, *Report, error) {
 	}
 
 	opts.DomainLo, opts.DomainHi = lo, hi
-	for _, rung := range ladder(method) {
-		o := opts
-		o.Method = rung
-		if rung == core.Kernel && o.Boundary == kde.BoundaryNone && o.Kernel == nil {
+	for _, o := range core.Ladder(opts, DefaultLadder()) {
+		if o.Method == core.Kernel && o.Boundary == kde.BoundaryNone && o.Kernel == nil {
 			// The ladder's kernel rung is the paper's best configuration;
 			// boundary kernels require the (default) Epanechnikov kernel.
 			o.Boundary = kde.BoundaryKernels
 		}
-		if !kernelFamily(rung) && core.KernelOnlyRule(o.Rule) {
-			// LSCV and the closed-form rules select kernel bandwidths only;
-			// histogram rungs need a bin-width rule, so stepping down swaps
-			// in the normal scale rule instead of failing on a kernel-only
-			// configuration.
-			o.Rule = core.NormalScale
-		}
 		est, err := safeBuild(clean, o)
 		if err != nil {
 			report.Attempts = append(report.Attempts, Attempt{
-				Method:   rung,
+				Method:   o.Method,
 				Err:      err.Error(),
 				Panicked: isRecovered(err),
 			})
 			continue
 		}
-		report.Rung = rung
-		report.Degraded = rung != method
+		report.Rung = o.Method
+		report.Degraded = o.Method != method
 		recordReport(report)
 		return &Estimator{inner: est, lo: lo, hi: hi, report: report}, report, nil
 	}
 	return nil, report, fmt.Errorf("robust: every rung failed: %s", report.String())
-}
-
-// kernelFamily reports whether a rung fits a kernel-class estimator —
-// one that resolves its smoothing parameter through a kernel bandwidth,
-// so the kernel-only rules stay meaningful on it.
-func kernelFamily(m core.Method) bool {
-	switch m {
-	case core.Kernel, core.BetaKernel, core.VariableKernel:
-		return true
-	}
-	return false
-}
-
-// ladder returns the rungs to attempt: the requested method first, then
-// the default ladder with duplicates removed.
-func ladder(method core.Method) []core.Method {
-	rungs := []core.Method{method}
-	for _, m := range DefaultLadder() {
-		if m != method {
-			rungs = append(rungs, m)
-		}
-	}
-	return rungs
 }
 
 // recoveredError marks an error that was converted from a panic, so the

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"selest/internal/core"
+	"selest/internal/faultinject"
 	"selest/internal/kde"
 	"selest/internal/online"
 	"selest/internal/telemetry"
@@ -81,5 +84,74 @@ func TestBuildersNeverWriteTheView(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFallbackRungsFitEveryAcceptedRule: every fallback rung of every
+// method and rule AttrConfig.validate accepts fits a sorted view, and no
+// fallback repeats the primary method. The equi-depth rung takes the
+// normal-scale rule in place of a kernel-only one (LSCV, beta-closed-form,
+// exact-mise), which it cannot turn into a bin count.
+func TestFallbackRungsFitEveryAcceptedRule(t *testing.T) {
+	view := seq(2000)
+	rules := append([]core.BandwidthRule{""}, core.BandwidthRules()...)
+	for _, m := range core.Methods() {
+		for _, rule := range rules {
+			cfg := AttrConfig{DomainLo: 0, DomainHi: 1, Method: m, Rule: rule}
+			if cfg.validate() != nil {
+				continue
+			}
+			_, fallbacks := cfg.builders()
+			for i, build := range fallbacks {
+				fit, err := build(view)
+				if err != nil {
+					t.Errorf("%s/%s: fallback rung %d: %v", m, rule, i+1, err)
+					continue
+				}
+				if fit.Name() == string(m) {
+					t.Errorf("%s/%s: fallback rung %d repeats the primary method", m, rule, i+1)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelOnlyRuleDegradesToEquiDepth: a beta-kernel attribute under
+// the beta-closed-form rule whose primary fails serves an equi-depth fit
+// after exactly three failed refits, not after three more refits spent on
+// an equi-depth rung that cannot fit the rule.
+func TestKernelOnlyRuleDegradesToEquiDepth(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s := mustServer(t, Options{})
+	cfg := testAttrCfg()
+	cfg.Method, cfg.Rule = core.BetaKernel, core.BetaClosedForm
+	// Half a reservoir and no cadence: only the fresh reads below refit.
+	cfg.ReservoirSize, cfg.RefitEvery = 2000, -1
+	if err := s.CreateAttr("acme", "price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.attr("acme", "price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest("acme", "price", seq(1000)); err != nil {
+		t.Fatal(err)
+	}
+	waitInserted(t, s, "acme", "price", 1000)
+	faultinject.Enable(FaultRefitPrimary, errors.New("primary down"))
+	var res EstimateResult
+	for refit := 1; refit <= 3; refit++ {
+		if res, err = s.Estimate(context.Background(), "acme", "price", 0.25, 0.5, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.est.Name(); got != "online(equi-depth)" {
+		t.Fatalf("after three failed primary refits the attribute serves %s, want online(equi-depth)", got)
+	}
+	if got := a.est.FailedRefits(); got != 3 {
+		t.Fatalf("failed refits = %d, want 3", got)
+	}
+	if res.Rung != "fresh" {
+		t.Fatalf("third fresh read answered from the %s rung, want the equi-depth fit", res.Rung)
 	}
 }

@@ -42,8 +42,10 @@ func waitCond(t *testing.T, what string, timeout time.Duration, cond func() bool
 // TestChaosRefitPanicSoak is the degradation-ladder soak: mixed
 // query/ingest load runs while the primary builder is made to panic via
 // faultinject. The pins: the builder rung descends to a
-// fallback, recovers to the primary once the fault clears (after
-// promoteAfter clean refits), and not a single query errors at any point.
+// fallback, recovers to the primary once the fault clears (after the
+// online ladder's promotion streak of clean refits), the
+// degraded-estimators gauge counts the attribute while it is down and
+// drops it once it recovers, and not a single query errors at any point.
 func TestChaosRefitPanicSoak(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	s := mustServer(t, Options{})
@@ -106,6 +108,12 @@ func TestChaosRefitPanicSoak(t *testing.T) {
 		}
 	}()
 
+	// The gauge counts every degraded estimator in the process, so the
+	// soak reads it against the count before its attribute degrades.
+	degraded := func() float64 {
+		return telemetry.Default.Snapshot().Gauges["selest_online_degraded_estimators"]
+	}
+	base := degraded()
 	faultinject.EnablePanic(FaultRefitPrimary, "chaos: primary refit panic")
 	waitCond(t, "builder rung to descend", 15*time.Second, func() bool {
 		return a.est.DegradationLevel() >= 1
@@ -113,8 +121,8 @@ func TestChaosRefitPanicSoak(t *testing.T) {
 	// With promotion on the rung legitimately flaps (promote → strike
 	// → demote) while the fault holds, so the gauge is polled, not
 	// spot-checked.
-	waitCond(t, "rung gauge to descend", 15*time.Second, func() bool {
-		return telemetry.Default.Snapshot().Gauges["selest_online_builder_rung"] >= 1
+	waitCond(t, "degraded gauge to count the attribute", 15*time.Second, func() bool {
+		return degraded() >= base+1
 	})
 
 	faultinject.Disable(FaultRefitPrimary)
@@ -130,8 +138,8 @@ func TestChaosRefitPanicSoak(t *testing.T) {
 	if queries.Load() == 0 {
 		t.Fatal("soak ran no queries")
 	}
-	if g := telemetry.Default.Snapshot().Gauges["selest_online_builder_rung"]; g != 0 {
-		t.Errorf("rung gauge %v after recovery, want 0", g)
+	if g := degraded(); g != base {
+		t.Errorf("degraded gauge %v after recovery, want %v", g, base)
 	}
 }
 

@@ -83,14 +83,6 @@ type AttrConfig struct {
 	Seed          uint64 `json:"seed,omitempty"`
 }
 
-// The service's builder ladder: an attribute moves down a rung after
-// degradeAfter consecutive failed refits and climbs back after
-// promoteAfter clean ones, so its rungs recover once a fault clears.
-const (
-	degradeAfter = 3
-	promoteAfter = 4
-)
-
 func (c *AttrConfig) validate() error {
 	if math.IsNaN(c.DomainLo) || math.IsInf(c.DomainLo, 0) ||
 		math.IsNaN(c.DomainHi) || math.IsInf(c.DomainHi, 0) {
@@ -199,30 +191,34 @@ type Server struct {
 // builders assembles an attribute's degradation ladder: the configured
 // primary method, then an equi-depth histogram, then pure sampling — the
 // same Kernel→EquiDepth→Sampling order the fit path's robust ladder uses,
-// each simpler and harder to break than the one above. The primary and
-// equi-depth rungs fit the reservoir's sorted view through
-// core.BuildSorted, which aliases it instead of copying and sorting it
-// again. The primary rung carries the FaultRefitPrimary injection site so
-// the chaos suite can break it on demand.
+// each simpler and harder to break than the one above. core.Ladder
+// steps down as robust.Build does: it skips a rung repeating the primary
+// method and gives the equi-depth rung the normal-scale rule in place of
+// a kernel-only one. The primary and equi-depth rungs fit the reservoir's
+// sorted view through core.BuildSorted, which aliases it instead of
+// copying and sorting it again. The primary rung carries the
+// FaultRefitPrimary injection site so the chaos suite can break it on
+// demand.
 func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Builder) {
 	opts := c.options()
 	opts.Method = c.methodOrDefault()
+	rungs := core.Ladder(opts, []core.Method{core.EquiDepth, core.Sampling})
 	primary = func(samples []float64) (online.Fitted, error) {
 		if err := faultinject.Check(FaultRefitPrimary); err != nil {
 			return nil, err
 		}
-		return core.BuildSorted(samples, opts)
+		return core.BuildSorted(samples, rungs[0])
 	}
-	equiDepth := opts
-	equiDepth.Method = core.EquiDepth
-	equiDepth.Bandwidth = 0
-	fallbacks = []online.Builder{
-		func(samples []float64) (online.Fitted, error) {
-			return core.BuildSorted(samples, equiDepth)
-		},
-		func(samples []float64) (online.Fitted, error) {
-			return sample.NewPureEstimator(samples), nil
-		},
+	for _, o := range rungs[1:] {
+		if o.Method == core.Sampling {
+			fallbacks = append(fallbacks, func(samples []float64) (online.Fitted, error) {
+				return sample.NewPureEstimator(samples), nil
+			})
+			continue
+		}
+		fallbacks = append(fallbacks, func(samples []float64) (online.Fitted, error) {
+			return core.BuildSorted(samples, o)
+		})
 	}
 	return primary, fallbacks
 }
@@ -252,8 +248,6 @@ func (s *Server) create(tenantName, attrName string, cfg AttrConfig) error {
 		ReservoirSize: cfg.ReservoirSize,
 		RefitEvery:    cfg.RefitEvery,
 		Seed:          cfg.Seed,
-		DegradeAfter:  degradeAfter,
-		PromoteAfter:  promoteAfter,
 		Fallbacks:     fallbacks,
 	})
 	if err != nil {

@@ -1,12 +1,11 @@
 // Package stats provides the descriptive statistics the estimators need:
 // moments, quantiles, the interquartile range, the robust scale estimate
 // s = min(stddev, IQR/1.348) that the paper's normal scale rules plug into
-// their smoothing-parameter formulas, and the empirical CDF.
+// their smoothing-parameter formulas.
 package stats
 
 import (
 	"math"
-	"sort"
 
 	"selest/internal/fsort"
 )
@@ -156,34 +155,6 @@ func combineScale(sd, iqrS float64) float64 {
 		return 0
 	}
 }
-
-// ECDF is the empirical cumulative distribution function of a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted).
-func NewECDF(xs []float64) *ECDF {
-	sorted := append([]float64(nil), xs...)
-	fsort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// At returns F̂(x) = (#samples <= x) / n. An empty sample yields 0.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	// First index with sorted[i] > x.
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
 
 // Summary bundles the descriptive statistics of one sample.
 type Summary struct {

@@ -121,30 +121,6 @@ func TestScaleDegenerate(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := map[float64]float64{
-		0.5: 0,
-		1:   0.25,
-		2:   0.75,
-		2.5: 0.75,
-		3:   1,
-		9:   1,
-	}
-	for x, want := range cases {
-		if got := e.At(x); got != want {
-			t.Fatalf("ECDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if e.N() != 4 {
-		t.Fatalf("N = %d, want 4", e.N())
-	}
-	empty := NewECDF(nil)
-	if empty.At(0) != 0 {
-		t.Fatal("empty ECDF should be 0 everywhere")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 2, 3, 4})
 	if s.N != 5 || s.Min != 1 || s.Max != 4 || s.DistinctValues != 4 {
@@ -177,28 +153,6 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		q1 := QuantileSorted(sorted, p1)
 		q2 := QuantileSorted(sorted, p2)
 		return q1 <= q2 && q1 >= sorted[0] && q2 <= sorted[len(sorted)-1]
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ECDF is monotone.
-func TestQuickECDFMonotone(t *testing.T) {
-	r := xrand.New(13)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.Normal()
-	}
-	e := NewECDF(xs)
-	prop := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return e.At(a) <= e.At(b)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

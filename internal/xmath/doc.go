@@ -1,6 +1,6 @@
 // Package xmath provides the numerical substrate used throughout selest:
-// quadrature, numerical differentiation, scalar minimisation and root
-// finding, and small floating-point helpers.
+// Simpson and tabulated quadrature, numerical differentiation, grid
+// minimisation, and small floating-point helpers.
 //
 // The estimators in this repository need to integrate density functionals
 // such as ∫ f'(x)² dx, differentiate estimated densities to locate change

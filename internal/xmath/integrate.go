@@ -1,33 +1,7 @@
 package xmath
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrBadInterval is returned by quadrature routines when the integration
-// interval is empty, inverted, or not finite.
-var ErrBadInterval = errors.New("xmath: bad integration interval")
-
 // Func is a real-valued function of one real variable.
 type Func func(float64) float64
-
-// Trapezoid approximates ∫_a^b f(x) dx with the composite trapezoid rule
-// using n subintervals. n must be at least 1; smaller values are clamped.
-func Trapezoid(f Func, a, b float64, n int) float64 {
-	if a == b {
-		return 0
-	}
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	sum := 0.5 * (f(a) + f(b))
-	for i := 1; i < n; i++ {
-		sum += f(a + float64(i)*h)
-	}
-	return sum * h
-}
 
 // Simpson approximates ∫_a^b f(x) dx with the composite Simpson rule using
 // n subintervals. n is rounded up to the next even value and clamped to at
@@ -53,57 +27,6 @@ func Simpson(f Func, a, b float64, n int) float64 {
 		}
 	}
 	return sum * h / 3
-}
-
-// AdaptiveSimpson approximates ∫_a^b f(x) dx to within tol using recursive
-// interval bisection with Richardson error control. maxDepth bounds the
-// recursion; depth exhaustion falls back to the current best estimate.
-func AdaptiveSimpson(f Func, a, b, tol float64, maxDepth int) (float64, error) {
-	if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return 0, ErrBadInterval
-	}
-	if a == b {
-		return 0, nil
-	}
-	sign := 1.0
-	if b < a {
-		a, b = b, a
-		sign = -1
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxDepth <= 0 {
-		maxDepth = 30
-	}
-	fa, fb := f(a), f(b)
-	m := 0.5 * (a + b)
-	fm := f(m)
-	whole := simpsonStep(a, b, fa, fm, fb)
-	return sign * adaptiveSimpsonRec(f, a, b, fa, fm, fb, whole, tol, maxDepth), nil
-}
-
-// simpsonStep is Simpson's rule over [a,b] given endpoint and midpoint values.
-func simpsonStep(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
-}
-
-func adaptiveSimpsonRec(f Func, a, b, fa, fm, fb, whole, tol float64, depth int) float64 {
-	m := 0.5 * (a + b)
-	lm := 0.5 * (a + m)
-	rm := 0.5 * (m + b)
-	flm, frm := f(lm), f(rm)
-	left := simpsonStep(a, m, fa, flm, fm)
-	right := simpsonStep(m, b, fm, frm, fb)
-	if depth <= 0 {
-		return left + right
-	}
-	delta := left + right - whole
-	if math.Abs(delta) <= 15*tol {
-		return left + right + delta/15
-	}
-	return adaptiveSimpsonRec(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
-		adaptiveSimpsonRec(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
 
 // IntegrateSamples approximates the integral of a function tabulated at

@@ -6,27 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestTrapezoidLinear(t *testing.T) {
-	// The trapezoid rule is exact for affine integrands.
-	got := Trapezoid(func(x float64) float64 { return 3*x + 1 }, 0, 2, 7)
-	if !AlmostEqual(got, 8, 1e-12) {
-		t.Fatalf("Trapezoid(3x+1, 0, 2) = %v, want 8", got)
-	}
-}
-
-func TestTrapezoidEmptyInterval(t *testing.T) {
-	if got := Trapezoid(math.Sin, 1, 1, 10); got != 0 {
-		t.Fatalf("Trapezoid over empty interval = %v, want 0", got)
-	}
-}
-
-func TestTrapezoidClampsN(t *testing.T) {
-	got := Trapezoid(func(x float64) float64 { return x }, 0, 1, 0)
-	if !AlmostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("Trapezoid with n=0 = %v, want 0.5", got)
-	}
-}
-
 func TestSimpsonCubicExact(t *testing.T) {
 	// Simpson's rule is exact for cubics.
 	got := Simpson(func(x float64) float64 { return x * x * x }, 0, 2, 4)
@@ -46,50 +25,6 @@ func TestSimpsonSine(t *testing.T) {
 	got := Simpson(math.Sin, 0, math.Pi, 200)
 	if !AlmostEqual(got, 2, 1e-8) {
 		t.Fatalf("Simpson(sin, 0, pi) = %v, want 2", got)
-	}
-}
-
-func TestAdaptiveSimpson(t *testing.T) {
-	got, err := AdaptiveSimpson(math.Exp, 0, 1, 1e-12, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.E - 1
-	if !AlmostEqual(got, want, 1e-10) {
-		t.Fatalf("AdaptiveSimpson(exp, 0, 1) = %v, want %v", got, want)
-	}
-}
-
-func TestAdaptiveSimpsonReversedInterval(t *testing.T) {
-	fwd, err := AdaptiveSimpson(math.Cos, 0, 1, 1e-10, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := AdaptiveSimpson(math.Cos, 1, 0, 1e-10, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(fwd, -rev, 1e-10) {
-		t.Fatalf("reversed interval: fwd=%v rev=%v", fwd, rev)
-	}
-}
-
-func TestAdaptiveSimpsonBadInterval(t *testing.T) {
-	if _, err := AdaptiveSimpson(math.Sin, math.NaN(), 1, 1e-8, 10); err != ErrBadInterval {
-		t.Fatalf("NaN bound: err = %v, want ErrBadInterval", err)
-	}
-	if _, err := AdaptiveSimpson(math.Sin, 0, math.Inf(1), 1e-8, 10); err != ErrBadInterval {
-		t.Fatalf("infinite bound: err = %v, want ErrBadInterval", err)
-	}
-}
-
-func TestAdaptiveSimpsonDefaults(t *testing.T) {
-	got, err := AdaptiveSimpson(func(x float64) float64 { return x * x }, 0, 3, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(got, 9, 1e-8) {
-		t.Fatalf("AdaptiveSimpson with default tol/depth = %v, want 9", got)
 	}
 }
 

@@ -1,48 +1,11 @@
 package xmath
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoBracket is returned by Bisect when the function does not change sign
-// over the supplied interval.
-var ErrNoBracket = errors.New("xmath: root not bracketed")
-
-const goldenRatio = 0.6180339887498949 // (√5 − 1) / 2
-
-// GoldenSection minimises f over [a,b] and returns the abscissa of the
-// minimum. tol is the absolute x-tolerance (defaulted when <= 0). The
-// function must be unimodal on the interval for a guaranteed global result;
-// otherwise a local minimum is found.
-func GoldenSection(f Func, a, b, tol float64) float64 {
-	if b < a {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-9 * math.Max(1, math.Abs(a)+math.Abs(b))
-	}
-	x1 := b - goldenRatio*(b-a)
-	x2 := a + goldenRatio*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - goldenRatio*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + goldenRatio*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return 0.5 * (a + b)
-}
+import "math"
 
 // GridMin evaluates f at n equally spaced points on [a,b] (inclusive) and
 // returns the abscissa and value of the smallest evaluation. n is clamped to
-// at least 2. Unlike GoldenSection this makes no unimodality assumption and
-// is used to scan noisy empirical error curves.
+// at least 2. It makes no unimodality assumption and is used to scan noisy
+// empirical error curves.
 func GridMin(f Func, a, b float64, n int) (x, fx float64) {
 	if n < 2 {
 		n = 2
@@ -85,35 +48,4 @@ func LogGridMin(f Func, a, b float64, n int) (x, fx float64) {
 		}
 	}
 	return x, fx
-}
-
-// Bisect finds a root of f in [a,b] to within tol using bisection. The
-// function values at a and b must differ in sign.
-func Bisect(f Func, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrNoBracket
-	}
-	if tol <= 0 {
-		tol = 1e-12 * math.Max(1, math.Abs(a)+math.Abs(b))
-	}
-	for math.Abs(b-a) > tol {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if (fa > 0) == (fm > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
 }

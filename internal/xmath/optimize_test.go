@@ -3,22 +3,7 @@ package xmath
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestGoldenSectionParabola(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, -10, 10, 1e-10)
-	if !AlmostEqual(x, 1.7, 1e-6) {
-		t.Fatalf("GoldenSection minimum at %v, want 1.7", x)
-	}
-}
-
-func TestGoldenSectionReversedBounds(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return x * x }, 5, -5, 1e-10)
-	if !AlmostEqual(x, 0, 1e-6) {
-		t.Fatalf("GoldenSection with reversed bounds at %v, want 0", x)
-	}
-}
 
 func TestGridMin(t *testing.T) {
 	x, fx := GridMin(func(x float64) float64 { return math.Abs(x - 3) }, 0, 10, 101)
@@ -48,32 +33,6 @@ func TestLogGridMinNonPositiveFallsBack(t *testing.T) {
 	x, _ := LogGridMin(func(x float64) float64 { return (x + 1) * (x + 1) }, -2, 2, 401)
 	if !AlmostEqual(x, -1, 1e-2) {
 		t.Fatalf("LogGridMin fallback = %v, want -1", x)
-	}
-}
-
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(root, math.Sqrt2, 1e-9) {
-		t.Fatalf("Bisect = %v, want sqrt(2)", root)
-	}
-}
-
-func TestBisectExactEndpoints(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if root, err := Bisect(f, 0, 1, 1e-12); err != nil || root != 0 {
-		t.Fatalf("Bisect root-at-a = (%v, %v)", root, err)
-	}
-	if root, err := Bisect(f, -1, 0, 1e-12); err != nil || root != 0 {
-		t.Fatalf("Bisect root-at-b = (%v, %v)", root, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-9); err != ErrNoBracket {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
 	}
 }
 
@@ -116,18 +75,5 @@ func TestSecondDerivativeTable(t *testing.T) {
 		if !AlmostEqual(v, 2, 1e-12) {
 			t.Fatalf("SecondDerivativeTable[%d] = %v, want 2", i, v)
 		}
-	}
-}
-
-// Property: the golden-section minimiser of a random convex parabola lands
-// on its vertex when the vertex is inside the search interval.
-func TestQuickGoldenSectionVertex(t *testing.T) {
-	prop := func(seed uint8) bool {
-		v := float64(seed)/16 - 8 // vertex in [-8, 8)
-		x := GoldenSection(func(x float64) float64 { return (x - v) * (x - v) }, -10, 10, 1e-10)
-		return AlmostEqual(x, v, 1e-5)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -46,31 +46,3 @@ func AlmostEqual(a, b, tol float64) bool {
 
 // Lerp linearly interpolates between a and b by t ∈ [0,1].
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// InterpTable linearly interpolates a function tabulated at equally spaced
-// abscissas x0, x0+dx, ... at the point x. Values outside the table are
-// clamped to the nearest endpoint.
-func InterpTable(ys []float64, x0, dx, x float64) float64 {
-	if len(ys) == 0 {
-		return 0
-	}
-	if len(ys) == 1 || dx == 0 {
-		return ys[0]
-	}
-	t := (x - x0) / dx
-	if t <= 0 {
-		return ys[0]
-	}
-	if t >= float64(len(ys)-1) {
-		return ys[len(ys)-1]
-	}
-	i := int(t)
-	return Lerp(ys[i], ys[i+1], t-float64(i))
-}
-
-// Cube returns x³; it exists because the paper's bin-width formulas use
-// cubes and cube roots heavily and x*x*x at call sites obscures intent.
-func Cube(x float64) float64 { return x * x * x }
-
-// Sq returns x².
-func Sq(x float64) float64 { return x * x }

@@ -61,34 +61,9 @@ func TestAlmostEqual(t *testing.T) {
 	}
 }
 
-func TestInterpTable(t *testing.T) {
-	ys := []float64{0, 10, 20}
-	if got := InterpTable(ys, 0, 1, 0.5); !AlmostEqual(got, 5, 1e-12) {
-		t.Fatalf("InterpTable(0.5) = %v, want 5", got)
-	}
-	if got := InterpTable(ys, 0, 1, -3); got != 0 {
-		t.Fatalf("InterpTable below range = %v, want 0", got)
-	}
-	if got := InterpTable(ys, 0, 1, 99); got != 20 {
-		t.Fatalf("InterpTable above range = %v, want 20", got)
-	}
-	if got := InterpTable(nil, 0, 1, 1); got != 0 {
-		t.Fatalf("InterpTable(nil) = %v, want 0", got)
-	}
-	if got := InterpTable([]float64{7}, 0, 1, 123); got != 7 {
-		t.Fatalf("InterpTable(single) = %v, want 7", got)
-	}
-}
-
 func TestLerp(t *testing.T) {
 	if got := Lerp(2, 4, 0.5); got != 3 {
 		t.Fatalf("Lerp = %v, want 3", got)
-	}
-}
-
-func TestCubeSq(t *testing.T) {
-	if Cube(3) != 27 || Sq(-4) != 16 {
-		t.Fatal("Cube/Sq wrong")
 	}
 }
 

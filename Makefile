@@ -1,9 +1,9 @@
 # Development and CI entry points. `make ci` is the gate: vet (and
 # staticcheck when installed), the full test suite, a fresh run of the
 # paper's experiments against experiments_output.txt, the race detector
-# over the concurrency-sensitive packages (online serving through refit
-# failures, robust ladder, telemetry registry), a smoke run of every
-# go-test benchmark, and the service smoke runs.
+# over every package (`race`), a smoke run of every go-test benchmark,
+# and the service smoke runs. The race-* targets rerun subsets of `race`
+# for focused local runs; ci leaves them out.
 
 GO ?= go
 
@@ -198,4 +198,4 @@ race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/
 
-ci: vet orphan-packages staticcheck govulncheck test experiments-check race race-experiments race-fit race-refit race-serve race-service race-wire race-cluster bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick
+ci: vet orphan-packages staticcheck govulncheck test experiments-check race bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick

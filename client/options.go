@@ -177,11 +177,16 @@ type Result struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// IngestResult reports what happened to an ingest payload.
+// IngestResult reports what happened to an ingest payload, counted as
+// if its values had been pushed one at a time.
 type IngestResult struct {
-	// Queued values entered the attribute's ingest queue.
+	// Queued values entered the attribute's ingest queue: all of the
+	// payload.
 	Queued int `json:"queued"`
-	// Shed values (the oldest queued) were dropped to make room.
+	// Shed values, the oldest queued, were dropped to stay within the
+	// queue's bound: values queued earlier first, then, for a payload
+	// larger than the bound, the payload's own oldest. Over any run of
+	// ingests, the values that reach the reservoir number Queued − Shed.
 	Shed int `json:"shed"`
 }
 

@@ -105,7 +105,7 @@ func main() {
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: drain, flush, and snapshot within this")
 		quotaRate       = flag.Float64("quota-rate", 0, "per-tenant admission rate in tokens/second (0 = unlimited); estimates cost 1, batches and ingests their size")
 		quotaBurst      = flag.Float64("quota-burst", 0, "per-tenant token-bucket burst")
-		queueCap        = flag.Int("queue-cap", 0, "per-attribute ingest queue bound; overflow sheds oldest (0 = 8192)")
+		queueCap        = flag.Int("queue-cap", 0, "max values queued per attribute for ingest; overflow sheds oldest; memory is taken as values arrive and given back when the queue drains (0 = 8192)")
 		maxInflight     = flag.Int64("max-inflight", 0, "inflight-request threshold beyond which fresh estimates degrade to the snapshot rung (0 = 1024)")
 		maxBatch        = flag.Int("max-batch", 0, "max queries per batch / values per ingest (0 = 4096)")
 		defaultTimeout  = flag.Duration("default-timeout", 0, "deadline applied to requests without a budget of their own (0 = 5s)")

@@ -4,9 +4,10 @@ import "selest/internal/telemetry"
 
 // Service telemetry. Admission is the front door (admitted vs rejected,
 // with retried counting requests that announce themselves as client
-// retries via X-Selest-Retry); the ingest queues expose their shed count
-// and aggregate depth; the request path records one latency observation
-// and, per answer, which rung of the degradation ladder produced it.
+// retries via X-Selest-Retry); the ingest queues expose their shed count,
+// aggregate depth and running drainers; the request path records one
+// latency observation and, per answer, which rung of the degradation
+// ladder produced it.
 // Recovery counters distinguish a warm start from a cold one and surface
 // torn snapshots explicitly — availability over silence.
 var (
@@ -18,6 +19,7 @@ var (
 	srvDrainDrop = telemetry.Default.Counter("selest_server_drain_errors_total")
 
 	srvQueueDepth = telemetry.Default.Gauge("selest_server_queue_depth")
+	srvDrainers   = telemetry.Default.Gauge("selest_server_drainers")
 	srvInflight   = telemetry.Default.Gauge("selest_server_inflight_requests")
 	srvAnswerRung = telemetry.Default.Gauge("selest_server_answer_rung")
 

@@ -61,6 +61,9 @@ func TestServiceMetricsStructural(t *testing.T) {
 	if _, ok := after.Gauges["selest_server_queue_depth"]; !ok {
 		t.Fatal("queue-depth gauge not registered")
 	}
+	if _, ok := after.Gauges["selest_server_drainers"]; !ok {
+		t.Fatal("drainers gauge not registered")
+	}
 	if _, ok := after.Gauges["selest_server_inflight_requests"]; !ok {
 		t.Fatal("inflight gauge not registered")
 	}
@@ -95,6 +98,7 @@ func TestServiceMetricsStructural(t *testing.T) {
 		"selest_server_admitted_total",
 		"selest_server_shed_total",
 		"selest_server_queue_depth",
+		"selest_server_drainers",
 		"selest_server_request_nanos",
 		`selest_server_answers_total{rung="`,
 	} {

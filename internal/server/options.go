@@ -36,8 +36,10 @@ type Options struct {
 	// it, so a saturated replica still answers "alive". GlobalRate <= 0
 	// disables the cap.
 	GlobalRate, GlobalBurst float64
-	// QueueCap bounds each attribute's ingest queue; overflow sheds the
-	// oldest queued values. Zero defaults to 8192.
+	// QueueCap bounds how many values each attribute's ingest queue
+	// holds; overflow sheds the oldest queued values. Memory is taken as
+	// values arrive and given back when the queue drains. Zero defaults
+	// to 8192.
 	QueueCap int
 	// DefaultTimeout is applied to requests that carry no deadline of
 	// their own. Zero defaults to 5s.

@@ -2,127 +2,103 @@ package server
 
 import "sync"
 
-// ingestQueue is the bounded buffer between the HTTP ingest handler and
-// an attribute's reservoir: a fixed-capacity ring of values with
-// shed-oldest overflow. The handler pushes and returns immediately —
-// ingest latency never includes a reservoir lock — and a per-attribute
-// drainer goroutine pops batches into online.Estimator.InsertBatch.
+// ingestQueue is the bounded buffer between an attribute's ingest
+// requests and its reservoir, with shed-oldest overflow. A push returns
+// as soon as its values are queued — ingest latency never includes a
+// reservoir lock — and a drainer goroutine pops batches into
+// online.Estimator.InsertBatch.
 //
-// Backpressure policy: when the producer outruns the drainer the ring
+// Memory follows the data. The queued values live in a slice that grows
+// as they arrive and leaves the queue with the pop that takes the last
+// of them, and the drainer runs only while values are queued: a push to
+// an idle queue starts one, counted in wg under the queue lock so a
+// closer waiting on wg cannot miss it, and it retires when a pop finds
+// nothing left. An idle attribute holds neither buffer nor goroutine.
+//
+// Backpressure policy: when the producer outruns the drainer the queue
 // sheds its *oldest* values (the ones a reservoir sample is least likely
 // to miss — newer data carries the drift signal) and counts every shed in
 // telemetry, so overload degrades sample freshness visibly instead of
 // blocking the request path or growing without bound.
 type ingestQueue struct {
-	mu     sync.Mutex
-	buf    []float64
-	head   int // index of the oldest queued value
-	size   int
-	shed   int64
-	closed bool
-	// notify wakes the drainer; capacity 1 makes sends non-blocking and
-	// coalesces bursts into one wakeup.
-	notify chan struct{}
+	mu       sync.Mutex
+	capacity int
+	vals     []float64 // vals[head:] are queued, oldest first
+	head     int
+	closed   bool
+	running  bool            // a drainer is running for this queue
+	wg       *sync.WaitGroup // counts every queue's running drainers
 }
 
-func newIngestQueue(capacity int) *ingestQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ingestQueue{buf: make([]float64, capacity), notify: make(chan struct{}, 1)}
+func newIngestQueue(capacity int, wg *sync.WaitGroup) *ingestQueue {
+	return &ingestQueue{capacity: capacity, wg: wg}
 }
 
-// push enqueues vs, shedding the oldest queued values when the ring is
-// full. It reports how many of vs were queued and how many *old* values
-// were shed to make room (a burst larger than the ring also sheds the
-// burst's own oldest prefix). Pushing to a closed queue queues nothing.
-func (q *ingestQueue) push(vs []float64) (queued, shed int) {
+// push enqueues vs as pushing its values one at a time would: all of
+// them are queued, and past capacity the oldest values are shed, the
+// resident ones first and then the burst's own oldest. It reports how
+// many values were queued and shed, and whether the caller must start a
+// drainer, already counted in wg: true when the push finds the queue
+// idle. Pushing to a closed queue queues nothing.
+func (q *ingestQueue) push(vs []float64) (queued, shed int, start bool) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
-		return 0, 0
-	}
-	cap := len(q.buf)
-	if len(vs) >= cap {
-		// The burst alone overwrites the whole ring: everything resident
-		// plus the burst's own prefix is shed.
-		shed = q.size + (len(vs) - cap)
-		vs = vs[len(vs)-cap:]
-		q.head, q.size = 0, 0
-	}
-	for _, v := range vs {
-		if q.size == cap {
-			q.head = (q.head + 1) % cap
-			q.size--
-			shed++
-		}
-		q.buf[(q.head+q.size)%cap] = v
-		q.size++
+		return 0, 0, false
 	}
 	queued = len(vs)
-	q.shed += int64(shed)
-	q.mu.Unlock()
-	if queued > 0 {
-		select {
-		case q.notify <- struct{}{}:
-		default:
-		}
+	if over := len(q.vals) - q.head + len(vs) - q.capacity; over > 0 {
+		shed = over
+		resident := min(over, len(q.vals)-q.head)
+		q.head += resident
+		vs = vs[over-resident:]
 	}
-	return queued, shed
+	if len(q.vals)+len(vs) > cap(q.vals) {
+		// No room at the tail: move the queued values to the front of a
+		// buffer that also holds vs, growing it at most to capacity.
+		live, buf := q.vals[q.head:], q.vals[:0]
+		if n := len(live) + len(vs); n > cap(buf) {
+			buf = make([]float64, 0, min(max(n, 2*cap(buf)), q.capacity))
+		}
+		q.vals, q.head = append(buf, live...), 0
+	}
+	q.vals = append(q.vals, vs...)
+	if !q.running {
+		q.running, start = true, true
+		q.wg.Add(1)
+	}
+	return queued, shed, start
 }
 
-// popWait moves up to max values into dst (reusing its capacity),
-// blocking until values arrive or the queue is closed. It returns
-// (nil, false) only when the queue is closed *and* empty, so a drainer
-// looping on popWait drains every queued value before exiting — the
-// graceful-shutdown guarantee.
-func (q *ingestQueue) popWait(dst []float64, max int) ([]float64, bool) {
-	for {
-		q.mu.Lock()
-		if q.size > 0 {
-			n := q.size
-			if n > max {
-				n = max
-			}
-			dst = dst[:0]
-			for i := 0; i < n; i++ {
-				dst = append(dst, q.buf[q.head])
-				q.head = (q.head + 1) % len(q.buf)
-				q.size--
-			}
-			q.mu.Unlock()
-			return dst, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, false
-		}
-		q.mu.Unlock()
-		<-q.notify
+// pop returns up to limit queued values, oldest first. When they are
+// all the queued values it hands over the queue's buffer, which the next
+// push replaces; otherwise it copies them into dst, reusing its
+// capacity. A pop that finds the queue empty reports false and retires
+// the drainer, so the next push starts another: a drainer that pops
+// until false has moved every value pushed before it retired, and on a
+// closed queue that is every accepted value — the graceful-shutdown
+// guarantee.
+func (q *ingestQueue) pop(dst []float64, limit int) ([]float64, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := min(len(q.vals)-q.head, limit)
+	if n == 0 {
+		q.running = false
+		return dst, false
 	}
+	if n == len(q.vals)-q.head {
+		dst, q.vals, q.head = q.vals[q.head:], nil, 0
+		return dst, true
+	}
+	dst = append(dst[:0], q.vals[q.head:q.head+n]...)
+	q.head += n
+	return dst, true
 }
 
-// close marks the queue closed and wakes the drainer. Idempotent.
+// close makes every later push queue nothing; a running drainer still
+// empties the queue. Idempotent.
 func (q *ingestQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	select {
-	case q.notify <- struct{}{}:
-	default:
-	}
-}
-
-// depth returns how many values are queued.
-func (q *ingestQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
-// shedCount returns how many values this queue has shed.
-func (q *ingestQueue) shedCount() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.shed
 }

@@ -184,8 +184,12 @@ type Server struct {
 
 	inflight   atomic.Int64
 	queueTotal atomic.Int64
+	drainers   atomic.Int64
 	draining   atomic.Bool
-	wg         sync.WaitGroup
+	// wg counts running drainers; every Add happens under an ingest
+	// queue's lock, so Close, which closes every queue first, waits for
+	// each drainer a push started.
+	wg sync.WaitGroup
 }
 
 // builders assembles an attribute's degradation ladder: the configured
@@ -223,12 +227,11 @@ func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Buil
 	return primary, fallbacks
 }
 
-// CreateAttr registers an attribute under a tenant, spawning its ingest
-// drainer. Creating an attribute that already exists with an identical
-// configuration is a no-op (so clients and recovery can be idempotent);
-// a differing configuration is ErrConflict. Like the other in-process
-// entry points it runs the request core's shape check but charges no
-// quota.
+// CreateAttr registers an attribute under a tenant. Creating an
+// attribute that already exists with an identical configuration is a
+// no-op (so clients and recovery can be idempotent); a differing
+// configuration is ErrConflict. Like the other in-process entry points
+// it runs the request core's shape check but charges no quota.
 func (s *Server) CreateAttr(tenantName, attrName string, cfg AttrConfig) error {
 	if s.draining.Load() {
 		return ErrDraining
@@ -281,12 +284,10 @@ func (s *Server) create(tenantName, attrName string, cfg AttrConfig) error {
 		name:   attrName,
 		cfg:    cfg,
 		est:    est,
-		queue:  newIngestQueue(s.cfg.QueueCap),
+		queue:  newIngestQueue(s.cfg.QueueCap, &s.wg),
 	}
 	tn.attrs[attrName] = a
 	s.nAttrs++
-	s.wg.Add(1)
-	go s.drainLoop(a)
 	return nil
 }
 
@@ -535,11 +536,15 @@ func uniformFraction(dLo, dHi, lo, hi float64) float64 {
 	return (hi - lo) / (dHi - dLo)
 }
 
-// IngestResult reports what happened to an ingest payload.
+// IngestResult reports what happened to an ingest payload, counted as
+// if its values had been pushed one at a time.
 type IngestResult struct {
-	// Queued values entered the attribute's queue.
+	// Queued values entered the attribute's queue: all of the payload.
 	Queued int `json:"queued"`
-	// Shed values (the oldest queued) were dropped to make room.
+	// Shed values, the oldest queued, were dropped to stay within the
+	// queue's bound: values queued earlier first, then, for a payload
+	// larger than the bound, the payload's own oldest. Over any run of
+	// ingests, the values that reach the reservoir number Queued − Shed.
 	Shed int `json:"shed"`
 }
 
@@ -561,9 +566,13 @@ func (s *Server) Ingest(tenantName, attrName string, values []float64) (IngestRe
 	return s.enqueue(a, values), nil
 }
 
-// enqueue pushes checked values onto a's queue.
+// enqueue pushes checked values onto a's queue, starting its drainer
+// when the queue was idle.
 func (s *Server) enqueue(a *attribute, values []float64) IngestResult {
-	queued, shed := a.queue.push(values)
+	queued, shed, start := a.queue.push(values)
+	if start {
+		go s.drain(a)
+	}
 	a.rows.Add(int64(queued))
 	if shed > 0 {
 		srvShed.Add(int64(shed))
@@ -577,16 +586,18 @@ func (s *Server) enqueue(a *attribute, values []float64) IngestResult {
 // per-batch trigger checks.
 const drainBatch = 512
 
-// drainLoop is an attribute's single consumer: it moves queued values
-// into the reservoir until the queue is closed *and* empty, so graceful
-// shutdown never strands an accepted value.
-func (s *Server) drainLoop(a *attribute) {
+// drain is an attribute's one writer while it has values queued: it
+// moves them into the reservoir and retires when a pop finds the queue
+// empty, so an idle attribute holds no goroutine and graceful shutdown
+// never strands an accepted value.
+func (s *Server) drain(a *attribute) {
 	defer s.wg.Done()
-	buf := make([]float64, 0, drainBatch)
+	srvDrainers.Set(float64(s.drainers.Add(1)))
+	var buf []float64
 	for {
-		vals, ok := a.queue.popWait(buf, drainBatch)
+		vals, ok := a.queue.pop(buf, drainBatch)
 		if !ok {
-			return
+			break
 		}
 		buf = vals
 		srvQueueDepth.Set(float64(s.queueTotal.Add(-int64(len(vals)))))
@@ -596,6 +607,7 @@ func (s *Server) drainLoop(a *attribute) {
 			srvDrainDrop.Inc()
 		}
 	}
+	srvDrainers.Set(float64(s.drainers.Add(-1)))
 }
 
 // attributes snapshots every attribute sorted by (tenant, name) — the

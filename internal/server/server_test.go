@@ -244,11 +244,46 @@ func TestIngestShedsUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Queued != 8 {
-		t.Fatalf("queued %d into a cap-8 queue, want 8", res.Queued)
+	if res.Queued != 100 {
+		t.Fatalf("queued %d of a 100-value burst, want all 100", res.Queued)
 	}
-	if res.Shed < 92 {
-		t.Fatalf("shed %d, want >= 92 (the burst's own overflow)", res.Shed)
+	if res.Shed != 92 {
+		t.Fatalf("shed %d, want 92 (the burst's own overflow)", res.Shed)
+	}
+}
+
+// TestOversizeIngestKeepsConservation pins the conservation law for an
+// ingest larger than the queue: counted as pushing its values one at a
+// time would, inserted == accepted − shed, the depth total returns to 0
+// once drained, and the row count covers the whole burst.
+func TestOversizeIngestKeepsConservation(t *testing.T) {
+	s := mustServer(t, Options{QueueCap: 8})
+	cfg := testAttrCfg()
+	cfg.ReservoirSize = 128
+	if err := s.CreateAttr("acme", "price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Ingest("acme", "price", seq(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Queued - res.Shed
+	if want != 8 {
+		t.Fatalf("accepted %d − shed %d = %d, want the queue's 8", res.Queued, res.Shed, want)
+	}
+	waitInserted(t, s, "acme", "price", want)
+	a, err := s.attr("acme", "price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.est.Inserts(); n != want {
+		t.Fatalf("%d values inserted, want accepted − shed = %d", n, want)
+	}
+	if d := s.Stats().QueueDepth; d != 0 {
+		t.Fatalf("queue depth total %d after the drain, want 0", d)
+	}
+	if rows := a.rows.Load(); rows != 100 {
+		t.Fatalf("rows %d, want all 100 values of the burst", rows)
 	}
 }
 

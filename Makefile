@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick experiments-check ci
+.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick benchstat-query bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick experiments-check ci
 
 build:
 	$(GO) build ./...
@@ -136,7 +136,7 @@ bench-query bench-fit bench-hotpath bench-refit bench-serve:
 bench-query-quick bench-fit-quick bench-hotpath-quick bench-refit-quick bench-serve-quick:
 	$(BENCH) quick $(@:bench-%-quick=%)
 
-benchstat-fit benchstat-hotpath benchstat-refit benchstat-serve:
+benchstat-query benchstat-fit benchstat-hotpath benchstat-refit benchstat-serve:
 	$(BENCH) diff $(@:benchstat-%=%)
 
 bench-quick:
@@ -198,4 +198,4 @@ race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/
 
-ci: vet orphan-packages staticcheck govulncheck test experiments-check race bench-quick benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick
+ci: vet orphan-packages staticcheck govulncheck test experiments-check race bench-quick benchstat-query benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick

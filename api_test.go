@@ -43,6 +43,27 @@ func TestBuildRobustSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsNonFiniteSamples pins Build's door: a sample holding
+// NaN, +Inf or −Inf is an error wrapping ErrBadOption for every method,
+// never a panic or a fit, and BuildRobust, which drops such samples,
+// still fits.
+func TestBuildRejectsNonFiniteSamples(t *testing.T) {
+	finite := []float64{1, 2, 3, 2.5, 1.5, 0.5, 3.5}
+	for _, bad := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {math.Inf(1), math.NaN(), math.Inf(-1)}} {
+		samples := append(append(append([]float64(nil), finite[:2]...), bad...), finite[2:]...)
+		for _, m := range selest.Methods() {
+			opts := selest.Options{Method: m, DomainLo: 0, DomainHi: 4}
+			est, err := selest.Build(samples, opts)
+			if !errors.Is(err, selest.ErrBadOption) || est != nil {
+				t.Fatalf("Build(%s, %v) = %v, %v; want an ErrBadOption", m, samples, est, err)
+			}
+			if _, _, err := selest.BuildRobust(samples, opts); err != nil {
+				t.Fatalf("BuildRobust(%s, %v) = %v", m, samples, err)
+			}
+		}
+	}
+}
+
 func TestParseMethodSurface(t *testing.T) {
 	m, err := selest.ParseMethod(" Kernel ")
 	if err != nil || m != selest.Kernel {

@@ -18,7 +18,8 @@ var (
 	ErrInvalidDomain = core.ErrInvalidDomain
 	// ErrBadOption reports an Options field outside its valid range: an
 	// unknown method or rule, a negative count, a non-finite bandwidth,
-	// or a rule/method combination that cannot work.
+	// or a rule/method combination that cannot work. Build also wraps it
+	// for a NaN or ±Inf sample.
 	ErrBadOption = core.ErrBadOption
 )
 

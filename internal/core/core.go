@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -151,7 +152,8 @@ type Options struct {
 
 // Build constructs the estimator described by opts from the sample set.
 // Structural failures wrap the typed sentinel errors (ErrEmptySample,
-// ErrInvalidDomain, ErrBadOption) so callers can branch with errors.Is.
+// ErrInvalidDomain, ErrBadOption) so callers can branch with errors.Is;
+// a NaN or ±Inf sample is an ErrBadOption.
 // Every successful fit records its method, duration, and derived
 // smoothing parameter into the telemetry registry.
 //
@@ -184,10 +186,16 @@ func BuildSorted(sorted []float64, opts Options) (Estimator, error) {
 }
 
 // build fits the estimator opts describes from samples sorted ascending.
+// Non-finite samples are an error: in ascending order NaNs and −Inf come
+// first and +Inf last, so the two ends show them.
 func build(sorted []float64, opts Options) (Estimator, error) {
 	method := opts.method()
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return nil, fmt.Errorf("core: build %s: %w", method, ErrEmptySample)
+	}
+	if lo, hi := sorted[0], sorted[n-1]; math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return nil, fmt.Errorf("core: build %s: non-finite sample (the sorted sample runs from %v to %v): %w", method, lo, hi, ErrBadOption)
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", method, err)

@@ -18,6 +18,8 @@ var (
 	ErrInvalidDomain = errors.New("invalid domain")
 	// ErrBadOption reports an option outside its valid range: an unknown
 	// method or rule, a negative count, a non-finite bandwidth, or a
-	// rule/method combination that cannot work.
+	// rule/method combination that cannot work; also a sample set a
+	// builder cannot take as given (non-finite, or unsorted where sorted
+	// input is required).
 	ErrBadOption = errors.New("bad option")
 )

@@ -24,11 +24,12 @@ package fsort
 import (
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // radixMin is the slice length below which the comparison sort wins:
-// the radix passes touch 256-entry count tables and two n-word buffers
-// regardless of n.
+// the radix passes touch 256-entry count tables and an n-word scratch
+// buffer regardless of n.
 const radixMin = 256
 
 // Float64s sorts xs in ascending order. It is a drop-in replacement for
@@ -83,10 +84,12 @@ func zerosInKeyOrder(xs []float64) {
 }
 
 // radixSortFloat64s sorts a NaN-free slice by LSD radix passes over the
-// order-preserving key transform of the IEEE-754 bit patterns.
+// order-preserving key transform of the IEEE-754 bit patterns. The keys
+// replace the values in xs's own memory, and the passes ping-pong
+// between it and one n-word scratch buffer, the only allocation.
 func radixSortFloat64s(xs []float64) {
 	n := len(xs)
-	keys := make([]uint64, n)
+	keys := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(xs))), n)
 	for i, x := range xs {
 		keys[i] = Key(x)
 	}
@@ -127,6 +130,7 @@ func radixSortFloat64s(xs []float64) {
 		src, dst = dst, src
 	}
 
+	// src is keys or the scratch buffer, by the parity of the passes run.
 	for i, k := range src {
 		// Invert the key transform: the top bit tells which branch the
 		// encoder took.

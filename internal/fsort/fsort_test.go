@@ -242,3 +242,32 @@ func TestFloat64sNaNMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixSortEveryPassCount runs the radix path on keys that vary in
+// exactly their low k bytes, k = 1..8, so the last of its k passes
+// leaves the sorted keys in the slice itself or in the scratch buffer,
+// and pins both against sort.Float64s. It also pins the path's one
+// allocation: the scratch buffer the passes ping-pong with.
+func TestRadixSortEveryPassCount(t *testing.T) {
+	r := xrand.New(12)
+	for k := 1; k <= 8; k++ {
+		src := make([]float64, 4*radixMin)
+		for i := range src {
+			bits := 0x40<<56 | r.Uint64()>>(64-8*k)
+			if k == 8 {
+				bits = r.Uint64()
+			}
+			if x := math.Float64frombits(bits); !math.IsNaN(x) {
+				src[i] = x
+			}
+		}
+		checkMatchesSort(t, src)
+		xs := make([]float64, len(src))
+		if allocs := testing.AllocsPerRun(5, func() {
+			copy(xs, src)
+			Float64s(xs)
+		}); allocs != 1 {
+			t.Fatalf("k=%d: radix sort made %v allocations, want 1", k, allocs)
+		}
+	}
+}

@@ -29,7 +29,9 @@ type Histogram struct {
 // newHistogram validates and assembles a histogram from boundaries and the
 // sorted sample set, counting samples per bin. The first bin is
 // [c0, c1]; subsequent bins are (c_i, c_{i+1}] following the paper's bin
-// definition.
+// definition. Each count is the distance between two edge searches over
+// the sorted sample, so a build costs k+1 searches rather than one per
+// sample; samples outside [c0, ck] (and NaNs) fall in no bin.
 func newHistogram(kind string, bounds []float64, sorted []float64) (*Histogram, error) {
 	if len(bounds) < 2 {
 		return nil, fmt.Errorf("histogram: need at least 2 boundaries, got %d", len(bounds))
@@ -45,11 +47,13 @@ func newHistogram(kind string, bounds []float64, sorted []float64) (*Histogram, 
 		counts: make([]int, len(bounds)-1),
 		n:      len(sorted),
 	}
-	for _, x := range sorted {
-		i := h.binOf(x)
-		if i >= 0 {
-			h.counts[i]++
-		}
+	// prev is the first sample of bin i: for bin 0 the first sample ≥ c0,
+	// for the others the first sample > c_i, which is where bin i−1 ends.
+	prev := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= bounds[0] })
+	for i, c := range bounds[1:] {
+		end := prev + sort.Search(len(sorted)-prev, func(j int) bool { return sorted[prev+j] > c })
+		h.counts[i] = end - prev
+		prev = end
 	}
 	return h, nil
 }

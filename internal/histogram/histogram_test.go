@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -368,6 +369,79 @@ func TestQuickHistogramInvariants(t *testing.T) {
 		}
 		if err := quick.Check(prop, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// binOfCounts is the per-sample reference for newHistogram's counts:
+// each sample's bin by binOf, and samples outside [c0, ck] in none.
+func binOfCounts(h *Histogram, sorted []float64) []int {
+	counts := make([]int, len(h.counts))
+	for _, x := range sorted {
+		if i := h.binOf(x); i >= 0 {
+			counts[i]++
+		}
+	}
+	return counts
+}
+
+// TestCountsMatchBinOf pins newHistogram's counts, taken by edge search,
+// to the per-sample binOf reference for every builder that calls it:
+// over the builder's own sample, integers that land on many edges, and
+// over a sample that adds every edge, the floats beside it, values
+// beyond both ends and the infinities. A NaN sample falls in no bin.
+func TestCountsMatchBinOf(t *testing.T) {
+	r := xrand.New(13)
+	samples := make([]float64, 2000)
+	for i := range samples {
+		samples[i] = math.Floor(r.Normal()*15 + 50)
+	}
+	samples = append(samples, -5, 0, 100, 105)
+	must := func(h *Histogram, err error) []*Histogram {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Histogram{h}
+	}
+	ash, err := BuildASH(samples, 20, 7, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := map[string][]*Histogram{
+		"equi-width": must(BuildEquiWidth(samples, 25, 0, 100)),
+		"uniform":    must(BuildUniform(samples, 0, 100)),
+		"equi-depth": must(BuildEquiDepthSorted(sortedCopy(samples), 17)),
+		"max-diff":   must(BuildMaxDiff(samples, 17)),
+		"v-optimal":  must(BuildVOptimal(samples, 12, 0)),
+		"ash":        ash.shifts,
+	}
+	for name, hs := range builds {
+		for _, h := range hs {
+			sorted := sortedCopy(samples)
+			if got, want := h.counts, binOfCounts(h, sorted); !slices.Equal(got, want) {
+				t.Fatalf("%s: counts %v, binOf reference %v", name, got, want)
+			}
+			probe := append([]float64(nil), sorted...)
+			for _, c := range h.bounds {
+				probe = append(probe, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+			}
+			probe = append(probe, h.bounds[0]-1, h.bounds[len(h.bounds)-1]+1, math.Inf(-1), math.Inf(1))
+			probe = sortedCopy(probe)
+			want := binOfCounts(h, probe)
+			re, err := newHistogram(h.kind, h.bounds, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(re.counts, want) {
+				t.Fatalf("%s: counts with every edge %v, binOf reference %v", name, re.counts, want)
+			}
+			re, err = newHistogram(h.kind, h.bounds, append([]float64{math.NaN()}, probe...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(re.counts, want) {
+				t.Fatalf("%s: counts with a NaN %v, want %v", name, re.counts, want)
+			}
 		}
 	}
 }

@@ -1,62 +1,26 @@
 package kde
 
-// Batch evaluation: answer many range queries against one estimator with
-// shared index searches. The per-query moment path (moments.go) spends its
-// time in four binary searches; a batch sorts the distinct query edges and
-// sweeps them in ascending order, resuming every search from the previous
-// edge's position with galloping probes. Q queries against n samples cost
-// O(Q log Q + Q + n) cursor work in the worst case instead of
-// O(Q log n) independent searches — and the evaluation per edge is the
-// same O(1) closed form, so results are bit-identical to Selectivity.
+// Batch evaluation: answer many range queries against one estimator in
+// one call, each through Selectivity, so every result is bit-identical
+// to the single-query answer.
 
-import (
-	"math"
-	"sort"
-	"sync"
-
-	"selest/internal/telemetry"
-)
+import "selest/internal/telemetry"
 
 // Range is one selectivity query [A, B] for the batch API.
 type Range struct {
 	A, B float64
 }
 
-// batchEdge is one query endpoint in the shared sweep.
-type batchEdge struct {
-	y    float64 // edge value (after domain clipping)
-	qi   int32   // index of the owning query
-	sign int8    // +1 for the upper edge (adds F), −1 for the lower
-}
-
-// batchScratch is the reusable working set of one batch evaluation. It
-// implements sort.Interface over its edges so sorting goes through the
-// pooled pointer — no per-call closure or interface-boxing allocation.
-type batchScratch struct {
-	edges []batchEdge
-}
-
-func (s *batchScratch) Len() int           { return len(s.edges) }
-func (s *batchScratch) Less(i, j int) bool { return s.edges[i].y < s.edges[j].y }
-func (s *batchScratch) Swap(i, j int)      { s.edges[i], s.edges[j] = s.edges[j], s.edges[i] }
-
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
 // SelectivityBatch answers every query and returns the estimates in input
-// order. See SelectivityBatchInto for the evaluation strategy.
+// order.
 func (e *Estimator) SelectivityBatch(qs []Range) []float64 {
 	return e.SelectivityBatchInto(make([]float64, 0, len(qs)), qs)
 }
 
 // SelectivityBatchInto is SelectivityBatch writing into dst (reallocated
 // only when its capacity is insufficient), for allocation-free steady-state
-// serving loops. Each result equals the corresponding Selectivity call
-// exactly.
-//
-// The shared sweep applies to the prefix-moment path of the plain and
-// reflected boundary modes. Boundary-kernel estimators and non-Epanechnikov
-// fallbacks answer per query — each already O(log n) — so the API is
-// uniform across configurations.
+// serving loops. Each query goes through Selectivity, so each result
+// equals the corresponding Selectivity call exactly.
 func (e *Estimator) SelectivityBatchInto(dst []float64, qs []Range) []float64 {
 	if cap(dst) < len(qs) {
 		dst = make([]float64, len(qs))
@@ -67,86 +31,8 @@ func (e *Estimator) SelectivityBatchInto(dst []float64, qs []Range) []float64 {
 		kdeBatchCalls.Inc()
 		kdeBatchQueries.Add(int64(len(qs)))
 	}
-	if len(qs) == 0 {
-		return dst
-	}
-	if e.moments == nil || e.mode == BoundaryKernels {
-		for i, q := range qs {
-			dst[i] = e.Selectivity(q.A, q.B)
-		}
-		return dst
-	}
-
-	scratch := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(scratch)
-	edges := scratch.edges[:0]
 	for i, q := range qs {
-		a, b := q.A, q.B
-		if math.IsNaN(a) || math.IsNaN(b) || b < a {
-			dst[i] = 0
-			continue
-		}
-		if e.mode == BoundaryReflect {
-			a = math.Max(a, e.lo)
-			b = math.Min(b, e.hi)
-			if b < a {
-				dst[i] = 0
-				continue
-			}
-		}
-		dst[i] = math.NaN() // marks "accumulating" until the sweep fills it
-		edges = append(edges,
-			batchEdge{y: a, qi: int32(i), sign: -1},
-			batchEdge{y: b, qi: int32(i), sign: +1},
-		)
-	}
-	scratch.edges = edges
-	sort.Sort(scratch)
-	edges = scratch.edges
-
-	// Sweep: resume the window cursors of each moment index monotonically.
-	type cursor struct{ l, r int }
-	var cSorted, cRefl cursor
-	prevY := math.Inf(-1)
-	prevF := 0.0
-	for _, ed := range edges {
-		F := prevF
-		if ed.y != prevY {
-			cSorted.l = advanceGE(e.moments.xs, cSorted.l, ed.y-e.h)
-			cSorted.r = advanceGT(e.moments.xs, cSorted.r, ed.y+e.h)
-			F = e.moments.windowSum(cSorted.l, cSorted.r, ed.y, e.h)
-			if e.reflMoments != nil {
-				cRefl.l = advanceGE(e.reflMoments.xs, cRefl.l, ed.y-e.h)
-				cRefl.r = advanceGT(e.reflMoments.xs, cRefl.r, ed.y+e.h)
-				F += e.reflMoments.windowSum(cRefl.l, cRefl.r, ed.y, e.h)
-			}
-			prevY, prevF = ed.y, F
-		}
-		if ed.sign > 0 {
-			dst[ed.qi] += F
-		} else {
-			// The lower edge sorts (weakly) before the upper, so the NaN
-			// marker is replaced here and the upper edge accumulates on top,
-			// reproducing F(b) − F(a) with the exact operation order of the
-			// single-query path.
-			dst[ed.qi] = -F
-		}
-	}
-	if telemetry.Enabled() {
-		kdeQueries.Add(int64(len(edges) / 2))
-		kdeMomentQueries.Add(int64(len(edges) / 2))
-	}
-
-	// Normalise and clamp with the exact operations of Selectivity, so each
-	// batch result is bit-identical to the single-query answer.
-	for i := range dst {
-		s := dst[i] / float64(e.n)
-		if s < 0 {
-			s = 0
-		} else if s > 1 {
-			s = 1
-		}
-		dst[i] = s
+		dst[i] = e.Selectivity(q.A, q.B)
 	}
 	return dst
 }

@@ -7,9 +7,9 @@ package kde
 // with pilot bandwidths the windows overlap heavily, so m grid points
 // cost O(m·k) kernel evaluations. DensityGrid answers the whole grid in
 // one ascending sweep: the window cursors only ever move forward
-// (galloping probes, as in the batch query sweep), and each point is an
-// O(1) prefix-moment closed form (momentIndex.densitySum), for O(m)
-// evaluations plus O(n) total cursor movement regardless of bandwidth.
+// (galloping probes), and each point is an O(1) prefix-moment closed
+// form (momentIndex.densitySum), for O(m) evaluations plus O(n) total
+// cursor movement regardless of bandwidth.
 
 import (
 	"math"

@@ -27,7 +27,7 @@ var (
 	kdeMomentQueries = telemetry.Default.Counter("selest_kde_moment_queries_total")
 	// kdeBatchCalls counts SelectivityBatch invocations; kdeBatchQueries
 	// counts the queries they carried. The ratio is the achieved batching
-	// factor — the number of queries amortising each shared edge sweep.
+	// factor.
 	kdeBatchCalls   = telemetry.Default.Counter("selest_kde_batch_calls_total")
 	kdeBatchQueries = telemetry.Default.Counter("selest_kde_batch_queries_total")
 

@@ -524,9 +524,10 @@ func (e *Estimator) stripSumMoment(u1, u2 float64, left bool) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-search helpers for the batch API: resume a lower/upper bound from
-// a previous cursor position with galloping (exponential) probes, so a
-// sorted edge sweep costs O(log gap) per edge instead of O(log n).
+// Resumable searches for DensityGrid's sweep (densitygrid.go): resume a
+// lower/upper bound from a previous cursor position with galloping
+// (exponential) probes, so an ascending grid costs O(log gap) per point
+// instead of O(log n).
 
 // advanceGE returns the first index ≥ from with xs[i] ≥ v (the resumed
 // analogue of sort.SearchFloat64s).

@@ -263,7 +263,7 @@ func TestBatchFallbackKernels(t *testing.T) {
 	}
 }
 
-// TestGallopMatchesBinarySearch: the batch sweep's resumable searches must
+// TestGallopMatchesBinarySearch: DensityGrid's resumable searches must
 // agree with sort.SearchFloat64s from every starting position.
 func TestGallopMatchesBinarySearch(t *testing.T) {
 	r := xrand.New(41)

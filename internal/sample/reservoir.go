@@ -66,16 +66,59 @@ func (rv *Reservoir) Add(x float64) bool {
 // run under one lock, where repeated Adds take it per element, and
 // leaves the contents, seen count and RNG state exactly as the same
 // Adds one by one would.
+//
+// Once the reservoir is full, the slot an admission evicts is a random
+// one, so reading it is usually a cache miss. AddBatch therefore takes
+// a full reservoir's run touchAhead elements at a time: it draws the
+// chunk's slots first, in add's RNG order, then reads the slots it will
+// evict in a loop with no dependent work, so the misses overlap, and
+// only then admits the chunk in order, as add does.
 func (rv *Reservoir) AddBatch(xs []float64) (kept, evicted int) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	before := len(rv.items)
-	for _, x := range xs {
-		if rv.add(x) {
-			kept++
+	for len(xs) > 0 && len(rv.items) < rv.capacity {
+		rv.add(xs[0])
+		kept++
+		xs = xs[1:]
+	}
+	var pos, slot [touchAhead]int
+	for len(xs) > 0 {
+		chunk := xs[:min(len(xs), touchAhead)]
+		xs = xs[len(chunk):]
+		n := 0
+		for i := range chunk {
+			rv.seen++
+			if j := rv.rng.Intn(rv.seen); j < rv.capacity {
+				pos[n], slot[n] = i, j
+				n++
+			}
 		}
+		touch(rv.items, slot[:n])
+		for k := range n {
+			rv.replace(slot[k], chunk[pos[k]])
+		}
+		kept += n
 	}
 	return kept, kept - (len(rv.items) - before)
+}
+
+// touchAhead is how many elements of a run AddBatch draws slots for
+// before it admits any of them: enough misses in flight to cover the
+// memory latency, few enough that the slots stay on the stack.
+const touchAhead = 64
+
+// touch reads the residents in the given slots and returns their bits
+// folded together. It stays out of line so that the reads, whose values
+// its caller drops, are not optimised away: they only bring the slots
+// into cache ahead of the admissions that overwrite them.
+//
+//go:noinline
+func touch(items []float64, slots []int) (sum uint64) {
+	for _, j := range slots {
+		sum ^= math.Float64bits(items[j])
+	}
+	return sum
 }
 
 // add is algorithm R's step for one element; the caller holds mu.
@@ -89,13 +132,19 @@ func (rv *Reservoir) add(x float64) bool {
 		return true
 	}
 	if j := rv.rng.Intn(rv.seen); j < rv.capacity {
-		if rv.logging && rv.logAdmission(x) {
-			rv.evicted = append(rv.evicted, rv.items[j])
-		}
-		rv.items[j] = x
+		rv.replace(j, x)
 		return true
 	}
 	return false
+}
+
+// replace admits x into a full reservoir over the resident in slot j;
+// the caller holds mu.
+func (rv *Reservoir) replace(j int, x float64) {
+	if rv.logging && rv.logAdmission(x) {
+		rv.evicted = append(rv.evicted, rv.items[j])
+	}
+	rv.items[j] = x
 }
 
 // mergeDivisor bounds the replacement log and the merge path: a log

@@ -73,9 +73,12 @@ func TestReservoirConcurrentAdds(t *testing.T) {
 }
 
 // TestAddBatchMatchesAdd pins run-batched admission against the
-// per-element path: the same seeded stream fed as random-length AddBatch
-// runs and as one Add per element leaves identical contents, counts and
-// RNG state, and the kept/evicted tallies agree.
+// per-element path: the same seeded stream fed as AddBatch runs and as
+// one Add per element leaves identical contents, counts, replacement
+// logs and RNG state, and the kept/evicted tallies agree. The runs start
+// with one that half fills the reservoir, one that crosses from filling
+// to full, and one of several touch-ahead chunks, then take random
+// lengths; sorted views taken between runs keep the replacement log on.
 func TestAddBatchMatchesAdd(t *testing.T) {
 	const capacity, n = 97, 6000
 	r := xrand.New(21)
@@ -85,26 +88,43 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	}
 	one := NewReservoir(xrand.New(17), capacity)
 	batched := NewReservoir(xrand.New(17), capacity)
-	var keptOne, evictedOne, keptBatch, evictedBatch int
-	for _, v := range stream {
-		full := one.Len() == capacity
-		if one.Add(v) {
-			keptOne++
-			if full {
-				evictedOne++
+	var keptOne, evictedOne, keptBatch, evictedBatch, logged int
+	runs := xrand.New(5)
+	lengths := []int{capacity / 2, capacity, 3*touchAhead + 5}
+	for i, run := 0, 0; i < n; run++ {
+		m := 1 + runs.Intn(300)
+		if run < len(lengths) {
+			m = lengths[run]
+		}
+		m = min(m, n-i)
+		for _, v := range stream[i : i+m] {
+			full := one.Len() == capacity
+			if one.Add(v) {
+				keptOne++
+				if full {
+					evictedOne++
+				}
 			}
 		}
-	}
-	runs := xrand.New(5)
-	for i := 0; i < n; {
-		m := min(1+runs.Intn(300), n-i)
 		kept, evicted := batched.AddBatch(stream[i : i+m])
 		keptBatch += kept
 		evictedBatch += evicted
 		i += m
+		if !sameBits(one.admitted, batched.admitted) || !sameBits(one.evicted, batched.evicted) {
+			t.Fatalf("run %d: replacement logs diverge: admitted %v / %v, evicted %v / %v",
+				run, one.admitted, batched.admitted, one.evicted, batched.evicted)
+		}
+		logged += len(batched.evicted)
+		if run%4 == 0 {
+			one.Sorted()
+			batched.Sorted()
+		}
 	}
 	if keptOne != keptBatch || evictedOne != evictedBatch {
 		t.Fatalf("kept/evicted %d/%d by Add, %d/%d by AddBatch", keptOne, evictedOne, keptBatch, evictedBatch)
+	}
+	if logged == 0 {
+		t.Fatal("no run logged an eviction; the replacement log was never on")
 	}
 	// Identical RNG state shows in what the next elements displace.
 	for i := 0; i < 500; i++ {
@@ -120,6 +140,19 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 			t.Fatalf("contents diverge at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same values bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAddBatchConcurrentSnapshot runs AddBatch writers against Snapshot
@@ -399,5 +432,39 @@ func TestRestoreKeepsStreamLength(t *testing.T) {
 	restored.Restore([]float64{1, 2, 3, 4}, 0)
 	if restored.Seen() != 4 || restored.Len() != 4 {
 		t.Fatalf("restored: %d values over a stream of %d, want 4 over 4", restored.Len(), restored.Seen())
+	}
+}
+
+// BenchmarkRefitAdmission times the admission that feeds the refits, as
+// selestd's drainers run it on ingest-refit: 1024-value runs into eight
+// full 2^18-value reservoirs in turn, with no refit, so no sorted view
+// runs and the replacement log stays off. A reservoir that has seen
+// 2^20 values is restored, untimed, to a stream length of 2^19, which
+// keeps the share of a run admitted between a quarter and a half at any
+// b.N.
+func BenchmarkRefitAdmission(b *testing.B) {
+	const capacity, run, pool = 1 << 18, 1024, 8
+	stream := make([]float64, 1<<16)
+	r := xrand.New(7)
+	for i := range stream {
+		stream[i] = r.Float64()
+	}
+	rvs := make([]*Reservoir, pool)
+	for i := range rvs {
+		rvs[i] = NewReservoir(xrand.New(uint64(i)+1), capacity)
+		for rvs[i].Seen() < 1<<19 {
+			rvs[i].AddBatch(stream)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rv := rvs[i%pool]
+		if rv.Seen() >= 1<<20 {
+			b.StopTimer()
+			rv.Restore(rv.Snapshot(), 1<<19)
+			b.StartTimer()
+		}
+		off := i * run % len(stream)
+		rv.AddBatch(stream[off : off+run])
 	}
 }

@@ -24,7 +24,8 @@ GO=${GO:-go}
 # with the full run's flags so its rows pair with the baseline's.
 #
 #   query      Θ(n) linear, edge-scan, prefix-moment and batch-sweep
-#              kernel queries at n up to 1e6
+#              kernel queries at n up to 1e6, and queries spread over
+#              pools of estimators
 #   fit        the fit-path engine against the seed implementations: DPI,
 #              LSCV, oracle search, hybrid build, radix sort
 #   hotpath    frame codec and the server's inline fast path, alone and
@@ -32,7 +33,8 @@ GO=${GO:-go}
 #              smoke runs 100 iterations so the pipelined benchmark sends
 #              a full 64-deep window.
 #   refit      online refits per bandwidth rule, the steady-state merge
-#              refit, the selector alone, the copy+sort+index floor
+#              refit, the selector alone, the copy+sort+index floor, and
+#              the reservoir admission that feeds them (internal/sample)
 #   serve      snapshot engine against the RWMutex baseline: parallel
 #              queries, queries during an n = 1e6 DPI refit, parallel
 #              ingest through the reservoir's one lock, mixed.
@@ -48,7 +50,7 @@ families() {
 query|./internal/kde|BenchmarkQuery|-benchmem|1x
 fit|./internal/fsort ./internal/kde ./internal/bandwidth ./internal/hybrid|BenchmarkFit|-benchmem -timeout 60m|1x
 hotpath|./internal/wire ./internal/server|BenchmarkHotpath|-benchmem -timeout 30m|100x
-refit|./internal/online|BenchmarkRefit|-benchmem -timeout 60m|1x
+refit|./internal/online ./internal/sample|BenchmarkRefit|-benchmem -timeout 60m|1x
 serve|./internal/online|BenchmarkServe|-benchmem -cpu 1,8 -timeout 60m|200x -cpu 8
 telemetry|./internal/telemetry .|BenchmarkTelemetry|-benchmem|1x
 paper|.|.|-benchmem -timeout 60m|1x

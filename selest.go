@@ -132,7 +132,8 @@ type Options = core.Options
 
 // Build constructs an estimator from a sample set of attribute values.
 // Samples are copied; the estimator is immutable and safe for concurrent
-// use. BuildRobust is the graceful-degradation counterpart.
+// use. A NaN or ±Inf sample is an error wrapping ErrBadOption.
+// BuildRobust is the graceful-degradation counterpart, which drops them.
 func Build(samples []float64, opts Options) (Estimator, error) {
 	return core.Build(samples, opts)
 }

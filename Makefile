@@ -2,12 +2,13 @@
 # staticcheck when installed), the full test suite, a fresh run of the
 # paper's experiments against experiments_output.txt, the race detector
 # over every package (`race`), a smoke run of every go-test benchmark,
-# and the service smoke runs. The race-* targets rerun subsets of `race`
-# for focused local runs; ci leaves them out.
+# the perfbench module's vet and unit tests, and the service smoke runs.
+# The race-* targets rerun subsets of `race` for focused local runs; ci
+# leaves them out.
 
 GO ?= go
 
-.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick benchstat-query bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick bench-cluster bench-cluster-quick experiments-check ci
+.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick benchstat-query bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick perfbench-test bench-cluster bench-cluster-quick experiments-check ci
 
 build:
 	$(GO) build ./...
@@ -37,7 +38,7 @@ race:
 # The online refit-failure suite is the race-detector hot spot: readers
 # serve while writers fail, panic, and degrade the builder ladder.
 race-online:
-	$(GO) test -race -v -run 'Refit|Panic|Degrad|Drift|Concurrent' ./internal/online/
+	$(GO) test -race -v -run 'Refit|Panic|Degrad|Concurrent' ./internal/online/
 
 # The serving-engine suite under the race detector: snapshot/locked
 # bit-equivalence (per record and run-batched), torn-pair detection,
@@ -150,6 +151,11 @@ bench-quick:
 perfbench-quick:
 	bash perfbench/run.sh -workload mixed -seed 1 -seconds 2
 
+# perfbench is its own module, so ./... above leaves it out: vet it and
+# run its unit tests, which compile it against the service's packages.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # The horizontal-scaling benchmark: fleets of 1/2/4 capacity-pinned
 # replicas driven through the cluster client's rendezvous routing, plus
 # the `-join` snapshot-shipping smoke. Writes BENCH_cluster.json and
@@ -198,4 +204,4 @@ race-refit:
 	$(GO) test -race -run 'ClosedForm' \
 		./internal/online/ ./internal/bandwidth/
 
-ci: vet orphan-packages staticcheck govulncheck test experiments-check race bench-quick benchstat-query benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-quick bench-cluster-quick
+ci: vet orphan-packages staticcheck govulncheck test experiments-check race bench-quick benchstat-query benchstat-fit benchstat-refit benchstat-hotpath benchstat-serve perfbench-test perfbench-quick bench-cluster-quick

@@ -404,3 +404,41 @@ func TestClientFetchSnapshotParity(t *testing.T) {
 		t.Fatalf("joined replica answered rung %q gen %d; want snapshot rung", res.Rung, res.Generation)
 	}
 }
+
+// TestClientFetchSnapshotOver16MiB pins that a snapshot larger than the
+// request-side 16 MiB frame cap still ships: the envelope of three
+// attributes holding 810,000 sampled values each is over 18 MiB, and the
+// fetched bytes equal the server's own.
+func TestClientFetchSnapshotOver16MiB(t *testing.T) {
+	const attrs, values = 3, 810_000
+	ts := startService(t, server.Options{MaxBatch: values, QueueCap: values})
+	ctx := context.Background()
+	vals := make([]float64, values)
+	for i := range vals {
+		vals[i] = float64(i) / values
+	}
+	inserted := insertedSince()
+	for i := 0; i < attrs; i++ {
+		// A reservoir that never fills holds every value and fits nothing.
+		cfg := server.AttrConfig{DomainLo: 0, DomainHi: 1, ReservoirSize: 1 << 20, Seed: uint64(i)}
+		if err := ts.srv.CreateAttr("acme", fmt.Sprint("v", i), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.srv.Ingest("acme", fmt.Sprint("v", i), vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the ingests to drain", func() bool { return inserted() >= attrs*values })
+
+	fetched, err := ts.client(t).FetchSnapshot(ctx)
+	if err != nil {
+		t.Fatalf("fetch: %v", err)
+	}
+	own, err := ts.srv.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(own) <= 18<<20 || !bytes.Equal(fetched, own) {
+		t.Fatalf("fetched %d bytes, server's own snapshot %d (want equal and over 18 MiB)", len(fetched), len(own))
+	}
+}

@@ -63,9 +63,6 @@ type Options struct {
 	// of inheriting a dead socket. Zero defaults to 15s; negative
 	// disables the checker.
 	HealthCheckEvery time.Duration
-	// MaxPayload bounds a received frame's payload. Zero defaults to
-	// the protocol's 16 MiB.
-	MaxPayload int
 }
 
 func (o Options) withDefaults() Options {
@@ -101,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HealthCheckEvery == 0 {
 		o.HealthCheckEvery = 15 * time.Second
-	}
-	if o.MaxPayload == 0 {
-		o.MaxPayload = 16 << 20
 	}
 	return o
 }
@@ -148,9 +142,6 @@ func (o *Options) Validate() error {
 		if d.v < 0 {
 			return bad("%s %v must be non-negative", d.name, d.v)
 		}
-	}
-	if o.MaxPayload < 0 {
-		return bad("MaxPayload %d must be non-negative", o.MaxPayload)
 	}
 	return nil
 }

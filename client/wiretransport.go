@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -111,10 +112,9 @@ func (t *wireTransport) conn(ctx context.Context) (*wireConn, error) {
 	}
 	t.dials.Add(1)
 	wc := &wireConn{
-		c:          nc,
-		bw:         bufio.NewWriterSize(nc, 64<<10),
-		pending:    map[uint64]chan wireResp{},
-		maxPayload: uint32(t.opts.MaxPayload),
+		c:       nc,
+		bw:      bufio.NewWriterSize(nc, 64<<10),
+		pending: map[uint64]chan wireResp{},
 	}
 	wc.touch()
 	go wc.readLoop()
@@ -307,10 +307,9 @@ type wireConn struct {
 	isDead  bool
 	err     error
 
-	nextID     atomic.Uint64
-	dead       atomic.Bool
-	lastUsed   atomic.Int64
-	maxPayload uint32
+	nextID   atomic.Uint64
+	dead     atomic.Bool
+	lastUsed atomic.Int64
 }
 
 func (wc *wireConn) touch() { wc.lastUsed.Store(time.Now().UnixNano()) }
@@ -341,7 +340,10 @@ func (wc *wireConn) readLoop() {
 	br := bufio.NewReaderSize(wc.c, 64<<10)
 	var buf []byte
 	for {
-		fr, b, err := wire.ReadFrame(br, wc.maxPayload, buf)
+		// A reply is bounded by its frame's own 32-bit length field, not
+		// by the request-side cap: a snapshot_fetch reply carries the
+		// whole service, and ReadFrame holds memory only as bytes arrive.
+		fr, b, err := wire.ReadFrame(br, math.MaxUint32, buf)
 		if err != nil {
 			wc.fail(fmt.Errorf("client: connection read: %w", err))
 			return

@@ -131,9 +131,6 @@ func main() {
 		MaxBatch:        *maxBatch,
 		GlobalRate:      *globalRate,
 		GlobalBurst:     *globalBurst,
-		SnapshotPath:    *snapshotPath,
-		HTTPAddr:        *addr,
-		WireAddr:        *wireAddr,
 	})
 	if err != nil {
 		log.Fatalf("configuration: %v", err)

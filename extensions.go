@@ -26,13 +26,13 @@ func NewAdaptive(base Estimator, lo, hi float64, cfg AdaptiveConfig) (*Adaptive,
 }
 
 // Online is a self-maintaining estimator over a record stream: it owns a
-// reservoir sample and refits on a cadence and/or when a
-// Kolmogorov–Smirnov drift test fires (the paper's future-work item #2).
+// reservoir sample and refits once the reservoir fills, then on a
+// cadence (the paper's future-work item #2).
 type Online = online.Estimator
 
-// OnlineConfig tunes the online estimator (reservoir size, refit cadence,
-// drift detection). The zero value applies the paper's 2,000-record
-// sample size.
+// OnlineConfig tunes the online estimator: reservoir size, refit
+// cadence, the reservoir's seed and fallback builders. The zero value
+// applies the paper's 2,000-record sample size.
 type OnlineConfig = online.Config
 
 // NewOnline returns an online estimator that refits by calling Build with

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"selest/internal/kde"
-	"selest/internal/kernel"
 )
 
 func TestBuildBetaKernel(t *testing.T) {
@@ -55,18 +54,6 @@ func TestClosedFormRulesRejectHistograms(t *testing.T) {
 		if !errors.Is(err, ErrBadOption) {
 			t.Fatalf("rule %s on histogram: err = %v, want ErrBadOption", rule, err)
 		}
-	}
-}
-
-func TestBetaKernelRejectsOtherKernels(t *testing.T) {
-	samples := testSamples(200, 14)
-	_, err := Build(samples, Options{Method: BetaKernel, Kernel: kernel.Biweight{}, DomainLo: 0, DomainHi: 1000})
-	if !errors.Is(err, ErrBadOption) {
-		t.Fatalf("beta-kernel with biweight: err = %v, want ErrBadOption", err)
-	}
-	// The explicit Epanechnikov spelling stays valid.
-	if _, err := Build(samples, Options{Method: BetaKernel, Kernel: kernel.Epanechnikov{}, DomainLo: 0, DomainHi: 1000}); err != nil {
-		t.Fatalf("beta-kernel with explicit epanechnikov: %v", err)
 	}
 }
 

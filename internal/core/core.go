@@ -68,7 +68,7 @@ const (
 	Kernel Method = "kernel"
 	// BetaKernel is the beta-kernel estimator (extension): a renormalized
 	// Epanechnikov estimator on the bounded domain whose closed-form
-	// bandwidth rules make refits sort-dominated. Epanechnikov only.
+	// bandwidth rules make refits sort-dominated.
 	BetaKernel Method = "beta-kernel"
 	// VariableKernel is sample-point adaptive kernel estimation
 	// (Abramson's square-root law; extension beyond the paper).
@@ -91,8 +91,8 @@ const (
 	// NormalScale is the paper's normal scale rule (§4.1/§4.2 — the
 	// default).
 	NormalScale BandwidthRule = "normal-scale"
-	// DPI is the direct plug-in rule (§4.3); Options.DPISteps sets the
-	// iteration count (default 2, the paper's choice).
+	// DPI is the direct plug-in rule (§4.3) with two iteration steps,
+	// the paper's choice.
 	DPI BandwidthRule = "dpi"
 	// LSCV is least-squares cross-validation (extension).
 	LSCV BandwidthRule = "lscv"
@@ -105,10 +105,11 @@ const (
 )
 
 // Options configures Build. The zero value plus a domain builds a kernel
-// estimator with the Epanechnikov kernel and the normal scale rule, and
-// no boundary treatment (Boundary's zero value is kde.BoundaryNone); the
-// paper's best kernel configuration sets Boundary to
-// kde.BoundaryKernels.
+// estimator with the normal scale rule and no boundary treatment
+// (Boundary's zero value is kde.BoundaryNone); the paper's best kernel
+// configuration sets Boundary to kde.BoundaryKernels. Every kernel
+// method smooths with the Epanechnikov kernel (§3.2), and the hybrid
+// takes package hybrid's defaults.
 type Options struct {
 	// Method selects the estimator; empty defaults to Kernel.
 	Method Method
@@ -118,37 +119,33 @@ type Options struct {
 	// Bins fixes the number of histogram bins; 0 derives it from the
 	// bin-width rule. Ignored by non-histogram methods.
 	Bins int
-	// MaxBins caps rule-derived bin counts (0 = 8192, a safety net for
-	// degenerate scale estimates). Ignored when Bins is set.
-	MaxBins int
-	// ASHShifts sets the number of shifted histograms for ASH
-	// (0 = 10, the paper's figure-12 configuration).
-	ASHShifts int
-	// Singletons sets the number of exact singleton buckets for the
-	// end-biased histogram (0 = 16).
-	Singletons int
-	// WaveletCoefficients sets the synopsis size of the wavelet estimator
-	// (0 = 64).
-	WaveletCoefficients int
 
 	// Bandwidth fixes the kernel bandwidth; 0 derives it from Rule.
 	Bandwidth float64
 	// Rule selects the smoothing-parameter rule when Bins/Bandwidth are
 	// derived; empty defaults to NormalScale.
 	Rule BandwidthRule
-	// DPISteps is the DPI iteration count; 0 defaults to 2.
-	DPISteps int
-	// Kernel selects the kernel function; nil defaults to Epanechnikov.
-	Kernel kernel.Kernel
 	// Boundary selects the kernel boundary treatment; the zero value is
 	// kde.BoundaryNone. The paper's best kernel configuration uses
 	// kde.BoundaryKernels.
 	Boundary kde.BoundaryMode
-
-	// HybridConfig tunes the hybrid estimator; the zero value applies the
-	// defaults of package hybrid.
-	HybridConfig hybrid.Config
 }
+
+// The fixed settings of the methods that Options does not parameterise.
+const (
+	// maxBins caps rule-derived bin counts: a safety net for degenerate
+	// scale estimates.
+	maxBins = 8192
+	// ashShifts is the number of shifted histograms ASH averages, the
+	// paper's figure-12 configuration.
+	ashShifts = 10
+	// singletons is the number of exact singleton buckets of the
+	// end-biased histogram.
+	singletons = 16
+	// dpiSteps is the DPI iteration count (§4.3: "two or three iteration
+	// steps are sufficient").
+	dpiSteps = 2
+)
 
 // Build constructs the estimator described by opts from the sample set.
 // Structural failures wrap the typed sentinel errors (ErrEmptySample,
@@ -277,27 +274,15 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		if err != nil {
 			return nil, err
 		}
-		singles := opts.Singletons
-		if singles == 0 {
-			singles = 16
-		}
-		return histogram.BuildEndBiased(samples, singles, k, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildEndBiased(samples, singletons, k, opts.DomainLo, opts.DomainHi)
 	case Wavelet:
-		return wavelet.New(samples, wavelet.Config{
-			Coefficients: opts.WaveletCoefficients,
-			DomainLo:     opts.DomainLo,
-			DomainHi:     opts.DomainHi,
-		})
+		return wavelet.New(samples, wavelet.Config{DomainLo: opts.DomainLo, DomainHi: opts.DomainHi})
 	case ASH:
 		k, err := binCount(samples, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		shifts := opts.ASHShifts
-		if shifts == 0 {
-			shifts = 10
-		}
-		return histogram.BuildASH(samples, k, shifts, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildASH(samples, k, ashShifts, opts.DomainLo, opts.DomainHi)
 	case FrequencyPolygon:
 		k, err := binCount(samples, opts, method)
 		if err != nil {
@@ -317,7 +302,6 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 			return nil, err
 		}
 		return ctx.NewEstimator(kde.Config{
-			Kernel:    opts.Kernel,
 			Bandwidth: h,
 			Boundary:  opts.Boundary,
 			DomainLo:  opts.DomainLo,
@@ -354,14 +338,13 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 			return nil, err
 		}
 		return kde.NewVariable(samples, kde.VariableConfig{
-			Kernel:         opts.Kernel,
 			PilotBandwidth: h,
 			Reflect:        opts.Boundary != kde.BoundaryNone,
 			DomainLo:       opts.DomainLo,
 			DomainHi:       opts.DomainHi,
 		})
 	case Hybrid:
-		return hybrid.New(samples, opts.DomainLo, opts.DomainHi, opts.HybridConfig)
+		return hybrid.New(samples, opts.DomainLo, opts.DomainHi, hybrid.Config{})
 	default:
 		return nil, fmt.Errorf("core: unknown method %q (valid: %s): %w", method, methodNames(), ErrBadOption)
 	}
@@ -374,10 +357,6 @@ func binCount(sorted []float64, opts Options, method Method) (int, error) {
 	if opts.Bins > 0 {
 		recordBins(method, opts.Bins)
 		return opts.Bins, nil
-	}
-	maxBins := opts.MaxBins
-	if maxBins == 0 {
-		maxBins = 8192
 	}
 	rule := opts.Rule
 	if rule == "" {
@@ -393,7 +372,7 @@ func binCount(sorted []float64, opts Options, method Method) (int, error) {
 	case DPI:
 		var ctx *kde.FitContext
 		if ctx, err = kde.NewFitContextSorted(sorted); err == nil {
-			width, err = bandwidth.DPIBinWidthContext(ctx, opts.dpiSteps(), opts.DomainLo, opts.DomainHi)
+			width, err = bandwidth.DPIBinWidthContext(ctx, dpiSteps, opts.DomainLo, opts.DomainHi)
 		}
 	case LSCV, BetaClosedForm, ExactMISE:
 		return 0, fmt.Errorf("core: %s selects kernel bandwidths, not bin counts: %w", rule, ErrBadOption)
@@ -416,10 +395,7 @@ func kernelBandwidth(ctx *kde.FitContext, opts Options, method Method) (float64,
 		recordBandwidth(method, opts.Bandwidth)
 		return opts.Bandwidth, nil
 	}
-	k := opts.Kernel
-	if k == nil {
-		k = kernel.Epanechnikov{}
-	}
+	k := kernel.Epanechnikov{}
 	rule := opts.Rule
 	if rule == "" {
 		rule = NormalScale
@@ -432,7 +408,7 @@ func kernelBandwidth(ctx *kde.FitContext, opts Options, method Method) (float64,
 	case NormalScale:
 		h, err = bandwidth.NormalScaleBandwidthSorted(ctx.Sorted(), k)
 	case DPI:
-		h, err = bandwidth.DPIBandwidthContext(ctx, k, opts.dpiSteps(), opts.DomainLo, opts.DomainHi)
+		h, err = bandwidth.DPIBandwidthContext(ctx, k, dpiSteps, opts.DomainLo, opts.DomainHi)
 	case LSCV:
 		span := opts.DomainHi - opts.DomainLo
 		h, err = bandwidth.LSCVBandwidthSorted(ctx.Sorted(), k, span/1e4, span/2, 48, 0)
@@ -448,12 +424,4 @@ func kernelBandwidth(ctx *kde.FitContext, opts Options, method Method) (float64,
 	}
 	recordBandwidth(method, h)
 	return h, nil
-}
-
-// dpiSteps returns the DPI iteration count, defaulting to 2.
-func (o Options) dpiSteps() int {
-	if o.DPISteps == 0 {
-		return 2
-	}
-	return o.DPISteps
 }

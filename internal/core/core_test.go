@@ -7,7 +7,6 @@ import (
 
 	"selest/internal/fsort"
 	"selest/internal/kde"
-	"selest/internal/kernel"
 	"selest/internal/xrand"
 )
 
@@ -105,29 +104,6 @@ func TestBuildRules(t *testing.T) {
 		if h <= 0 || h > 500 {
 			t.Fatalf("rule %s: implausible bandwidth %v", rule, h)
 		}
-	}
-}
-
-func TestBuildKernelChoice(t *testing.T) {
-	samples := testSamples(500, 6)
-	est, err := Build(samples, Options{Method: Kernel, Kernel: kernel.Biweight{}, DomainLo: 0, DomainHi: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.(*kde.Estimator).Kernel().Name() != "biweight" {
-		t.Fatal("kernel choice not honoured")
-	}
-}
-
-func TestBuildASHShifts(t *testing.T) {
-	samples := testSamples(500, 7)
-	est, err := Build(samples, Options{Method: ASH, ASHShifts: 4, DomainLo: 0, DomainHi: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type shifted interface{ Shifts() int }
-	if s, ok := est.(shifted); !ok || s.Shifts() != 4 {
-		t.Fatal("ASH shifts not honoured")
 	}
 }
 

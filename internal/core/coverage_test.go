@@ -52,18 +52,6 @@ func TestBuildDPIRuleForHistogram(t *testing.T) {
 	}
 }
 
-func TestBuildMaxBinsCap(t *testing.T) {
-	samples := testSamples(2000, 21)
-	est, err := Build(samples, Options{Method: EquiWidth, MaxBins: 5, DomainLo: 0, DomainHi: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type binned interface{ Bins() int }
-	if b := est.(binned).Bins(); b > 5 {
-		t.Fatalf("MaxBins not honoured: %d bins", b)
-	}
-}
-
 func TestBuildVariableKernelBoundary(t *testing.T) {
 	samples := testSamples(500, 22)
 	// BoundaryKernels maps to reflection for the variable-kernel method
@@ -74,30 +62,6 @@ func TestBuildVariableKernelBoundary(t *testing.T) {
 	}
 	if s := est.Selectivity(0, 1000); s < 0.95 {
 		t.Fatalf("whole-domain σ̂ = %v", s)
-	}
-}
-
-func TestBuildEndBiasedSingletons(t *testing.T) {
-	samples := append(testSamples(500, 23), 777, 777, 777, 777, 777)
-	est, err := Build(samples, Options{Method: EndBiased, Singletons: 3, DomainLo: 0, DomainHi: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type single interface{ Singletons() int }
-	if s := est.(single).Singletons(); s != 3 {
-		t.Fatalf("Singletons = %d, want 3", s)
-	}
-}
-
-func TestBuildWaveletCoefficients(t *testing.T) {
-	samples := testSamples(500, 24)
-	est, err := Build(samples, Options{Method: Wavelet, WaveletCoefficients: 16, DomainLo: 0, DomainHi: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type coeff interface{ Coefficients() int }
-	if c := est.(coeff).Coefficients(); c > 16 {
-		t.Fatalf("Coefficients = %d", c)
 	}
 }
 

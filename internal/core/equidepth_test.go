@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"selest/internal/bandwidth"
@@ -108,24 +109,12 @@ func TestEquiDepthBuildMatchesTwoSortPath(t *testing.T) {
 	}
 }
 
-// checkSameHistogram pins got to want: the same bounds bit for bit and
-// the same bin counts.
+// checkSameHistogram pins got to want field by field: reflect.DeepEqual
+// reads the unexported bounds, bin counts, kind and sample size.
 func checkSameHistogram(t *testing.T, label string, got, want *histogram.Histogram) {
 	t.Helper()
-	wb, gb := want.Bounds(), got.Bounds()
-	if len(wb) != len(gb) {
-		t.Fatalf("%s: %d bounds, want %d", label, len(gb), len(wb))
-	}
-	for i := range wb {
-		if math.Float64bits(wb[i]) != math.Float64bits(gb[i]) {
-			t.Fatalf("%s: bound %d = %v, want %v", label, i, gb[i], wb[i])
-		}
-	}
-	wc, gc := want.Counts(), got.Counts()
-	for i := range wc {
-		if wc[i] != gc[i] {
-			t.Fatalf("%s: bin %d count %d, want %d", label, i, gc[i], wc[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: histogram %+v, want %+v", label, *got, *want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"selest/internal/errs"
-	"selest/internal/kernel"
 )
 
 // The typed build errors. Build and the robust ladder wrap these with
@@ -56,36 +55,11 @@ func (o Options) Validate() error {
 	if o.Bins < 0 {
 		return fmt.Errorf("bins %d is negative: %w", o.Bins, ErrBadOption)
 	}
-	if o.MaxBins < 0 {
-		return fmt.Errorf("max bins %d is negative: %w", o.MaxBins, ErrBadOption)
-	}
-	if o.ASHShifts < 0 {
-		return fmt.Errorf("ASH shifts %d is negative: %w", o.ASHShifts, ErrBadOption)
-	}
-	if o.Singletons < 0 {
-		return fmt.Errorf("singletons %d is negative: %w", o.Singletons, ErrBadOption)
-	}
-	if o.WaveletCoefficients < 0 {
-		return fmt.Errorf("wavelet coefficients %d is negative: %w", o.WaveletCoefficients, ErrBadOption)
-	}
-	if o.DPISteps < 0 {
-		return fmt.Errorf("DPI steps %d is negative: %w", o.DPISteps, ErrBadOption)
-	}
 	if o.Bandwidth < 0 || math.IsNaN(o.Bandwidth) || math.IsInf(o.Bandwidth, 0) {
 		return fmt.Errorf("bandwidth %v is not a non-negative finite value: %w", o.Bandwidth, ErrBadOption)
 	}
 	if KernelOnlyRule(o.Rule) && o.Bins == 0 && isHistogramMethod(o.Method) {
 		return fmt.Errorf("%s selects kernel bandwidths, not bin counts (method %s): %w", o.Rule, o.Method, ErrBadOption)
-	}
-	if o.Method == BetaKernel {
-		if _, ok := o.Kernel.(kernel.Epanechnikov); o.Kernel != nil && !ok {
-			return fmt.Errorf("beta-kernel serves the Epanechnikov kernel only (got %s): %w", o.Kernel.Name(), ErrBadOption)
-		}
-	}
-	if o.Method == Hybrid {
-		if err := o.HybridConfig.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

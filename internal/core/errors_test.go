@@ -55,18 +55,9 @@ func TestValidateOptionErrors(t *testing.T) {
 		{"unknown-method", func(o *Options) { o.Method = "bogus" }},
 		{"unknown-rule", func(o *Options) { o.Rule = "bogus" }},
 		{"negative-bins", func(o *Options) { o.Bins = -1 }},
-		{"negative-max-bins", func(o *Options) { o.MaxBins = -1 }},
-		{"negative-ash-shifts", func(o *Options) { o.ASHShifts = -1 }},
-		{"negative-singletons", func(o *Options) { o.Singletons = -1 }},
-		{"negative-wavelet", func(o *Options) { o.WaveletCoefficients = -1 }},
-		{"negative-dpi-steps", func(o *Options) { o.DPISteps = -1 }},
 		{"negative-bandwidth", func(o *Options) { o.Bandwidth = -1 }},
 		{"nan-bandwidth", func(o *Options) { o.Bandwidth = math.NaN() }},
 		{"lscv-histogram", func(o *Options) { o.Rule = LSCV; o.Method = EquiWidth }},
-		{"hybrid-negative-changepoints", func(o *Options) { o.Method = Hybrid; o.HybridConfig.MaxChangePoints = -1 }},
-		{"hybrid-negative-minbinfraction", func(o *Options) { o.Method = Hybrid; o.HybridConfig.MinBinFraction = -0.1 }},
-		{"hybrid-minbinfraction-one", func(o *Options) { o.Method = Hybrid; o.HybridConfig.MinBinFraction = 1 }},
-		{"hybrid-negative-gridsize", func(o *Options) { o.Method = Hybrid; o.HybridConfig.GridSize = -4 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,8 +63,5 @@ func (a *ASH) Density(x float64) float64 {
 	return sum / float64(len(a.shifts))
 }
 
-// Shifts returns the number of component histograms m.
-func (a *ASH) Shifts() int { return len(a.shifts) }
-
 // Name identifies the estimator in experiment output.
 func (a *ASH) Name() string { return "ash" }

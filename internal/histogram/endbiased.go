@@ -108,17 +108,8 @@ func (e *EndBiased) Selectivity(a, b float64) float64 {
 	return sum
 }
 
-// Singletons returns the number of singleton buckets.
-func (e *EndBiased) Singletons() int { return len(e.singles) }
-
 // SampleSize returns the number of samples.
 func (e *EndBiased) SampleSize() int { return e.n }
 
 // Name identifies the estimator in experiment output.
 func (e *EndBiased) Name() string { return "end-biased" }
-
-// SingletonMass returns the total mass fraction held by singletons — a
-// diagnostic for how duplicate-heavy the attribute is.
-func (e *EndBiased) SingletonMass() float64 {
-	return 1 - e.restPor
-}

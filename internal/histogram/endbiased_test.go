@@ -48,11 +48,11 @@ func TestEndBiasedSingletonsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Singletons() != 2 {
-		t.Fatalf("Singletons = %d", e.Singletons())
+	if len(e.singles) != 2 {
+		t.Fatalf("singletons = %d", len(e.singles))
 	}
-	if e.SingletonMass() < 0.7 {
-		t.Fatalf("SingletonMass = %v, want ~0.75", e.SingletonMass())
+	if 1-e.restPor < 0.7 {
+		t.Fatalf("singleton mass = %v, want ~0.75", 1-e.restPor)
 	}
 	// A point query on the heavy value is answered exactly from the sample.
 	var exact float64
@@ -112,8 +112,8 @@ func TestEndBiasedAllSingletons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Singletons() != 3 {
-		t.Fatalf("Singletons = %d, want 3", e.Singletons())
+	if len(e.singles) != 3 {
+		t.Fatalf("singletons = %d, want 3", len(e.singles))
 	}
 	if got := e.Selectivity(0, 10); !xmath.AlmostEqual(got, 1, 1e-12) {
 		t.Fatalf("whole-domain σ̂ = %v", got)

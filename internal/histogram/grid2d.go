@@ -112,9 +112,6 @@ func clampIdx(i, k int) int {
 	return i
 }
 
-// Cells returns the grid dimensions.
-func (g *Grid2D) Cells() (kx, ky int) { return g.kx, g.ky }
-
 // SampleSize returns the number of samples.
 func (g *Grid2D) SampleSize() int { return g.n }
 

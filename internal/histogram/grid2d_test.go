@@ -32,8 +32,8 @@ func TestGrid2DExactCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kx, ky := g.Cells(); kx != 2 || ky != 2 {
-		t.Fatalf("Cells = %d×%d", kx, ky)
+	if g.kx != 2 || g.ky != 2 {
+		t.Fatalf("cells = %d×%d", g.kx, g.ky)
 	}
 	// One full quadrant = 1/4 of the mass.
 	if got := g.Selectivity(0, 1, 0, 1); !xmath.AlmostEqual(got, 0.25, 1e-12) {

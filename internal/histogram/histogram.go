@@ -77,9 +77,6 @@ func (h *Histogram) binOf(x float64) int {
 	return i - 1
 }
 
-// Kind returns the histogram policy name ("equi-width", …).
-func (h *Histogram) Kind() string { return h.kind }
-
 // Name identifies the estimator in experiment output.
 func (h *Histogram) Name() string { return h.kind }
 
@@ -88,11 +85,6 @@ func (h *Histogram) Bins() int { return len(h.counts) }
 
 // SampleSize returns the number of samples the histogram was built from.
 func (h *Histogram) SampleSize() int { return h.n }
-
-// Bounds returns a copy of the bin boundaries.
-func (h *Histogram) Bounds() []float64 {
-	return append([]float64(nil), h.bounds...)
-}
 
 // Counts returns a copy of the per-bin counts.
 func (h *Histogram) Counts() []int {

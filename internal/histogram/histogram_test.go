@@ -24,8 +24,8 @@ func TestEquiWidthBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Bins() != 4 || h.SampleSize() != 5 || h.Kind() != "equi-width" {
-		t.Fatalf("basics wrong: bins=%d n=%d kind=%s", h.Bins(), h.SampleSize(), h.Kind())
+	if h.Bins() != 4 || h.SampleSize() != 5 || h.kind != "equi-width" {
+		t.Fatalf("basics wrong: bins=%d n=%d kind=%s", h.Bins(), h.SampleSize(), h.kind)
 	}
 	counts := h.Counts()
 	want := []int{1, 2, 1, 1}
@@ -117,8 +117,8 @@ func TestEquiDepthBalancedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind() != "equi-depth" {
-		t.Fatalf("kind = %s", h.Kind())
+	if h.kind != "equi-depth" {
+		t.Fatalf("kind = %s", h.kind)
 	}
 	for i, c := range h.Counts() {
 		if math.Abs(float64(c)-1000) > 60 {
@@ -171,7 +171,7 @@ func TestMaxDiffSplitsAtLargestGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := h.Bounds()
+	bounds := h.bounds
 	if len(bounds) != 3 {
 		t.Fatalf("bounds = %v", bounds)
 	}
@@ -198,8 +198,8 @@ func TestUniformEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind() != "uniform" || h.Bins() != 1 {
-		t.Fatalf("uniform kind/bins = %s/%d", h.Kind(), h.Bins())
+	if h.kind != "uniform" || h.Bins() != 1 {
+		t.Fatalf("uniform kind/bins = %s/%d", h.kind, h.Bins())
 	}
 	// Uniform assumption: σ̂ proportional to range width.
 	if got := h.Selectivity(0, 5); !xmath.AlmostEqual(got, 0.5, 1e-12) {
@@ -217,8 +217,8 @@ func TestASH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Shifts() != 10 || a.Name() != "ash" {
-		t.Fatalf("Shifts/Name = %d/%s", a.Shifts(), a.Name())
+	if len(a.shifts) != 10 || a.Name() != "ash" {
+		t.Fatalf("shifts/name = %d/%s", len(a.shifts), a.Name())
 	}
 	// 10% interior query on uniform data.
 	if got := a.Selectivity(40, 50); math.Abs(got-0.1) > 0.02 {
@@ -295,8 +295,8 @@ func TestVOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Kind() != "v-optimal" {
-		t.Fatalf("kind = %s", h.Kind())
+	if h.kind != "v-optimal" {
+		t.Fatalf("kind = %s", h.kind)
 	}
 	// The empty middle should be carved out: selectivity of (2, 8) ≈ 0.
 	if got := h.Selectivity(2, 8); got > 0.02 {

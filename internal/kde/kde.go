@@ -229,9 +229,6 @@ func (e *Estimator) Bandwidth() float64 { return e.h }
 // Kernel returns the smoothing kernel.
 func (e *Estimator) Kernel() kernel.Kernel { return e.k }
 
-// Mode returns the boundary treatment.
-func (e *Estimator) Mode() BoundaryMode { return e.mode }
-
 // SampleSize returns the number of (original) samples.
 func (e *Estimator) SampleSize() int { return e.n }
 

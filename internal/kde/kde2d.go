@@ -21,16 +21,15 @@ type Estimator2D struct {
 	xs, ys []float64 // paired samples, in insertion order
 	n      int
 	hx, hy float64
-	k      kernel.Kernel
+	k      kernel.Epanechnikov
 	// Optional reflection domain; reflect is false when unset.
 	reflect            bool
 	loX, hiX, loY, hiY float64
 }
 
-// Config2D parameterises a two-dimensional kernel estimator.
+// Config2D parameterises a two-dimensional kernel estimator. Its
+// per-axis kernel is the Epanechnikov.
 type Config2D struct {
-	// Kernel is the per-axis smoothing kernel; nil defaults to Epanechnikov.
-	Kernel kernel.Kernel
 	// BandwidthX and BandwidthY are the per-axis smoothing parameters.
 	BandwidthX, BandwidthY float64
 	// Reflect enables per-axis sample reflection at the given domain.
@@ -46,10 +45,6 @@ func New2D(xs, ys []float64, cfg Config2D) (*Estimator2D, error) {
 	if cfg.BandwidthX <= 0 || cfg.BandwidthY <= 0 {
 		return nil, fmt.Errorf("kde: 2-D bandwidths must be positive, got (%v, %v)", cfg.BandwidthX, cfg.BandwidthY)
 	}
-	k := cfg.Kernel
-	if k == nil {
-		k = kernel.Epanechnikov{}
-	}
 	if cfg.Reflect && (cfg.LoX >= cfg.HiX || cfg.LoY >= cfg.HiY) {
 		return nil, fmt.Errorf("kde: 2-D reflection needs proper domains")
 	}
@@ -58,7 +53,6 @@ func New2D(xs, ys []float64, cfg Config2D) (*Estimator2D, error) {
 		ys: append([]float64(nil), ys...),
 		n:  len(xs),
 		hx: cfg.BandwidthX, hy: cfg.BandwidthY,
-		k:       k,
 		reflect: cfg.Reflect,
 		loX:     cfg.LoX, hiX: cfg.HiX, loY: cfg.LoY, hiY: cfg.HiY,
 	}, nil

@@ -255,7 +255,7 @@ func TestAccessors(t *testing.T) {
 	if e.Kernel().Name() != "epanechnikov" {
 		t.Fatal("default kernel should be Epanechnikov")
 	}
-	if e.Mode() != BoundaryNone {
+	if e.mode != BoundaryNone {
 		t.Fatal("default mode should be none")
 	}
 	if e.Name() != "kernel(epanechnikov,none)" {

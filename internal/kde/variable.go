@@ -25,7 +25,7 @@ type VariableEstimator struct {
 	hs     []float64 // per-sample bandwidths, parallel to sorted
 	maxH   float64
 	n      int
-	k      kernel.Kernel
+	k      kernel.Epanechnikov
 	lo, hi float64
 	// reflect mirrors boundary-adjacent samples (with their bandwidths).
 	reflect     bool
@@ -35,10 +35,9 @@ type VariableEstimator struct {
 	sensitivity float64
 }
 
-// VariableConfig parameterises a variable-bandwidth estimator.
+// VariableConfig parameterises a variable-bandwidth estimator. Its
+// kernel is the Epanechnikov.
 type VariableConfig struct {
-	// Kernel is the smoothing kernel; nil defaults to Epanechnikov.
-	Kernel kernel.Kernel
 	// PilotBandwidth is the fixed bandwidth of the pilot estimate and the
 	// base factor h of the per-sample bandwidths. It must be positive
 	// (use the normal scale rule).
@@ -60,10 +59,6 @@ func NewVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, err
 	if cfg.PilotBandwidth <= 0 || math.IsNaN(cfg.PilotBandwidth) || math.IsInf(cfg.PilotBandwidth, 0) {
 		return nil, fmt.Errorf("kde: pilot bandwidth must be positive and finite, got %v", cfg.PilotBandwidth)
 	}
-	k := cfg.Kernel
-	if k == nil {
-		k = kernel.Epanechnikov{}
-	}
 	alpha := cfg.Sensitivity
 	if alpha == 0 {
 		alpha = 0.5
@@ -78,7 +73,6 @@ func NewVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, err
 	e := &VariableEstimator{
 		sorted:      append([]float64(nil), samples...),
 		n:           len(samples),
-		k:           k,
 		lo:          cfg.DomainLo,
 		hi:          cfg.DomainHi,
 		reflect:     cfg.Reflect,
@@ -91,7 +85,7 @@ func NewVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, err
 	}
 
 	// Pilot: fixed-bandwidth estimate at the samples themselves.
-	pilotCfg := Config{Kernel: k, Bandwidth: cfg.PilotBandwidth}
+	pilotCfg := Config{Bandwidth: cfg.PilotBandwidth}
 	if cfg.Reflect {
 		pilotCfg.Boundary = BoundaryReflect
 		pilotCfg.DomainLo, pilotCfg.DomainHi = cfg.DomainLo, cfg.DomainHi

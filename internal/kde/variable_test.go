@@ -53,7 +53,7 @@ func TestVariableBandwidthsAdapt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := e.Bandwidths()
+	hs := e.hs
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	// Mean bandwidth inside the sharp cluster must be well below the mean
@@ -181,7 +181,7 @@ func TestVariableAccessors(t *testing.T) {
 	if e.Name() != "variable-kernel(epanechnikov)" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if len(e.Bandwidths()) != 3 {
+	if len(e.hs) != 3 {
 		t.Fatal("Bandwidths wrong length")
 	}
 }

@@ -2,7 +2,6 @@ package online
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -178,53 +177,6 @@ func TestDegradationLadderExhausted(t *testing.T) {
 	}
 	if got := e.Selectivity(0, 49); got != before {
 		t.Fatalf("serving fit changed across a failing ladder: %v -> %v", before, got)
-	}
-}
-
-// TestDriftRefitDrainedReservoir drains the reservoir mid-stream and then
-// lets the drift detector trigger a refit from the few post-drain
-// records: the builder rejects the tiny sample, and the old fit serves.
-func TestDriftRefitDrainedReservoir(t *testing.T) {
-	build := func(samples []float64) (Fitted, error) {
-		if len(samples) < 32 {
-			return nil, fmt.Errorf("need >= 32 samples, got %d", len(samples))
-		}
-		return sample.NewPureEstimator(samples), nil
-	}
-	e, err := New(build, Config{
-		ReservoirSize:   64,
-		RefitEvery:      -1, // drift-only refits
-		DriftAlpha:      0.5,
-		DriftCheckEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, e, 0, 64) // first fit from values 0..63
-	if e.Refits() != 1 {
-		t.Fatalf("refits = %d, want 1", e.Refits())
-	}
-	before := e.Selectivity(0, 63)
-
-	e.ResetReservoir()
-	// Far-shifted records: the KS statistic against the old fit sample is
-	// 1, far above any critical value, forcing a refit from the drained
-	// (tiny) reservoir.
-	lastErr := feed(t, e, 100000, 8)
-	if lastErr == nil || !strings.Contains(lastErr.Error(), "need >= 32 samples") {
-		t.Fatalf("drift refit on drained reservoir should fail in the builder, got %v", lastErr)
-	}
-	if got := e.Selectivity(0, 63); got != before {
-		t.Fatalf("drained-reservoir refit changed the serving fit: %v -> %v", before, got)
-	}
-	// Once the reservoir refills past the builder's minimum, the next
-	// drift-triggered refit succeeds and adopts the new distribution.
-	feed(t, e, 100008, 56)
-	if e.Refits() < 2 {
-		t.Fatalf("refits = %d, want >= 2 after reservoir refilled", e.Refits())
-	}
-	if s := e.Selectivity(100000, 200000); s != 1 {
-		t.Fatalf("post-recovery fit should cover the new range, got %v", s)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"selest/internal/sample"
-	"selest/internal/stats"
 	"selest/internal/xrand"
 )
 
@@ -23,9 +22,7 @@ type lockedEstimator struct {
 	mu         sync.RWMutex
 	reservoir  *sample.Reservoir
 	fit        Fitted
-	fitSample  []float64
 	sinceRefit int
-	sinceCheck int
 	refits     int
 	inserts    int
 }
@@ -45,19 +42,11 @@ func (e *lockedEstimator) Insert(v float64) error {
 	e.reservoir.Add(v)
 	e.inserts++
 	e.sinceRefit++
-	e.sinceCheck++
 	switch {
 	case e.fit == nil && e.reservoir.Len() >= e.cfg.ReservoirSize:
 		return e.refitLocked()
 	case e.fit != nil && e.cfg.RefitEvery > 0 && e.sinceRefit >= e.cfg.RefitEvery:
 		return e.refitLocked()
-	case e.fit != nil && e.cfg.DriftAlpha > 0 && e.sinceCheck >= e.cfg.DriftCheckEvery:
-		e.sinceCheck = 0
-		current := e.reservoir.Snapshot()
-		d := stats.KolmogorovSmirnov(e.fitSample, current)
-		if d > stats.KSCriticalValue(e.cfg.DriftAlpha, len(e.fitSample), len(current)) {
-			return e.refitLocked()
-		}
 	}
 	return nil
 }
@@ -78,13 +67,10 @@ func (e *lockedEstimator) refitLocked() error {
 	fit, err := e.builder(smp)
 	if err != nil {
 		e.sinceRefit = 0
-		e.sinceCheck = 0
 		return fmt.Errorf("online: refit (fit kept serving): %w", err)
 	}
 	e.fit = fit
-	e.fitSample = smp
 	e.sinceRefit = 0
-	e.sinceCheck = 0
 	e.refits++
 	return nil
 }

@@ -10,15 +10,13 @@ import (
 // estimator's hot loop, so its counters sit behind the Enabled gate like
 // the kde query hooks; refit events are cold and record unconditionally.
 // Together the series expose the refit economy the workload-aware
-// literature presupposes: how often fits refresh, what triggers them
-// (cadence vs. drift), how often they fail and back off, how far down
-// the fallback ladder serving has degraded, and how hard the reservoir
-// is churning.
+// literature presupposes: how often fits refresh, how often they fail
+// and back off, how far down the fallback ladder serving has degraded,
+// and how hard the reservoir is churning.
 var (
 	onlineInserts      = telemetry.Default.Counter("selest_online_inserts_total")
 	onlineEvictions    = telemetry.Default.Counter("selest_online_reservoir_evictions_total")
 	onlineRefits       = telemetry.Default.Counter("selest_online_refits_total")
-	onlineDriftRefits  = telemetry.Default.Counter("selest_online_drift_refits_total")
 	onlineRefitFails   = telemetry.Default.Counter("selest_online_refit_failures_total")
 	onlineBackoffs     = telemetry.Default.Counter("selest_online_backoffs_total")
 	onlineDegradations = telemetry.Default.Counter("selest_online_degradations_total")
@@ -50,7 +48,7 @@ var (
 // Refit-sort telemetry: how each refit got its sorted sample. The merge
 // path folds the records the reservoir replaced since the last refit
 // into the previous sorted sample; the full path copies and sorts the
-// whole reservoir (the first refit, a reset, or more churn than merging
+// whole reservoir (the first refit, a Restore, or more churn than merging
 // pays for). The histogram counts the admitted and evicted values each
 // merge folded in.
 var (

@@ -3,19 +3,17 @@
 // (applying kernel estimators to online aggregate processing).
 //
 // An Estimator owns a reservoir sample of the stream and a fitted base
-// estimator built from it. Refits happen on a configurable cadence and,
-// independently, whenever a two-sample Kolmogorov–Smirnov test says the
-// reservoir has drifted away from the sample the current fit was built
-// on. Between refits, queries are answered by the existing fit, so the
-// insert path stays O(1) amortised.
+// estimator built from it. Refits happen once the reservoir fills and
+// then on a configurable cadence; between refits, queries are answered
+// by the existing fit, so the insert path stays O(1) amortised.
 //
 // # Serving engine
 //
-// The serve path is lock-free: the current fit, the sample it was built
-// from, and a generation counter live together in one immutable snapshot
-// published through an atomic.Pointer. A query is one atomic load plus
-// the fit's own Selectivity — no locks, no allocations, and no way to
-// observe a fit paired with another fit's sample. Refits build the
+// The serve path is lock-free: the current fit and a generation counter
+// live together in one immutable snapshot published through an
+// atomic.Pointer. A query is one atomic load plus the fit's own
+// Selectivity — no locks, no allocations, and no way to observe a fit
+// paired with another fit's generation. Refits build the
 // replacement estimator entirely off-lock from a sorted view of the
 // reservoir (the reservoir merges the records it replaced since the last
 // view into that view rather than sorting every record again) and
@@ -37,7 +35,6 @@ import (
 	"time"
 
 	"selest/internal/sample"
-	"selest/internal/stats"
 	"selest/internal/telemetry"
 	"selest/internal/xrand"
 )
@@ -50,9 +47,8 @@ type Fitted interface {
 
 // Builder constructs a fresh estimator from the current sample. The
 // samples arrive sorted ascending (in fsort's radix-key order) and are
-// shared: the snapshot keeps them as its drift baseline and the
-// reservoir as the base it merges the next sorted view from, so a
-// builder must not modify them. A fit may alias them.
+// shared: the reservoir keeps them as the base it merges the next sorted
+// view from, so a builder must not modify them. A fit may alias them.
 type Builder func(samples []float64) (Fitted, error)
 
 // Config parameterises an online estimator.
@@ -63,14 +59,6 @@ type Config struct {
 	// RefitEvery triggers a refit after this many inserts. Zero defaults
 	// to 10× the reservoir size; negative disables cadence-based refits.
 	RefitEvery int
-	// DriftAlpha, when positive, enables KS drift detection at the given
-	// significance level: every DriftCheckEvery inserts the reservoir is
-	// compared against the sample behind the current fit and a refit is
-	// forced when the KS statistic exceeds the critical value.
-	DriftAlpha float64
-	// DriftCheckEvery is the cadence of drift checks. Zero defaults to
-	// the reservoir size.
-	DriftCheckEvery int
 	// Seed drives the reservoir's RNG.
 	Seed uint64
 
@@ -99,19 +87,14 @@ func (c *Config) applyDefaults() {
 	if c.RefitEvery == 0 {
 		c.RefitEvery = 10 * c.ReservoirSize
 	}
-	if c.DriftCheckEvery == 0 {
-		c.DriftCheckEvery = c.ReservoirSize
-	}
 }
 
-// snapshot is the immutable unit of publication: a fit, the sample it
-// was built from, and the generation that produced it. Snapshots are
-// never mutated after the atomic swap, so a reader holding one sees a
-// consistent (fit, fitSample, generation) triple no matter how many
-// refits land while it works.
+// snapshot is the immutable unit of publication: a fit and the
+// generation that produced it. Snapshots are never mutated after the
+// atomic swap, so a reader holding one sees a consistent (fit,
+// generation) pair no matter how many refits land while it works.
 type snapshot struct {
 	fit        Fitted
-	fitSample  []float64
 	generation uint64
 }
 
@@ -136,7 +119,6 @@ type Estimator struct {
 
 	inserts    atomic.Int64
 	sinceRefit atomic.Int64
-	sinceCheck atomic.Int64
 
 	// refitSlot is the single-flight guard: a 1-slot semaphore whose
 	// holder is the one goroutine building a replacement snapshot.
@@ -167,9 +149,6 @@ func New(build Builder, cfg Config) (*Estimator, error) {
 	if cfg.ReservoirSize < 2 {
 		return nil, fmt.Errorf("online: reservoir size %d too small", cfg.ReservoirSize)
 	}
-	if cfg.DriftAlpha < 0 || cfg.DriftAlpha >= 1 {
-		return nil, fmt.Errorf("online: drift alpha %v outside [0, 1)", cfg.DriftAlpha)
-	}
 	builders := make([]Builder, 0, 1+len(cfg.Fallbacks))
 	builders = append(builders, build)
 	for _, fb := range cfg.Fallbacks {
@@ -192,17 +171,17 @@ func (e *Estimator) Insert(v float64) error {
 }
 
 // InsertBatch offers a batch of stream records, refitting when the
-// cadence or the drift detector says so, and reports the first refit
-// error encountered, if any. The first refit happens once the reservoir
-// is full (or at the first cadence boundary for short streams).
+// cadence says so, and reports the first refit error encountered, if
+// any. The first refit happens once the reservoir is full (or at the
+// first cadence boundary for short streams).
 //
 // The batch is admitted in runs that end exactly where a per-record check
 // could fire — at the record that fills the reservoir before the first
-// fit, at the next RefitEvery boundary, at the next DriftCheckEvery
-// boundary — and each run enters the reservoir through one
-// Reservoir.AddBatch, with one update of each counter. The checks
-// run at the end of each run, so a single writer gets the same reservoir,
-// the same refits and the same fits as feeding the records one at a time.
+// fit, at the next RefitEvery boundary — and each run enters the
+// reservoir through one Reservoir.AddBatch, with one update of each
+// counter. The checks run at the end of each run, so a single writer
+// gets the same reservoir, the same refits and the same fits as feeding
+// the records one at a time.
 // The insert that crosses a refit boundary runs the build itself —
 // off-lock, so concurrent inserts and queries proceed underneath it — and
 // returns any build error; inserts that cross a boundary while a build is
@@ -231,9 +210,6 @@ func (e *Estimator) runLength(n int) int {
 	if e.cfg.RefitEvery > 0 {
 		n = clampRun(n, e.cfg.RefitEvery-int(e.sinceRefit.Load()))
 	}
-	if e.cfg.DriftAlpha > 0 {
-		n = clampRun(n, e.cfg.DriftCheckEvery-int(e.sinceCheck.Load()))
-	}
 	return n
 }
 
@@ -250,28 +226,18 @@ func (e *Estimator) admitRun(run []float64) error {
 	_, evicted := e.reservoir.AddBatch(run)
 	e.inserts.Add(m)
 	since := e.sinceRefit.Add(m)
-	checks := e.sinceCheck.Add(m)
 	if telemetry.Enabled() {
 		onlineInserts.Add(m)
 		onlineEvictions.Add(int64(evicted))
 	}
 
-	snap := e.snap.Load()
 	switch {
-	case snap == nil:
+	case e.snap.Load() == nil:
 		if e.reservoir.Len() >= e.cfg.ReservoirSize {
 			return e.tryRefit()
 		}
 	case e.cfg.RefitEvery > 0 && since >= int64(e.cfg.RefitEvery):
 		return e.tryRefit()
-	case e.cfg.DriftAlpha > 0 && checks >= int64(e.cfg.DriftCheckEvery):
-		e.sinceCheck.Store(0)
-		current := e.reservoir.Snapshot()
-		d := stats.KolmogorovSmirnov(snap.fitSample, current)
-		if d > stats.KSCriticalValue(e.cfg.DriftAlpha, len(snap.fitSample), len(current)) {
-			onlineDriftRefits.Inc()
-			return e.tryRefit()
-		}
 	}
 	return nil
 }
@@ -345,11 +311,11 @@ func (e *Estimator) tryRefit() error {
 // toward the primary builder.
 func (e *Estimator) refit() error {
 	start := time.Now()
-	// An insert bumps these counts after it reaches the reservoir, so
-	// the counts read before the sample is captured are inserts the
-	// sample holds; only those are taken off when the refit settles, and
-	// inserts that land while the build runs count toward the next one.
-	seenRefit, seenCheck := e.sinceRefit.Load(), e.sinceCheck.Load()
+	// An insert bumps this count after it reaches the reservoir, so the
+	// count read before the sample is captured is inserts the sample
+	// holds; only those are taken off when the refit settles, and inserts
+	// that land while the build runs count toward the next one.
+	seenRefit := e.sinceRefit.Load()
 	// Taking the log or copying the contents is the only section that
 	// holds the ingest lock — the sole stall any writer can observe from
 	// a refit. Record it as the serving engine's stall number.
@@ -375,7 +341,6 @@ func (e *Estimator) refit() error {
 			// Back off until the next cadence boundary instead of
 			// retrying the failed fit on every insert.
 			e.sinceRefit.Add(-seenRefit)
-			e.sinceCheck.Add(-seenCheck)
 			onlineBackoffs.Inc()
 			return fmt.Errorf("online: refit (fit kept serving): %w", err)
 		}
@@ -393,11 +358,10 @@ func (e *Estimator) refit() error {
 	if old != nil {
 		gen = old.generation + 1
 	}
-	// One atomic swap publishes the (fit, sample, generation) triple;
-	// readers either see the old snapshot whole or the new one whole.
-	e.snap.Store(&snapshot{fit: fit, fitSample: smp, generation: gen})
+	// One atomic swap publishes the (fit, generation) pair; readers
+	// either see the old snapshot whole or the new one whole.
+	e.snap.Store(&snapshot{fit: fit, generation: gen})
 	e.sinceRefit.Add(-seenRefit)
-	e.sinceCheck.Add(-seenCheck)
 	e.refits.Add(1)
 	e.consecFails.Store(0)
 	onlineRefits.Inc()
@@ -498,7 +462,7 @@ func (e *Estimator) Generation() uint64 {
 // records (see sample.Reservoir.Restore) and fits it once, as
 // warm-start recovery does before any record arrives. The values are
 // not inserts: Inserts and selest_online_inserts_total do not move, and
-// no cadence or drift trigger fires.
+// no cadence trigger fires.
 func (e *Estimator) Restore(values []float64, seen int) error {
 	e.reservoir.Restore(values, seen)
 	return e.Flush()
@@ -550,13 +514,6 @@ func (e *Estimator) ReservoirLen() int { return e.reservoir.Len() }
 // is a consistent pure-sampling estimate that needs no build and no copy.
 func (e *Estimator) ReservoirCount(lo, hi float64) (in, total int) {
 	return e.reservoir.Count(lo, hi)
-}
-
-// ResetReservoir drops the reservoir contents — e.g. after an upstream
-// truncation or schema change invalidates the accumulated sample — while
-// the current snapshot keeps serving until fresh records arrive.
-func (e *Estimator) ResetReservoir() {
-	e.reservoir.Reset()
 }
 
 // Name identifies the estimator in experiment output.

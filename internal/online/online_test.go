@@ -29,9 +29,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(kernelBuilder, Config{ReservoirSize: 1}); err == nil {
 		t.Fatal("tiny reservoir should error")
 	}
-	if _, err := New(kernelBuilder, Config{DriftAlpha: 1.5}); err == nil {
-		t.Fatal("bad alpha should error")
-	}
 }
 
 func TestUnfittedAnswersZero(t *testing.T) {
@@ -145,66 +142,6 @@ func TestCadenceKeepsInsertsDuringBuild(t *testing.T) {
 	insert(1)
 	if e.Refits() != 3 {
 		t.Fatalf("Refits = %d: no cadence refit %d inserts after the publish that saw %d inserts land", e.Refits(), every-during, during)
-	}
-}
-func TestDriftTriggersRefit(t *testing.T) {
-	// Cadence disabled; only drift detection may refit.
-	e, err := New(kernelBuilder, Config{
-		ReservoirSize: 200, RefitEvery: -1,
-		DriftAlpha: 0.01, DriftCheckEvery: 100, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(6)
-	// Phase 1: uniform on [0, 500].
-	for i := 0; i < 2000; i++ {
-		if err := e.Insert(r.Float64() * 500); err != nil {
-			t.Fatal(err)
-		}
-	}
-	afterPhase1 := e.Refits()
-	if afterPhase1 < 1 {
-		t.Fatal("no initial fit")
-	}
-	// Phase 2: distribution jumps to [500, 1000] — drift must fire.
-	for i := 0; i < 4000; i++ {
-		if err := e.Insert(500 + r.Float64()*500); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Refits() <= afterPhase1 {
-		t.Fatalf("drift did not trigger a refit (refits %d)", e.Refits())
-	}
-	// The drift refit fires early in phase 2 while the reservoir is still
-	// mostly old data, so force one final fit and check the estimate now
-	// reflects the stream mix (4000 of 6000 records in [500, 1000]).
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if hi := e.Selectivity(500, 1000); math.Abs(hi-2.0/3.0) > 0.12 {
-		t.Fatalf("post-drift σ̂(500,1000) = %v, want ~2/3", hi)
-	}
-}
-
-func TestNoDriftNoExtraRefits(t *testing.T) {
-	e, err := New(kernelBuilder, Config{
-		ReservoirSize: 200, RefitEvery: -1,
-		DriftAlpha: 0.001, DriftCheckEvery: 100, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(8)
-	for i := 0; i < 10000; i++ {
-		if err := e.Insert(r.Float64() * 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stationary stream should produce the initial fit and (almost) no
-	// drift refits at alpha = 0.1%.
-	if e.Refits() > 3 {
-		t.Fatalf("stationary stream caused %d refits", e.Refits())
 	}
 }
 

@@ -233,9 +233,8 @@ func Build(samples []float64, opts core.Options) (*Estimator, *Report, error) {
 
 	opts.DomainLo, opts.DomainHi = lo, hi
 	for _, o := range core.Ladder(opts, DefaultLadder()) {
-		if o.Method == core.Kernel && o.Boundary == kde.BoundaryNone && o.Kernel == nil {
-			// The ladder's kernel rung is the paper's best configuration;
-			// boundary kernels require the (default) Epanechnikov kernel.
+		if o.Method == core.Kernel && o.Boundary == kde.BoundaryNone {
+			// The ladder's kernel rung is the paper's best configuration.
 			o.Boundary = kde.BoundaryKernels
 		}
 		est, err := safeBuild(clean, o)

@@ -42,13 +42,14 @@ type Reservoir struct {
 	viewEvicted  []float64
 }
 
-// NewReservoir returns a reservoir holding at most capacity items.
-// It panics on capacity <= 0.
+// NewReservoir returns a reservoir holding at most capacity items. It
+// allocates nothing for them up front: the contents grow as elements are
+// admitted, never past capacity. It panics on capacity <= 0.
 func NewReservoir(r *xrand.RNG, capacity int) *Reservoir {
 	if capacity <= 0 {
 		panic("sample: reservoir capacity must be positive")
 	}
-	return &Reservoir{rng: r, capacity: capacity, items: make([]float64, 0, capacity)}
+	return &Reservoir{rng: r, capacity: capacity}
 }
 
 // Add offers one stream element to the reservoir. It reports whether
@@ -128,6 +129,7 @@ func (rv *Reservoir) add(x float64) bool {
 		if rv.logging {
 			rv.logAdmission(x)
 		}
+		rv.grow()
 		rv.items = append(rv.items, x)
 		return true
 	}
@@ -136,6 +138,17 @@ func (rv *Reservoir) add(x float64) bool {
 		return true
 	}
 	return false
+}
+
+// grow makes room for one more element while the reservoir fills: a
+// full backing array is replaced by one twice its size, or the capacity
+// if that is smaller. The caller holds mu.
+func (rv *Reservoir) grow() {
+	if len(rv.items) == cap(rv.items) {
+		grown := make([]float64, len(rv.items), min(max(1, 2*cap(rv.items)), rv.capacity))
+		copy(grown, rv.items)
+		rv.items = grown
+	}
 }
 
 // replace admits x into a full reservoir over the resident in slot j;
@@ -174,8 +187,8 @@ func (rv *Reservoir) restartLog() {
 
 // Snapshot returns a copy of the current reservoir contents. The copy is
 // independent of the reservoir: later Adds never show through it, so
-// callers (drift checks, persistence) can read it while the reservoir
-// keeps absorbing the stream.
+// callers (persistence) can read it while the reservoir keeps absorbing
+// the stream.
 func (rv *Reservoir) Snapshot() []float64 {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -339,7 +352,7 @@ func mergeSorted(base, admitted, evicted []float64) []float64 {
 func (rv *Reservoir) Restore(xs []float64, seen int) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	rv.reset()
+	rv.seen, rv.items, rv.logging = 0, rv.items[:0], false
 	for _, x := range xs {
 		rv.add(x)
 	}
@@ -359,18 +372,4 @@ func (rv *Reservoir) Seen() int {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	return rv.seen
-}
-
-// Reset drops the reservoir contents and the seen count, so subsequent
-// Adds rebuild a uniform sample of the post-reset stream only.
-func (rv *Reservoir) Reset() {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	rv.reset()
-}
-
-func (rv *Reservoir) reset() {
-	rv.seen = 0
-	rv.items = rv.items[:0]
-	rv.logging = false
 }

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -65,10 +66,6 @@ func TestReservoirConcurrentAdds(t *testing.T) {
 	}
 	if got := len(s.Snapshot()); got != 512 {
 		t.Fatalf("snapshot %d elements", got)
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Seen() != 0 || len(s.Snapshot()) != 0 {
-		t.Fatal("reset did not drain the reservoir")
 	}
 }
 
@@ -271,9 +268,9 @@ func readmissions(rv *Reservoir) int {
 // TestSortedMatchesSnapshot pins Sorted to a sorted Snapshot bit for bit
 // on both of its paths: integer data with heavy duplicates, −0, +0 and
 // ±Inf; values admitted and evicted again between two views; merges of
-// admissions alone while the reservoir fills; a Reset between views;
-// deltas past the merge bound; and a NaN, which sorts first and so is
-// never merged by key.
+// admissions alone while the reservoir fills; an empty Restore between
+// views; deltas past the merge bound; and a NaN, which sorts first and
+// so is never merged by key.
 func TestSortedMatchesSnapshot(t *testing.T) {
 	const capacity = 400
 	negZero := math.Copysign(0, -1)
@@ -322,7 +319,7 @@ func TestSortedMatchesSnapshot(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		step("steady", dups(1+r.Intn(1500)))
 	}
-	s.Reset()
+	s.Restore(nil, 0)
 	step("after reset", dups(10))
 	step("refilling", dups(140))
 	step("refilled", dups(10))
@@ -432,6 +429,46 @@ func TestRestoreKeepsStreamLength(t *testing.T) {
 	restored.Restore([]float64{1, 2, 3, 4}, 0)
 	if restored.Seen() != 4 || restored.Len() != 4 {
 		t.Fatalf("restored: %d values over a stream of %d, want 4 over 4", restored.Len(), restored.Seen())
+	}
+}
+
+// TestReservoirMemoryFollowsContents pins that a reservoir takes memory
+// as it admits elements, not for its capacity up front: one of capacity
+// 2^27 (1 GiB of float64s) holding a few elements grows the heap by under
+// 1 MiB. Filled by Add, by AddBatch runs or by Restore, the contents
+// never grow past capacity.
+func TestReservoirMemoryFollowsContents(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	big := NewReservoir(xrand.New(1), 1<<27)
+	big.AddBatch([]float64{1, 2, 3})
+	big.Add(4)
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("a reservoir holding %d elements grew the heap by %d bytes", big.Len(), grew)
+	}
+	runtime.KeepAlive(big)
+
+	const capacity = 1000
+	stream := make([]float64, 3*capacity)
+	for i := range stream {
+		stream[i] = float64(i)
+	}
+	byAdd := NewReservoir(xrand.New(2), capacity)
+	for _, x := range stream {
+		byAdd.Add(x)
+	}
+	byRuns := NewReservoir(xrand.New(2), capacity)
+	for off := 0; off < len(stream); off += 333 {
+		byRuns.AddBatch(stream[off:min(off+333, len(stream))])
+	}
+	restored := NewReservoir(xrand.New(3), capacity)
+	restored.Restore(stream[:capacity], len(stream))
+	for name, rv := range map[string]*Reservoir{"Add": byAdd, "AddBatch": byRuns, "Restore": restored} {
+		if rv.Len() != capacity || cap(rv.items) != capacity {
+			t.Fatalf("%s: %d elements in room for %d, want %d in %d", name, rv.Len(), cap(rv.items), capacity, capacity)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func viewSum(xs []float64) uint64 {
 
 // TestBuildersNeverWriteTheView: the primary and equi-depth rungs fit the
 // reservoir's sorted view in place, and the view stays the reservoir's
-// merge base and the snapshot's drift baseline. A checksum of the view a
+// merge base. A checksum of the view a
 // refit was handed, taken before and after the refit and again after the
 // next refit has merged its replacements into a new view, pins that no
 // fit writes to it and that the merge builds the next view elsewhere.

@@ -1,15 +1,14 @@
 // Service construction: the validated Options struct and the NewServer
 // constructor — the server-side mirror of selest.Options.Validate. Every
-// limit, queue size, snapshot path, and listener config lives here so a
-// daemon's whole shape is one declarative value, and a bad value is a
-// typed core.ErrBadOption at construction time instead of a surprise at
-// request time.
+// limit and queue size lives here, and a bad value is a typed
+// core.ErrBadOption at construction time instead of a surprise at
+// request time. The snapshot path and listener addresses belong to the
+// daemon (cmd/selestd), which hands the Server its listeners.
 package server
 
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"selest/internal/errs"
@@ -62,18 +61,6 @@ type Options struct {
 	// (wire): payloads beyond it are a typed error, not an OOM. Zero
 	// defaults to 16 MiB.
 	MaxPayloadBytes int64
-
-	// SnapshotPath, when non-empty, names the crash-safe snapshot file
-	// the daemon recovers on boot and writes on shutdown. The Server
-	// itself only reads it as documentation of intent; cmd/selestd
-	// drives Recover/SaveSnapshot with it.
-	SnapshotPath string
-	// HTTPAddr/WireAddr are the daemon's listener configs: the HTTP/JSON
-	// transport address and the selestwire binary-protocol address
-	// (empty disables the wire listener). Like SnapshotPath these are
-	// carried for the daemon; the Server serves whatever listeners it is
-	// handed.
-	HTTPAddr, WireAddr string
 }
 
 // withDefaults returns o with every zero limit replaced by its default.
@@ -144,11 +131,6 @@ func (o *Options) Validate() error {
 	}
 	if o.MaxPayloadBytes < 0 {
 		return bad("MaxPayloadBytes %d must be non-negative", o.MaxPayloadBytes)
-	}
-	// Two listeners on one address can never both bind — except port 0,
-	// where the kernel hands each its own ephemeral port.
-	if o.HTTPAddr != "" && o.HTTPAddr == o.WireAddr && !strings.HasSuffix(o.HTTPAddr, ":0") {
-		return bad("HTTPAddr and WireAddr are both %q", o.HTTPAddr)
 	}
 	return nil
 }

@@ -18,7 +18,6 @@ func TestOptionsValidate(t *testing.T) {
 		{QuotaRate: 10, QuotaBurst: 100},
 		{QueueCap: 1, MaxBatch: 1, MaxAttrs: 1, MaxInflight: 1, MaxPayloadBytes: 1024},
 		{DefaultTimeout: time.Second, DegradeDeadline: time.Millisecond},
-		{HTTPAddr: ":8765", WireAddr: ":8766", SnapshotPath: "/tmp/snap"},
 	}
 	for i, o := range good {
 		if err := o.Validate(); err != nil {
@@ -42,7 +41,6 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxBatch: -1},
 		{MaxAttrs: -1},
 		{MaxPayloadBytes: -1},
-		{HTTPAddr: ":1", WireAddr: ":1"},
 	}
 	for i, o := range bad {
 		err := o.Validate()

@@ -124,7 +124,7 @@ func admissionCounts() (admitted, rejected int64) {
 }
 
 // parityAttrCfg never refits on its own — no fill (the reservoir outgrows
-// the test), no cadence, no drift — so only fresh reads refit, inside a
+// the test), no cadence — so only fresh reads refit, inside a
 // request, and both servers always hold the same fit.
 func parityAttrCfg(seed int) string {
 	return fmt.Sprintf(`{"domain_lo":0,"domain_hi":1,"reservoir_size":4096,"refit_every":-1,"seed":%d}`, seed)

@@ -57,6 +57,9 @@ const (
 	// MaxPayload is the default payload bound — the binary twin of the
 	// HTTP transport's body cap. Readers may pass a smaller limit.
 	MaxPayload = 16 << 20
+	// readStep is how far ReadFrame grows its buffer ahead of the bytes
+	// that have arrived while fewer than readStep have.
+	readStep = 1 << 20
 )
 
 // Op is a frame opcode. Request opcodes are small integers; the matching
@@ -186,8 +189,12 @@ func WriteFrame(w io.Writer, f Frame) error {
 }
 
 // ReadFrame reads one frame, enforcing maxPayload and verifying the CRC.
-// buf, when non-nil, is reused for the frame bytes (grown as needed);
-// the returned Frame's Payload aliases it. Errors:
+// buf, when non-nil, is reused for the frame bytes; when the frame does
+// not fit, buf grows as the frame's bytes arrive, never more than
+// readStep or the bytes read so far ahead of them, so a header that
+// declares a large payload holds little more memory than the peer has
+// sent, and a large frame is copied O(1) times per byte. The returned
+// Frame's Payload aliases buf. Errors:
 //
 //   - io.EOF cleanly between frames (a closed connection),
 //   - io.ErrUnexpectedEOF for a stream cut mid-frame,
@@ -217,17 +224,21 @@ func ReadFrame(r io.Reader, maxPayload uint32, buf []byte) (Frame, []byte, error
 		return Frame{}, buf, ErrTooLarge
 	}
 	total := HeaderSize + int(n) + TrailerSize
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, hdr)
-		buf = grown
-	}
-	buf = buf[:total]
-	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for have := HeaderSize; have < total; have = len(buf) {
+		end := total
+		if cap(buf) < total {
+			end = min(total, have+max(readStep, have))
+			if cap(buf) < end {
+				buf = append(make([]byte, 0, end), buf[:have]...)
+			}
 		}
-		return Frame{}, buf, err
+		buf = buf[:end]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, buf, err
+		}
 	}
 	want := binary.BigEndian.Uint32(buf[total-TrailerSize:])
 	if crc32.Checksum(buf[:total-TrailerSize], crcTable) != want {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -109,6 +110,35 @@ func TestFrameErrors(t *testing.T) {
 	// A reader-side payload bound below the frame's length refuses it.
 	if _, _, err := ReadFrame(bytes.NewReader(good), 3, nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("reader bound: %v", err)
+	}
+}
+
+// TestReadFrameGrowsAsBytesArrive pins that a declared length pins no
+// memory the peer has not sent: a header declaring a MaxPayload frame,
+// then EOF, leaves ReadFrame's buffer under 2 MiB. A frame several
+// growth steps long still reads back whole.
+func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
+	hdr := AppendFrame(nil, Frame{Op: OpSnapshotFetch | RespFlag, ID: 1})[:HeaderSize]
+	binary.BigEndian.PutUint32(hdr[12:16], MaxPayload)
+	_, buf, err := ReadFrame(bytes.NewReader(hdr), MaxPayload, nil)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header then EOF: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if cap(buf) >= 2<<20 {
+		t.Fatalf("header alone grew the buffer to %d bytes", cap(buf))
+	}
+
+	payload := make([]byte, 2*readStep+3)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	raw := AppendFrame(nil, Frame{Op: OpSnapshotFetch | RespFlag, ID: 2, Payload: payload})
+	f, _, err := ReadFrame(bytes.NewReader(raw), MaxPayload, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.ID != 2 || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("multi-step frame read back id %d, %d payload bytes", f.ID, len(f.Payload))
 	}
 }
 

@@ -43,6 +43,3 @@ func AlmostEqual(a, b, tol float64) bool {
 	}
 	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
-
-// Lerp linearly interpolates between a and b by t ∈ [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

@@ -61,12 +61,6 @@ func TestAlmostEqual(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	if got := Lerp(2, 4, 0.5); got != 3 {
-		t.Fatalf("Lerp = %v, want 3", got)
-	}
-}
-
 // Property: Clamp output is always within bounds and idempotent.
 func TestQuickClamp(t *testing.T) {
 	prop := func(v float64) bool {

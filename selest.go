@@ -127,7 +127,10 @@ const (
 
 // Options configures Build; see the field documentation in
 // internal/core. The zero value plus a domain builds a kernel estimator
-// with the normal scale rule.
+// with the normal scale rule. Options sets the method, the domain, the
+// bin count or bandwidth or the rule that derives it, and the kernel
+// boundary treatment; the rest is fixed at the paper's choices: the
+// Epanechnikov kernel, two DPI steps and ten ASH shifts.
 type Options = core.Options
 
 // Build constructs an estimator from a sample set of attribute values.

@@ -294,7 +294,7 @@ func TestClientHealthCheck(t *testing.T) {
 					if f.Op == wire.OpPing {
 						pings.Add(1)
 						if respond.Load() {
-							_ = wire.WriteFrame(c, wire.Frame{Op: f.Op | wire.RespFlag, ID: f.ID})
+							_, _ = c.Write(wire.AppendFrame(nil, wire.Frame{Op: f.Op | wire.RespFlag, ID: f.ID}))
 						}
 					}
 				}

@@ -63,7 +63,7 @@ var errClosed = fmt.Errorf("client: closed")
 // lifecycle. Buffers travel as *[]byte so Get/Put do not box a slice
 // header per call; every success path releases its buffer right after
 // decoding (decoded messages copy what they keep, so nothing aliases a
-// returned buffer).
+// returned buffer), except a snapshot fetch's, which its caller keeps.
 var payloadPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
@@ -113,7 +113,6 @@ func (t *wireTransport) conn(ctx context.Context) (*wireConn, error) {
 	t.dials.Add(1)
 	wc := &wireConn{
 		c:       nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
 		pending: map[uint64]chan wireResp{},
 	}
 	wc.touch()
@@ -268,16 +267,15 @@ func (t *wireTransport) ping(ctx context.Context, meta wire.Meta) error {
 }
 
 // snapshotFetch pulls the server's full snapshot envelope. The response
-// payload is the raw SELS byte stream — no wrapper to decode — copied
-// out of the pooled buffer because the caller keeps it.
+// payload is the raw SELS byte stream — no wrapper to decode — and the
+// caller keeps the buffer it arrived in: it never goes back to the pool,
+// which would otherwise hold an envelope-sized buffer.
 func (t *wireTransport) snapshotFetch(ctx context.Context, meta wire.Meta) ([]byte, error) {
 	rp, err := t.roundTrip(ctx, wire.OpSnapshotFetch, wire.SnapshotFetchReq{Meta: meta}.Append(nil))
 	if err != nil {
 		return nil, err
 	}
-	out := append([]byte(nil), *rp...)
-	putPayloadBuf(rp)
-	return out, nil
+	return *rp, nil
 }
 
 func resultFromWire(r wire.EstimateRes) Result {
@@ -291,15 +289,15 @@ func resultFromWire(r wire.EstimateRes) Result {
 }
 
 // wireConn is one pipelined connection: callers register a response
-// channel under a fresh request id, write their frame (serialised by
-// wmu), and wait; the reader goroutine routes response frames to their
-// channels by id. Any read or write error fails the whole connection —
-// pending channels close, the pool redials on next use.
+// channel under a fresh request id, write their frame straight to the
+// socket (serialised by wmu), and wait; the reader goroutine routes
+// response frames to their channels by id. Any read or write error fails
+// the whole connection — pending channels close, the pool redials on
+// next use.
 type wireConn struct {
-	c  net.Conn
-	bw *bufio.Writer
+	c net.Conn
 
-	wmu  sync.Mutex // serialises write+flush
+	wmu  sync.Mutex // serialises frame writes
 	wbuf []byte     // frame-encode scratch, owned by wmu
 
 	mu      sync.Mutex
@@ -389,10 +387,7 @@ func (wc *wireConn) roundTrip(ctx context.Context, op wire.Op, payload []byte) (
 
 	wc.wmu.Lock()
 	wc.wbuf = wire.AppendFrame(wc.wbuf[:0], wire.Frame{Op: op, ID: id, Payload: payload})
-	_, err := wc.bw.Write(wc.wbuf)
-	if err == nil {
-		err = wc.bw.Flush()
-	}
+	_, err := wc.c.Write(wc.wbuf)
 	wc.wmu.Unlock()
 	if err != nil {
 		wc.forget(id)

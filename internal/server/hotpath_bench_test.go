@@ -1,8 +1,9 @@
-// Request-path hot-path benchmarks (ISSUE 10): the inline dispatch
-// engine measured in isolation (decode → admit → answer → encode →
-// coalesced write, no socket) and end-to-end over real TCP with deep
-// pipelining. Run via `make bench-hotpath`; committed baselines live in
-// BENCH_hotpath.json and the before/after story in README's perf table.
+// Request-path hot-path benchmarks: the inline dispatch engine measured
+// in isolation (decode → admit → answer → encode → write → flush, no
+// socket; each serve flushes, as the reader does before it waits) and
+// end-to-end over real TCP with deep pipelining. Run via `make
+// bench-hotpath`; committed baselines live in BENCH_hotpath.json and
+// the before/after story in README's perf table.
 package server
 
 import (
@@ -15,59 +16,64 @@ import (
 	"selest/internal/wire"
 )
 
-// BenchmarkHotpathEstimateInline is the tentpole's headline number: one
+// BenchmarkHotpathEstimateInline is the headline number: one
 // server-side estimate round trip on the fast path. The allocs/op
 // column is the zero-alloc contract (also pinned by
 // TestWireFastPathEstimateZeroAllocs).
 func BenchmarkHotpathEstimateInline(b *testing.B) {
 	s := primedServer(b)
-	fp, mc, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
 	payload := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0.25, Hi: 0.75}.Append(nil)
-	if !fp.serve(wire.OpEstimate, 0, payload, true) {
+	if !fp.serve(wire.OpEstimate, 0, payload) {
 		b.Fatal("estimate not served inline")
 	}
+	cw.flush()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpEstimate, uint64(i), payload, true) {
+		if !fp.serve(wire.OpEstimate, uint64(i), payload) {
 			b.Fatal("estimate fell off the fast path")
 		}
+		cw.flush()
 	}
 }
 
 func BenchmarkHotpathEstimateBatchInline16(b *testing.B) {
 	s := primedServer(b)
-	fp, mc, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
 	queries := make([]wire.Range, 16)
 	for i := range queries {
 		queries[i] = wire.Range{Lo: 0, Hi: float64(i+1) / 16}
 	}
 	payload := wire.EstimateBatchReq{Tenant: "acme", Attr: "price", Queries: queries}.Append(nil)
-	if !fp.serve(wire.OpEstimateBatch, 0, payload, true) {
+	if !fp.serve(wire.OpEstimateBatch, 0, payload) {
 		b.Fatal("batch not served inline")
 	}
+	cw.flush()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpEstimateBatch, uint64(i), payload, true) {
+		if !fp.serve(wire.OpEstimateBatch, uint64(i), payload) {
 			b.Fatal("batch fell off the fast path")
 		}
+		cw.flush()
 	}
 }
 
 func BenchmarkHotpathPingInline(b *testing.B) {
 	s := primedServer(b)
-	fp, mc, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
 	payload := wire.PingReq{}.Append(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpPing, uint64(i), payload, true) {
+		if !fp.serve(wire.OpPing, uint64(i), payload) {
 			b.Fatal("ping fell off the fast path")
 		}
+		cw.flush()
 	}
 }
 

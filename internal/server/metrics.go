@@ -21,7 +21,6 @@ var (
 	srvQueueDepth = telemetry.Default.Gauge("selest_server_queue_depth")
 	srvDrainers   = telemetry.Default.Gauge("selest_server_drainers")
 	srvInflight   = telemetry.Default.Gauge("selest_server_inflight_requests")
-	srvAnswerRung = telemetry.Default.Gauge("selest_server_answer_rung")
 
 	srvLatencyNanos = telemetry.Default.Histogram("selest_server_request_nanos")
 
@@ -47,9 +46,10 @@ var (
 	srvWireWriteErrors = telemetry.Default.Counter("selest_server_wire_write_errors_total")
 
 	// Fast-path telemetry (DESIGN.md §16): requests served inline on the
-	// reader goroutine (no dispatch goroutine, no payload copy) and
-	// response flushes deferred by the coalescing state machine (each one
-	// is a write syscall the pipelined burst did not pay).
+	// reader goroutine (no dispatch goroutine, no payload copy), and the
+	// inline replies written while another request frame was already
+	// buffered — each leaves in a later flush, a write syscall the
+	// pipelined burst did not pay.
 	srvWireInlineServed     = telemetry.Default.Counter("selest_server_wire_inline_served_total")
 	srvWireFlushesCoalesced = telemetry.Default.Counter("selest_server_wire_flushes_coalesced_total")
 
@@ -60,10 +60,9 @@ var (
 
 // Per-rung answer counters, one labeled series per ladder rung, captured
 // once so the answer path stays allocation-free.
-var srvAnswersByRung = func() map[rung]*telemetry.Counter {
-	m := make(map[rung]*telemetry.Counter, len(rungNames))
+var srvAnswersByRung = func() (cs [len(rungNames)]*telemetry.Counter) {
 	for r, name := range rungNames {
-		m[r] = telemetry.Default.Counter(telemetry.Label("selest_server_answers_total", "rung", name))
+		cs[r] = telemetry.Default.Counter(telemetry.Label("selest_server_answers_total", "rung", name))
 	}
-	return m
+	return cs
 }()

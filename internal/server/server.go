@@ -143,7 +143,7 @@ const (
 	rungUniform
 )
 
-var rungNames = map[rung]string{
+var rungNames = [...]string{
 	rungFresh:     "fresh",
 	rungSnapshot:  "snapshot",
 	rungReservoir: "reservoir",
@@ -469,7 +469,6 @@ func (p *pinned) estimate(lo, hi float64) EstimateResult {
 		r = rungUniform
 	}
 	srvAnswersByRung[r].Inc()
-	srvAnswerRung.Set(float64(r))
 	return EstimateResult{
 		Selectivity: sel,
 		Rows:        sel * float64(p.a.rows.Load()),

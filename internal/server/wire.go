@@ -6,18 +6,24 @@
 // envelope differs: a binary frame instead of an HTTP response.
 //
 // Concurrency model (DESIGN.md §16): one reader goroutine per
-// connection decodes each frame once and serves cheap read-only requests —
-// pings, non-fresh estimates, small non-fresh batches — *inline*, with
-// every buffer reused across frames, so the steady-state estimate round
-// trip spawns no goroutine, copies no payload, and allocates nothing.
-// Requests that may block (ingest, create_attr, snapshot_fetch, fresh
-// estimates, oversized batches) are dispatched onto their own goroutine
-// (bounded per connection), so a slow fresh-estimate never
-// head-of-line-blocks the pipelined requests behind it; responses are
-// written under a per-connection mutex and may interleave in any order —
-// the request id is the correlation, exactly as DESIGN.md §13 specifies.
-// Response flushes are coalesced: a burst of K pipelined requests is
-// answered with one write syscall, not K.
+// connection decodes each frame once and serves the read-only requests
+// that cannot block — pings, non-fresh estimates, small non-fresh
+// batches — *inline*, with every buffer reused across frames, so the
+// steady-state estimate round trip spawns no goroutine, copies no
+// payload, and allocates nothing. Everything else runs on a goroutine of
+// its own (bounded per connection): fresh estimates, which may wait on a
+// refit; snapshot fetches, which walk the whole service; batches past
+// inlineBatchMax, which would hold up the frames behind them; and, by
+// choice, the writes. An ingest's push never waits and a create_attr
+// allocates no reservoir, but Shutdown waits only for these goroutines,
+// so keeping the writes among them keeps what a drain waits for.
+// Responses are written under a per-connection mutex and may interleave
+// in any order — the request id is the correlation, exactly as
+// DESIGN.md §13 specifies. One flush rule covers them all: the reader
+// flushes every buffered reply before it waits, for the next frame or
+// for a pipelining slot, so a burst of K pipelined requests is answered
+// with one write syscall and no reply waits behind another request; a
+// goroutine's reply flushes at once.
 //
 // Failure posture mirrors the HTTP transport: a malformed payload inside
 // a well-framed request is a typed error response on that request alone;
@@ -155,10 +161,8 @@ func (ws *WireServer) CloseConns() {
 
 // connWriter serialises response frames from the reader goroutine's
 // inline fast path and concurrent request goroutines onto one
-// connection, and owns the flush-coalescing state machine (DESIGN.md
-// §16): an inline response is flushed immediately only when nothing else
-// is guaranteed to flush it sooner, so a pipelined burst of K requests
-// costs one write syscall instead of K.
+// connection. It decides no flush itself: each caller says whether its
+// frame flushes (DESIGN.md §16).
 type connWriter struct {
 	mu sync.Mutex
 	bw *bufio.Writer
@@ -169,118 +173,40 @@ type connWriter struct {
 	// subsequent write is skipped instead of feeding a dead socket from
 	// still-pipelined goroutines.
 	dead bool
-
-	// inflight counts dispatched request goroutines whose response frame
-	// has not been written yet. The inline path may defer its flush while
-	// this is non-zero — the goroutine's own write, which always flushes,
-	// carries the buffered bytes out — because the count is decremented
-	// under mu together with that flush, so a non-zero observation under
-	// mu guarantees a future flush.
-	inflight atomic.Int64
-
-	// frame is the goroutine path's frame-encode scratch, reused under mu
-	// so async responses allocate nothing for framing either.
-	frame []byte
 }
 
-// die latches the write-error flag and closes the socket so the reader
-// loop's next ReadFrame fails and reaps the connection instead of
-// leaving it half-dead. Caller holds mu.
-func (cw *connWriter) die() {
+// write buffers one encoded frame and, when flush is set, pushes every
+// buffered frame to the socket.
+func (cw *connWriter) write(b []byte, flush bool) {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
 	if cw.dead {
 		return
 	}
-	cw.dead = true
-	// A write error leaves the connection for the reader loop to reap;
-	// there is no one to report it to but telemetry.
-	srvWireWriteErrors.Inc()
-	_ = cw.c.Close()
-}
-
-// writeLocked buffers one encoded frame, reporting whether the
-// connection is still usable. Caller holds mu.
-func (cw *connWriter) writeLocked(b []byte) bool {
-	if cw.dead {
-		return false
+	_, err := cw.bw.Write(b)
+	if err == nil && flush {
+		err = cw.bw.Flush()
 	}
-	if _, err := cw.bw.Write(b); err != nil {
-		cw.die()
-		return false
-	}
-	return true
-}
-
-// flushLocked pushes buffered responses to the socket. Caller holds mu.
-func (cw *connWriter) flushLocked() {
-	if cw.dead {
-		return
-	}
-	if err := cw.bw.Flush(); err != nil {
-		cw.die()
+	if err != nil {
+		// A write error leaves the connection for the reader loop to
+		// reap; there is no one to report it to but telemetry.
+		cw.dead = true
+		srvWireWriteErrors.Inc()
+		_ = cw.c.Close()
 	}
 }
 
-// writeInline writes a pre-encoded response frame from the reader
-// goroutine's fast path. readerIdle reports that the reader found no
-// further frame already buffered (it is about to block on the socket).
-// The flush is deferred — counted as coalesced — when more requests are
-// waiting (the burst's last response will flush for everyone) or a
-// request goroutine is still in flight (its always-flushing write
-// carries these bytes out).
-func (cw *connWriter) writeInline(b []byte, readerIdle bool) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if !cw.writeLocked(b) {
-		return
-	}
-	if readerIdle && cw.inflight.Load() == 0 {
-		cw.flushLocked()
-	} else {
-		srvWireFlushesCoalesced.Inc()
-	}
-}
-
-// writeFrameAsync encodes and writes f from a request goroutine, always
-// flushing, and releases the goroutine's inflight slot under the same
-// lock as the flush — the ordering writeInline's deferred flushes rely
-// on. Every dispatched goroutine writes exactly one response through
-// here (respond guarantees it; the request core contains panics).
-func (cw *connWriter) writeFrameAsync(f wire.Frame) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	defer cw.inflight.Add(-1)
-	cw.frame = wire.AppendFrame(cw.frame[:0], f)
-	if cw.writeLocked(cw.frame) {
-		cw.flushLocked()
-	}
-}
-
-// writeFrameSync writes a reader-loop-emitted frame (protocol errors)
-// and flushes immediately.
-func (cw *connWriter) writeFrameSync(f wire.Frame) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.frame = wire.AppendFrame(cw.frame[:0], f)
-	if cw.writeLocked(cw.frame) {
-		cw.flushLocked()
-	}
-}
-
-// finalFlush pushes out anything the coalescing machine was still
-// holding when the reader loop exited — a client that pipelined
-// requests and half-closed its write side still gets every response.
-func (cw *connWriter) finalFlush() {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.flushLocked()
-}
+// flush pushes every buffered frame to the socket.
+func (cw *connWriter) flush() { cw.write(nil, true) }
 
 func (ws *WireServer) serveConn(c net.Conn) {
 	srvWireConns.Set(float64(ws.wireConnCount(c, +1)))
 	cw := &connWriter{bw: bufio.NewWriterSize(c, 64<<10), c: c}
 	defer func() {
 		srvWireConns.Set(float64(ws.wireConnCount(c, -1)))
-		cw.finalFlush()
+		// A client that pipelined requests and half-closed its write
+		// side still gets every response.
+		cw.flush()
 		c.Close()
 	}()
 
@@ -289,6 +215,13 @@ func (ws *WireServer) serveConn(c net.Conn) {
 	sem := make(chan struct{}, maxConnPipelined)
 	var buf []byte
 	for {
+		// The flush rule: the reader flushes before it waits — here for
+		// the next frame, below for a pipelining slot — so the inline
+		// replies to a pipelined burst leave in one write, and none waits
+		// behind a request still being served.
+		if br.Buffered() == 0 {
+			cw.flush()
+		}
 		var f wire.Frame
 		var err error
 		f, buf, err = wire.ReadFrame(br, uint32(ws.s.cfg.MaxPayloadBytes), buf)
@@ -297,7 +230,7 @@ func (ws *WireServer) serveConn(c net.Conn) {
 				// The stream is corrupt: answer once (id 0 — after a
 				// framing error no id is trustworthy) and hang up.
 				srvWireProtoErrors.Inc()
-				cw.writeFrameSync(errorFrame(0, fmt.Errorf("%w: %v", ErrBadValue, err), 0))
+				cw.write(wire.AppendFrame(nil, errorFrame(0, fmt.Errorf("%w: %v", ErrBadValue, err), 0)), false)
 			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				srvWireReadErrors.Inc()
 			}
@@ -305,17 +238,24 @@ func (ws *WireServer) serveConn(c net.Conn) {
 		}
 		if !f.Op.IsRequest() {
 			srvWireProtoErrors.Inc()
-			cw.writeFrameSync(errorFrame(f.ID, fmt.Errorf("%w: %v", ErrBadValue, wire.ErrUnknownOp), 0))
+			cw.write(wire.AppendFrame(nil, errorFrame(f.ID, fmt.Errorf("%w: %v", ErrBadValue, wire.ErrUnknownOp), 0)), false)
 			return
 		}
-		if fp.serve(f.Op, f.ID, f.Payload, br.Buffered() == 0) {
+		if fp.serve(f.Op, f.ID, f.Payload) {
+			if br.Buffered() > 0 {
+				srvWireFlushesCoalesced.Inc()
+			}
 			continue
 		}
-		// Everything else may block, so it gets its own goroutine, with
-		// its own copy of what the call borrows from the read buffer.
+		// Everything else gets its own goroutine, with its own copy of
+		// what the call borrows from the read buffer.
 		id, req, start := f.ID, fp.c.own(), fp.start
-		cw.inflight.Add(1)
-		sem <- struct{}{}
+		select {
+		case sem <- struct{}{}:
+		default:
+			cw.flush()
+			sem <- struct{}{}
+		}
 		ws.reqs.Add(1)
 		go func() {
 			defer func() { <-sem; ws.reqs.Done() }()
@@ -355,9 +295,10 @@ type fastPath struct {
 }
 
 // serve decodes one request frame into fp.c and answers it inline when
-// it cannot block, reporting whether it did. A declined frame's call
+// it cannot block, reporting whether it did. The reply is buffered, not
+// flushed: the reader flushes before it waits. A declined frame's call
 // stays in fp.c for the reader to copy and hand to a goroutine.
-func (fp *fastPath) serve(op wire.Op, id uint64, payload []byte, readerIdle bool) bool {
+func (fp *fastPath) serve(op wire.Op, id uint64, payload []byte) bool {
 	fp.start = time.Now()
 	fp.decode(op, payload)
 	srvWireRequests.Inc()
@@ -371,7 +312,7 @@ func (fp *fastPath) serve(op wire.Op, id uint64, payload []byte, readerIdle bool
 		fp.payload = fp.rep.appendWire(fp.payload[:0], op)
 		fp.frame = wire.AppendFrame(fp.frame[:0], wire.Frame{Op: op | wire.RespFlag, ID: id, Payload: fp.payload})
 	}
-	fp.cw.writeInline(fp.frame, readerIdle)
+	fp.cw.write(fp.frame, false)
 	srvWireLatencyNanos.ObserveSince(fp.start)
 	return true
 }
@@ -451,8 +392,8 @@ func (c *call) own() *call {
 }
 
 // respond runs a dispatched call through the request core on its
-// goroutine and writes its one response through writeFrameAsync, which
-// always flushes and releases the inflight slot.
+// goroutine and writes its one response, encoded into a buffer of its
+// own and flushed at once.
 func (ws *WireServer) respond(cw *connWriter, id uint64, c *call, start time.Time) {
 	var r reply
 	f := wire.Frame{Op: c.op | wire.RespFlag, ID: id}
@@ -461,7 +402,7 @@ func (ws *WireServer) respond(cw *connWriter, id uint64, c *call, start time.Tim
 	} else {
 		f.Payload = r.appendWire(nil, c.op)
 	}
-	cw.writeFrameAsync(f)
+	cw.write(wire.AppendFrame(make([]byte, 0, wire.HeaderSize+len(f.Payload)+wire.TrailerSize), f), true)
 	srvWireLatencyNanos.ObserveSince(start)
 }
 

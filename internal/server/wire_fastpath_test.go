@@ -1,9 +1,10 @@
-// Fast-path pins (ISSUE 10): the inline dispatch + flush-coalescing
-// request engine must be allocation-free on the estimate round trip,
-// latch dead connections on the first write error, and preserve the
-// response→request-id mapping and per-conn ordering invariants under
-// deep mixed pipelining — checked over real TCP and under -race via
-// `make race-wire` (the TestWire name prefix is what that target runs).
+// Fast-path pins: the inline dispatch request engine must be
+// allocation-free on the estimate round trip, latch dead connections on
+// the first write error, hold no reply behind another request, and
+// preserve the response→request-id mapping and per-conn ordering
+// invariants under deep mixed pipelining — checked over real TCP and
+// under -race via `make race-wire` (the TestWire name prefix is what
+// that target runs).
 package server
 
 import (
@@ -99,18 +100,19 @@ func readResponse(t *testing.T, mc *memConn) wire.Frame {
 	return f
 }
 
-// TestWireFastPathEstimateZeroAllocs is the tentpole's allocation pin:
-// one server-side estimate round trip — decode, admit, ladder answer,
-// encode, coalesced write — allocates nothing once the per-conn scratch
-// is warm.
+// TestWireFastPathEstimateZeroAllocs is the allocation pin: one
+// server-side estimate round trip — decode, admit, ladder answer,
+// encode, write, flush — allocates nothing once the per-conn scratch is
+// warm.
 func TestWireFastPathEstimateZeroAllocs(t *testing.T) {
 	s := primedServer(t)
-	fp, mc, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
 	payload := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0.25, Hi: 0.75}.Append(nil)
 
-	if !fp.serve(wire.OpEstimate, 1, payload, true) {
+	if !fp.serve(wire.OpEstimate, 1, payload) {
 		t.Fatal("estimate not served inline")
 	}
+	cw.flush()
 	f := readResponse(t, mc)
 	if f.Op != wire.OpEstimate|wire.RespFlag || f.ID != 1 {
 		t.Fatalf("response frame %v id %d", f.Op, f.ID)
@@ -122,9 +124,10 @@ func TestWireFastPathEstimateZeroAllocs(t *testing.T) {
 
 	if a := testing.AllocsPerRun(500, func() {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpEstimate, 2, payload, true) {
+		if !fp.serve(wire.OpEstimate, 2, payload) {
 			t.Fatal("estimate fell off the fast path")
 		}
+		cw.flush()
 	}); a != 0 {
 		t.Fatalf("inline estimate round trip allocates %v/op, want 0", a)
 	}
@@ -145,12 +148,13 @@ func TestWireFastPathReservoirRungZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitInserted(t, s, "acme", "price", 1000)
-	fp, mc, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
 	payload := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0.25, Hi: 0.75}.Append(nil)
 
-	if !fp.serve(wire.OpEstimate, 1, payload, true) {
+	if !fp.serve(wire.OpEstimate, 1, payload) {
 		t.Fatal("estimate not served inline")
 	}
+	cw.flush()
 	res, err := wire.DecodeEstimateRes(readResponse(t, mc).Payload)
 	if err != nil || res.Rung != "reservoir" || res.Selectivity != 0.5 {
 		t.Fatalf("unfitted attribute answered %+v, %v (want reservoir rung, 500 of 1000)", res, err)
@@ -158,9 +162,10 @@ func TestWireFastPathReservoirRungZeroAllocs(t *testing.T) {
 
 	if a := testing.AllocsPerRun(200, func() {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpEstimate, 2, payload, true) {
+		if !fp.serve(wire.OpEstimate, 2, payload) {
 			t.Fatal("estimate fell off the fast path")
 		}
+		cw.flush()
 	}); a != 0 {
 		t.Fatalf("inline reservoir-rung estimate allocates %v/op, want 0", a)
 	}
@@ -168,7 +173,7 @@ func TestWireFastPathReservoirRungZeroAllocs(t *testing.T) {
 
 func TestWireFastPathPingAndBatchZeroAllocs(t *testing.T) {
 	s := primedServer(t)
-	fp, mc, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
 
 	ping := wire.PingReq{}.Append(nil)
 	queries := make([]wire.Range, 16)
@@ -178,23 +183,26 @@ func TestWireFastPathPingAndBatchZeroAllocs(t *testing.T) {
 	batch := wire.EstimateBatchReq{Tenant: "acme", Attr: "price", Queries: queries}.Append(nil)
 
 	// Warm every scratch buffer (frame, payload, query slice) once.
-	if !fp.serve(wire.OpPing, 1, ping, true) || !fp.serve(wire.OpEstimateBatch, 2, batch, true) {
+	if !fp.serve(wire.OpPing, 1, ping) || !fp.serve(wire.OpEstimateBatch, 2, batch) {
 		t.Fatal("ping/batch not served inline")
 	}
+	cw.flush()
 
 	if a := testing.AllocsPerRun(500, func() {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpPing, 3, ping, true) {
+		if !fp.serve(wire.OpPing, 3, ping) {
 			t.Fatal("ping fell off the fast path")
 		}
+		cw.flush()
 	}); a != 0 {
 		t.Fatalf("inline ping allocates %v/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(500, func() {
 		mc.buf.Reset()
-		if !fp.serve(wire.OpEstimateBatch, 4, batch, true) {
+		if !fp.serve(wire.OpEstimateBatch, 4, batch) {
 			t.Fatal("batch fell off the fast path")
 		}
+		cw.flush()
 	}); a != 0 {
 		t.Fatalf("inline 16-query batch allocates %v/op, want 0", a)
 	}
@@ -207,35 +215,35 @@ func TestWireFastPathDeclines(t *testing.T) {
 	fp, _, _ := newMemFastPath(s)
 
 	fresh := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0, Hi: 1, Fresh: true}.Append(nil)
-	if fp.serve(wire.OpEstimate, 1, fresh, true) {
+	if fp.serve(wire.OpEstimate, 1, fresh) {
 		t.Fatal("fresh estimate served inline; it may block on a refit flush")
 	}
 	big := wire.EstimateBatchReq{Tenant: "acme", Attr: "price",
 		Queries: make([]wire.Range, inlineBatchMax+1)}.Append(nil)
-	if fp.serve(wire.OpEstimateBatch, 2, big, true) {
+	if fp.serve(wire.OpEstimateBatch, 2, big) {
 		t.Fatal("oversized batch served inline")
 	}
 	ingest := wire.IngestReq{Tenant: "acme", Attr: "price", Values: seq(4)}.Append(nil)
-	if fp.serve(wire.OpIngest, 3, ingest, true) {
+	if fp.serve(wire.OpIngest, 3, ingest) {
 		t.Fatal("ingest served inline")
 	}
-	if fp.serve(wire.OpSnapshotFetch, 4, wire.SnapshotFetchReq{}.Append(nil), true) {
+	if fp.serve(wire.OpSnapshotFetch, 4, wire.SnapshotFetchReq{}.Append(nil)) {
 		t.Fatal("snapshot_fetch served inline")
 	}
 }
 
-// TestWireConnWriterDeadLatch is ISSUE 10 satellite 1: the first write
-// error latches the connection dead, closes the socket (so the reader
-// loop reaps it), and suppresses every subsequent write instead of
-// letting still-pipelined goroutines feed a dead socket.
+// TestWireConnWriterDeadLatch: the first write error latches the
+// connection dead, closes the socket (so the reader loop reaps it), and
+// suppresses every subsequent write instead of letting still-pipelined
+// goroutines feed a dead socket.
 func TestWireConnWriterDeadLatch(t *testing.T) {
 	before := telemetry.Default.Snapshot()
 	fc := &failConn{}
 	// A 16-byte buffer forces write-through on every frame, so the first
-	// writeFrameSync hits the socket error immediately.
+	// write hits the socket error immediately.
 	cw := &connWriter{bw: bufio.NewWriterSize(fc, 16), c: fc}
 
-	cw.writeFrameSync(errorFrame(1, ErrDraining, 0))
+	cw.write(wire.AppendFrame(nil, errorFrame(1, ErrDraining, 0)), true)
 	if !fc.closed.Load() {
 		t.Fatal("write error did not close the conn for the reader to reap")
 	}
@@ -244,15 +252,11 @@ func TestWireConnWriterDeadLatch(t *testing.T) {
 		t.Fatal("no write reached the socket")
 	}
 
-	cw.writeFrameSync(errorFrame(2, ErrDraining, 0))
-	cw.writeInline([]byte("frame"), true)
-	cw.inflight.Add(1)
-	cw.writeFrameAsync(wire.Frame{Op: wire.OpPing | wire.RespFlag, ID: 3})
+	cw.write(wire.AppendFrame(nil, errorFrame(2, ErrDraining, 0)), true)
+	cw.write([]byte("frame"), false)
+	cw.flush()
 	if got := fc.writes.Load(); got != attempts {
 		t.Fatalf("dead conn still written to: %d attempts after latch (had %d)", got, attempts)
-	}
-	if n := cw.inflight.Load(); n != 0 {
-		t.Fatalf("writeFrameAsync on a dead conn leaked inflight count %d", n)
 	}
 
 	after := telemetry.Default.Snapshot()
@@ -263,14 +267,92 @@ func TestWireConnWriterDeadLatch(t *testing.T) {
 	}
 }
 
+// TestWireNoReplyHeldBehindBlockedRequest pins the flush rule: an inline
+// reply leaves before the reader waits, whatever else is in flight on
+// the connection. The test holds tenant b's lock, so every snapshot
+// fetch blocks on the goroutine path; an estimate on tenant a pipelined
+// behind the fetches must still arrive at once. With maxConnPipelined
+// fetches ahead of it and one more behind, the reader waits for a
+// pipelining slot, not for the socket, with the reply buffered.
+func TestWireNoReplyHeldBehindBlockedRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		before, after int // blocked fetches sent before and after the estimate
+	}{
+		{"reader-waits-for-frame", 1, 0},
+		{"reader-waits-for-slot", maxConnPipelined, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustServer(t, Options{})
+			for _, tenant := range []string{"a", "b"} {
+				if err := s.CreateAttr(tenant, "x", testAttrCfg()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, addr := startWireServer(t, s)
+			tn := s.tenantNamed([]byte("b"))
+			tn.mu.Lock()
+			release := sync.OnceFunc(tn.mu.Unlock)
+			defer release()
+
+			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			// One write carries every frame, so the reader finds the
+			// frames after the estimate already buffered.
+			est := wire.Frame{Op: wire.OpEstimate, Payload: wire.EstimateReq{
+				Tenant: "a", Attr: "x", Lo: 0.25, Hi: 0.75}.Append(nil)}
+			fetches := map[uint64]bool{}
+			var out []byte
+			for id := uint64(1); id <= uint64(tc.before+tc.after); id++ {
+				fetches[id] = true
+				out = wire.AppendFrame(out, wire.Frame{Op: wire.OpSnapshotFetch, ID: id,
+					Payload: wire.SnapshotFetchReq{}.Append(nil)})
+				if id == uint64(tc.before) {
+					out = wire.AppendFrame(out, est)
+				}
+			}
+			if _, err := conn.Write(out); err != nil {
+				t.Fatal(err)
+			}
+
+			br := bufio.NewReader(conn)
+			_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+			f, rbuf, err := wire.ReadFrame(br, wire.MaxPayload, nil)
+			if err != nil {
+				t.Fatalf("estimate reply held while the fetches block: %v", err)
+			}
+			if f.ID != 0 || f.Op != wire.OpEstimate|wire.RespFlag {
+				t.Fatalf("first reply id %d op %s, want the estimate's (id 0) while the fetches block", f.ID, f.Op)
+			}
+
+			release()
+			_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+			for len(fetches) > 0 {
+				f, rbuf, err = wire.ReadFrame(br, wire.MaxPayload, rbuf)
+				if err != nil {
+					t.Fatalf("%d fetch replies missing after release: %v", len(fetches), err)
+				}
+				if !fetches[f.ID] || f.Op != wire.OpSnapshotFetch|wire.RespFlag {
+					t.Fatalf("reply id %d op %s, want one unanswered fetch's", f.ID, f.Op)
+				}
+				delete(fetches, f.ID)
+			}
+		})
+	}
+}
+
 // TestWirePipeliningMixedInlineGoroutine is the -race pipelining pin:
 // deep bursts mixing inline ops (estimates, pings) with goroutine ops
 // (ingests, fresh estimates) on several concurrent connections. Every
 // request id is answered exactly once with its own op; inline responses
 // arrive in request order relative to each other (goroutine responses
 // may interleave anywhere — the id is the correlation); and no response
-// is stranded unflushed by the coalescing machine, whatever the
-// interleaving of inline writes and in-flight goroutines.
+// is stranded unflushed, whatever the interleaving of inline writes and
+// in-flight goroutines.
 func TestWirePipeliningMixedInlineGoroutine(t *testing.T) {
 	before := telemetry.Default.Snapshot()
 	s := primedServer(t)

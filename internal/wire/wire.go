@@ -165,9 +165,8 @@ type Frame struct {
 
 var crcTable = crc32.IEEETable
 
-// AppendFrame appends the encoded frame to dst and returns it — the
-// allocation-free building block WriteFrame and the client's pipelined
-// writer share.
+// AppendFrame appends the encoded frame to dst and returns it; it
+// allocates nothing when dst has room for the frame.
 func AppendFrame(dst []byte, f Frame) []byte {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint16(dst, Magic)
@@ -177,15 +176,6 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	dst = append(dst, f.Payload...)
 	crc := crc32.Checksum(dst[start:], crcTable)
 	return binary.BigEndian.AppendUint32(dst, crc)
-}
-
-// WriteFrame encodes and writes one frame.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload) > MaxPayload {
-		return ErrTooLarge
-	}
-	_, err := w.Write(AppendFrame(make([]byte, 0, HeaderSize+len(f.Payload)+TrailerSize), f))
-	return err
 }
 
 // ReadFrame reads one frame, enforcing maxPayload and verifying the CRC.

@@ -9,20 +9,11 @@ import (
 	"testing"
 )
 
-func frameBytes(t *testing.T, f Frame) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
 	for _, p := range payloads {
 		f := Frame{Op: OpEstimate, ID: 0xDEADBEEFCAFE, Payload: p}
-		raw := frameBytes(t, f)
+		raw := AppendFrame(nil, f)
 		got, _, err := ReadFrame(bytes.NewReader(raw), MaxPayload, nil)
 		if err != nil {
 			t.Fatalf("payload len %d: %v", len(p), err)
@@ -38,9 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFramePipelining(t *testing.T) {
 	var buf bytes.Buffer
 	for id := uint64(1); id <= 100; id++ {
-		if err := WriteFrame(&buf, Frame{Op: OpPing, ID: id, Payload: []byte{byte(id)}}); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(AppendFrame(nil, Frame{Op: OpPing, ID: id, Payload: []byte{byte(id)}}))
 	}
 	var scratch []byte
 	for id := uint64(1); id <= 100; id++ {
@@ -60,7 +49,7 @@ func TestFramePipelining(t *testing.T) {
 }
 
 func TestFrameErrors(t *testing.T) {
-	good := frameBytes(t, Frame{Op: OpIngest, ID: 7, Payload: []byte("payload")})
+	good := AppendFrame(nil, Frame{Op: OpIngest, ID: 7, Payload: []byte("payload")})
 
 	corrupt := func(mut func(b []byte)) error {
 		b := append([]byte(nil), good...)

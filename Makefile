@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick benchstat-query bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick perfbench-test bench-cluster bench-cluster-quick experiments-check ci
+.PHONY: build test vet orphan-packages staticcheck govulncheck race race-online race-serve race-service race-wire race-cluster race-experiments race-fit race-refit fuzz fuzz-query fuzz-server fuzz-wire bench bench-query bench-query-quick benchstat-query bench-fit bench-fit-quick benchstat-fit bench-hotpath bench-hotpath-quick benchstat-hotpath bench-refit bench-refit-quick benchstat-refit bench-serve bench-serve-quick benchstat-serve bench-quick perfbench-quick perfbench-test bench-cluster bench-cluster-quick syscalls experiments-check ci
 
 build:
 	$(GO) build ./...
@@ -169,6 +169,12 @@ bench-cluster:
 bench-cluster-quick:
 	DURATION=2s TENANTS=16 SEED_VALUES=256 SET="1 2" OUT=/dev/null TXT=- \
 		sh scripts/bench_cluster.sh
+
+# selestd's read and write syscalls and CPU per wire request under
+# selestload's defaults, from /proc and /metrics. Its numbers follow the
+# host, so ci leaves it out; compare builds by alternating runs.
+syscalls:
+	sh scripts/syscalls.sh
 
 # govulncheck is optional tooling: scan when installed, skip quietly on
 # a bare Go toolchain so ci never needs network access.

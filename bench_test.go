@@ -311,7 +311,9 @@ func BenchmarkAblationKernelChoice(b *testing.B) {
 func BenchmarkAblationScaleEstimate(b *testing.B) {
 	samples, w, lo, hi := ablationWorkload(b)
 	sd := stats.StdDev(samples)
-	iqr := stats.IQR(samples) / 1.348
+	sorted := append([]float64(nil), samples...)
+	fsort.Float64s(sorted)
+	iqr := (stats.QuantileSorted(sorted, 0.75) - stats.QuantileSorted(sorted, 0.25)) / 1.348
 	variants := []struct {
 		name  string
 		scale float64

@@ -69,10 +69,14 @@ var payloadPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// maxKeptReadBuf bounds the buffers a connection and the pool keep
+// between replies.
+const maxKeptReadBuf = 1 << 20
+
 func getPayloadBuf() *[]byte { return payloadPool.Get().(*[]byte) }
 
 func putPayloadBuf(b *[]byte) {
-	if b != nil {
+	if b != nil && cap(*b) <= maxKeptReadBuf {
 		payloadPool.Put(b)
 	}
 }
@@ -353,7 +357,17 @@ func (wc *wireConn) readLoop() {
 			delete(wc.pending, fr.ID)
 		}
 		wc.mu.Unlock()
-		if ok {
+		if len(fr.Payload) > maxKeptReadBuf {
+			// A large reply (a snapshot fetch's) keeps the buffer it was
+			// read into, uncopied, and the next frame reads into a new
+			// one, so the connection does not hold the largest reply's
+			// size for its life.
+			buf = nil
+			if ok {
+				payload := fr.Payload
+				ch <- wireResp{op: fr.Op, buf: &payload}
+			}
+		} else if ok {
 			// The payload aliases the read buffer; copy into a pooled
 			// buffer before handing it across the channel (the waiter
 			// releases it after decoding).

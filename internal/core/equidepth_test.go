@@ -146,7 +146,7 @@ func TestEquiDepthBuildSortedInput(t *testing.T) {
 		// The scale as summed in the caller's order: min(sd, IQR/1.348),
 		// falling back to whichever estimate is positive.
 		s := stats.StdDev(c.samples)
-		if q := stats.IQR(c.samples) / 1.348; q > 0 && !(s > 0 && s <= q) {
+		if q := (stats.QuantileSorted(sorted, 0.75) - stats.QuantileSorted(sorted, 0.25)) / 1.348; q > 0 && !(s > 0 && s <= q) {
 			s = q
 		}
 		width := math.Cbrt(24*math.SqrtPi) * s * math.Pow(float64(len(c.samples)), -1.0/3.0)

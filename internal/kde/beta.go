@@ -281,33 +281,6 @@ func (e *BetaEstimator) SelectivityLinear(a, b float64) float64 {
 	return s
 }
 
-// SelectivityBatch answers every query and returns the estimates in
-// input order.
-func (e *BetaEstimator) SelectivityBatch(qs []Range) []float64 {
-	return e.SelectivityBatchInto(make([]float64, 0, len(qs)), qs)
-}
-
-// SelectivityBatchInto is SelectivityBatch writing into dst (reallocated
-// only when its capacity is insufficient). Every query goes through the
-// same O(log n) closed forms as Selectivity — same searches, same
-// operation order — so each result is bit-identical to the single-query
-// answer by construction.
-func (e *BetaEstimator) SelectivityBatchInto(dst []float64, qs []Range) []float64 {
-	if cap(dst) < len(qs) {
-		dst = make([]float64, len(qs))
-	} else {
-		dst = dst[:len(qs)]
-	}
-	if telemetry.Enabled() {
-		kdeBatchCalls.Inc()
-		kdeBatchQueries.Add(int64(len(qs)))
-	}
-	for i, q := range qs {
-		dst[i] = e.Selectivity(q.A, q.B)
-	}
-	return dst
-}
-
 // Density returns the estimated probability density f̂(x); x outside the
 // domain evaluates to 0. The point-mass degenerate mode has no density.
 func (e *BetaEstimator) Density(x float64) float64 {

@@ -270,30 +270,6 @@ func TestBetaContextBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBetaBatchMatchesSingle: the batch API must be bit-identical to
-// per-query Selectivity calls.
-func TestBetaBatchMatchesSingle(t *testing.T) {
-	for _, sc := range momentCorpus(t) {
-		span := sc.hi - sc.lo
-		h := 0.04 * span
-		if h <= 0 {
-			h = 1
-		}
-		e, err := fitBeta(sc.samples, BetaConfig{Bandwidth: h, DomainLo: sc.lo, DomainHi: sc.hi})
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		r := xrand.New(43)
-		qs := queriesFor(r, sc.lo, sc.hi, h, 120)
-		got := e.SelectivityBatch(qs)
-		for i, q := range qs {
-			if want := e.Selectivity(q.A, q.B); got[i] != want {
-				t.Fatalf("%s: batch[%d]=%v vs single %v for Q(%v,%v)", sc.name, i, got[i], want, q.A, q.B)
-			}
-		}
-	}
-}
-
 // TestBetaMomentSummary pins the O(1) context moment read against a plain
 // two-pass computation.
 func TestBetaMomentSummary(t *testing.T) {
@@ -345,13 +321,6 @@ func TestBetaZeroAllocQueries(t *testing.T) {
 		e.Selectivity(0, 3e4) // boundary-block path
 	}); a != 0 {
 		t.Fatalf("Selectivity allocates %v per run, want 0", a)
-	}
-	qs := queriesFor(xrand.New(62), 0, 1e6, 2e4, 64)
-	dst := make([]float64, len(qs))
-	if a := testing.AllocsPerRun(50, func() {
-		e.SelectivityBatchInto(dst, qs)
-	}); a != 0 {
-		t.Fatalf("SelectivityBatchInto allocates %v per run, want 0", a)
 	}
 }
 

@@ -25,12 +25,6 @@ var (
 	// kdeQueries − kdeMomentQueries is the edge-scan fallback traffic
 	// (non-polynomial kernels or untrusted magnitudes).
 	kdeMomentQueries = telemetry.Default.Counter("selest_kde_moment_queries_total")
-	// kdeBatchCalls counts SelectivityBatch invocations; kdeBatchQueries
-	// counts the queries they carried. The ratio is the achieved batching
-	// factor.
-	kdeBatchCalls   = telemetry.Default.Counter("selest_kde_batch_calls_total")
-	kdeBatchQueries = telemetry.Default.Counter("selest_kde_batch_queries_total")
-
 	// Fit-path counters. fitSortsAvoided counts fits that reused a sort
 	// instead of sorting again: every estimator fitted from a FitContext
 	// (the FitContext's reason to exist — on the seed path every DPI pilot,

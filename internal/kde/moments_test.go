@@ -72,23 +72,26 @@ func momentCorpus(t testing.TB) []sampleCase {
 	}
 }
 
+// query is one range [A, B] of a test's query mix.
+type query struct{ A, B float64 }
+
 // queriesFor draws a query mix for a case: interior, boundary-hugging,
 // narrower than h, inverted, and NaN.
-func queriesFor(r *xrand.RNG, lo, hi, h float64, n int) []Range {
+func queriesFor(r *xrand.RNG, lo, hi, h float64, n int) []query {
 	span := hi - lo
-	qs := make([]Range, 0, n+6)
+	qs := make([]query, 0, n+6)
 	for i := 0; i < n; i++ {
 		a := lo + (r.Float64()*1.2-0.1)*span
 		w := r.Float64() * 0.3 * span
-		qs = append(qs, Range{a, a + w})
+		qs = append(qs, query{a, a + w})
 	}
 	qs = append(qs,
-		Range{lo, lo + 0.01*span},                 // left boundary
-		Range{hi - 0.01*span, hi},                 // right boundary
-		Range{lo + 0.4*span, lo + 0.4*span + h/5}, // narrower than h
-		Range{lo + 0.7*span, lo + 0.2*span},       // inverted: must be 0
-		Range{math.NaN(), lo + 0.5*span},          // NaN: must be 0
-		Range{lo - span, hi + span},               // hull-covering
+		query{lo, lo + 0.01*span},                 // left boundary
+		query{hi - 0.01*span, hi},                 // right boundary
+		query{lo + 0.4*span, lo + 0.4*span + h/5}, // narrower than h
+		query{lo + 0.7*span, lo + 0.2*span},       // inverted: must be 0
+		query{math.NaN(), lo + 0.5*span},          // NaN: must be 0
+		query{lo - span, hi + span},               // hull-covering
 	)
 	return qs
 }
@@ -198,68 +201,6 @@ func TestStripMomentMatchesLoop(t *testing.T) {
 					left, u1, u2, got, want)
 			}
 		}
-	}
-}
-
-// TestBatchMatchesSingleQueries: batch answers must be bit-identical to
-// per-query Selectivity, across modes and including degenerate queries.
-func TestBatchMatchesSingleQueries(t *testing.T) {
-	for _, sc := range momentCorpus(t) {
-		r := xrand.New(23)
-		for _, mode := range []BoundaryMode{BoundaryNone, BoundaryReflect, BoundaryKernels} {
-			h := (sc.hi - sc.lo) * 0.05
-			if h <= 0 {
-				h = 1
-			}
-			e, err := New(sc.samples, Config{
-				Bandwidth: h, Boundary: mode, DomainLo: sc.lo, DomainHi: sc.hi,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			qs := queriesFor(r, sc.lo, sc.hi, h, 50)
-			got := e.SelectivityBatch(qs)
-			if len(got) != len(qs) {
-				t.Fatalf("batch returned %d results for %d queries", len(got), len(qs))
-			}
-			for i, q := range qs {
-				want := e.Selectivity(q.A, q.B)
-				if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
-					t.Fatalf("%s/%v: batch[%d] = %v, single = %v for Q(%v,%v)",
-						sc.name, mode, i, got[i], want, q.A, q.B)
-				}
-			}
-			// The Into variant reuses dst without reallocating.
-			dst := make([]float64, 0, len(qs))
-			out := e.SelectivityBatchInto(dst, qs)
-			if &out[0] != &dst[:1][0] {
-				t.Fatal("SelectivityBatchInto reallocated a sufficient dst")
-			}
-		}
-	}
-}
-
-// TestBatchFallbackKernels: non-moment configurations answer through the
-// per-query path and still match exactly.
-func TestBatchFallbackKernels(t *testing.T) {
-	r := xrand.New(31)
-	samples := make([]float64, 400)
-	for i := range samples {
-		samples[i] = r.Float64() * 1000
-	}
-	e, err := New(samples, Config{Bandwidth: 25, Kernel: kernel.Gaussian{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := queriesFor(r, 0, 1000, 25, 20)
-	got := e.SelectivityBatch(qs)
-	for i, q := range qs {
-		if want := e.Selectivity(q.A, q.B); got[i] != want {
-			t.Fatalf("gaussian batch[%d] = %v, single = %v", i, got[i], want)
-		}
-	}
-	if out := e.SelectivityBatch(nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
 	}
 }
 
@@ -504,7 +445,7 @@ func blockProbes(r *xrand.RNG, xs []float64, h float64, random int) []float64 {
 }
 
 // TestBlockIndexMatchesFullPrefix holds every consumer of the block
-// index — the window CDF sum behind single queries and the batch sweep,
+// index — the window CDF sum behind single queries,
 // the clipped range sum behind beta kernels and the boundary-strip
 // polynomial — within blockIndexTol of the full-prefix reference, and
 // holds the kernel sum behind DensityGrid and the DPI pilots and the

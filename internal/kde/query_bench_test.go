@@ -1,7 +1,7 @@
 package kde_test
 
 // Query-engine benchmarks: the Θ(n) reference evaluator, the O(log n + k)
-// edge scan, the O(log n) prefix-moment closed form, and the batch sweep,
+// edge scan and the O(log n) prefix-moment closed form,
 // at n ∈ {1e4, 1e5, 1e6} with the DPI bandwidth the production
 // configuration uses. `make bench` converts the output to BENCH_query.json.
 //
@@ -19,9 +19,12 @@ import (
 	"selest/internal/xrand"
 )
 
+// rangeQuery is one benchmark query [A, B].
+type rangeQuery struct{ A, B float64 }
+
 type queryBenchSetup struct {
 	est     *kde.Estimator
-	queries []kde.Range
+	queries []rangeQuery
 }
 
 var (
@@ -60,10 +63,10 @@ func querySetup(b *testing.B, n int) *queryBenchSetup {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([]kde.Range, 256)
+	queries := make([]rangeQuery, 256)
 	for i := range queries {
 		a := r.Float64() * span * 0.99
-		queries[i] = kde.Range{A: a, B: a + 0.01*span}
+		queries[i] = rangeQuery{A: a, B: a + 0.01*span}
 	}
 	s := &queryBenchSetup{est: est, queries: queries}
 	queryBenchCache[n] = s
@@ -117,33 +120,13 @@ func BenchmarkQueryMoment(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryBatch(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			s := querySetup(b, sz.n)
-			dst := make([]float64, 0, len(s.queries))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := s.est.SelectivityBatchInto(dst, s.queries)
-				sinkSelectivity = out[0]
-			}
-			b.StopTimer()
-			// Report per-query cost so the batch rows compare directly with
-			// the single-query benchmarks.
-			perQuery := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(s.queries))
-			b.ReportMetric(perQuery, "ns/query")
-		})
-	}
-}
-
 var sinkSelectivity float64
 
 // spreadPick is one query of the spread workload and the estimator it
 // goes to.
 type spreadPick struct {
 	est int
-	q   kde.Range
+	q   rangeQuery
 }
 
 type spreadSetup struct {
@@ -186,7 +169,7 @@ func spreadSetupFor(b *testing.B, name string, pool, n int, mode kde.BoundaryMod
 	}
 	for i := range s.picks {
 		a := r.Float64() * span * 0.99
-		s.picks[i] = spreadPick{est: int(r.Uint64() % uint64(pool)), q: kde.Range{A: a, B: a + 0.01*span}}
+		s.picks[i] = spreadPick{est: int(r.Uint64() % uint64(pool)), q: rangeQuery{A: a, B: a + 0.01*span}}
 	}
 	spreadCache[name] = s
 	return s

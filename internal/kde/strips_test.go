@@ -37,7 +37,7 @@ func fullStripLogs(xs []float64, lo, hi float64) *stripLogs {
 // boundaryQueries draws ranges whose endpoints crowd the strips: within
 // 3h of either boundary, exactly on lo, lo+h, lo+2h and their mirrors, and
 // spanning the whole domain.
-func boundaryQueries(r *xrand.RNG, lo, hi, h float64, n int) []Range {
+func boundaryQueries(r *xrand.RNG, lo, hi, h float64, n int) []query {
 	near := func() float64 {
 		d := r.Float64() * 3 * h
 		if r.Float64() < 0.5 {
@@ -45,18 +45,18 @@ func boundaryQueries(r *xrand.RNG, lo, hi, h float64, n int) []Range {
 		}
 		return math.Max(hi-d, lo)
 	}
-	qs := make([]Range, 0, n+8)
+	qs := make([]query, 0, n+8)
 	for i := 0; i < n; i++ {
 		a, b := near(), near()
 		if a > b {
 			a, b = b, a
 		}
-		qs = append(qs, Range{a, b})
+		qs = append(qs, query{a, b})
 	}
 	return append(qs,
-		Range{lo, lo + h}, Range{lo, lo + 2*h}, Range{lo + h, lo + 2*h},
-		Range{hi - h, hi}, Range{hi - 2*h, hi}, Range{hi - 2*h, hi - h},
-		Range{lo, hi}, Range{lo - h, hi + h},
+		query{lo, lo + h}, query{lo, lo + 2*h}, query{lo + h, lo + 2*h},
+		query{hi - h, hi}, query{hi - 2*h, hi}, query{hi - 2*h, hi - h},
+		query{lo, hi}, query{lo - h, hi + h},
 	)
 }
 

@@ -48,9 +48,9 @@ func FuzzHTTPDecoders(f *testing.F) {
 	paths := []string{"/v1/estimate", "/v1/estimate/batch", "/v1/ingest", "/v1/attrs"}
 
 	// One long-lived server for the whole fuzz run: decoders must hold
-	// regardless of accumulated state. MaxAttrs is small so fuzzer-created
-	// attributes cannot grow without bound.
-	s := mustServer(f, Options{MaxAttrs: 8, MaxBatch: 64, QueueCap: 64})
+	// regardless of accumulated state; the attribute limit bounds
+	// fuzzer-created attributes.
+	s := mustServer(f, Options{MaxBatch: 64, QueueCap: 64})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		f.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func FuzzWireRequests(f *testing.F) {
 	// One long-lived server for the whole run, bounded like
 	// FuzzHTTPDecoders' so fuzzer-created attributes and ingests stay
 	// small.
-	s := mustServer(f, Options{MaxAttrs: 8, MaxBatch: 64, QueueCap: 64})
+	s := mustServer(f, Options{MaxBatch: 64, QueueCap: 64})
 	if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
 		f.Fatal(err)
 	}
@@ -107,6 +107,9 @@ func FuzzWireRequests(f *testing.F) {
 		op := wire.Op(opByte)
 		cli, srv := net.Pipe()
 		defer cli.Close()
+		if !ws.register(srv) {
+			t.Fatal("connection refused before shutdown")
+		}
 		served := make(chan struct{})
 		go func() {
 			ws.serveConn(srv)

@@ -162,7 +162,7 @@ func (s *Server) endpoint(op wire.Op) http.HandlerFunc {
 		retry := r.Header.Get(wire.HeaderRetry)
 		c := call{op: op, retry: retry != "" && retry != "0", deadline: s.deadline(op, start, ms), ctx: r.Context()}
 		if op != wire.OpSnapshotFetch {
-			decodeBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxPayloadBytes), &c)
+			decodeBody(http.MaxBytesReader(w, r.Body, wire.MaxPayload), &c)
 		}
 		var rep reply
 		if err := s.serve(&c, &rep); err != nil {

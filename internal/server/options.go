@@ -54,14 +54,12 @@ type Options struct {
 	// MaxBatch bounds queries per batch-estimate and values per ingest
 	// request. Zero defaults to 4096.
 	MaxBatch int
-	// MaxAttrs bounds the total number of attributes across tenants.
-	// Zero defaults to 4096.
-	MaxAttrs int
-	// MaxPayloadBytes bounds a request body (HTTP) or frame payload
-	// (wire): payloads beyond it are a typed error, not an OOM. Zero
-	// defaults to 16 MiB.
-	MaxPayloadBytes int64
 }
+
+// maxAttrs bounds the total number of attributes across tenants. A
+// request body (HTTP) or frame payload (wire) is bounded by
+// wire.MaxPayload: payloads beyond it are a typed error, not an OOM.
+const maxAttrs = 4096
 
 // withDefaults returns o with every zero limit replaced by its default.
 func (o Options) withDefaults() Options {
@@ -79,12 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 4096
-	}
-	if o.MaxAttrs == 0 {
-		o.MaxAttrs = 4096
-	}
-	if o.MaxPayloadBytes == 0 {
-		o.MaxPayloadBytes = 16 << 20
 	}
 	return o
 }
@@ -125,12 +117,6 @@ func (o *Options) Validate() error {
 	}
 	if o.MaxBatch < 0 {
 		return bad("MaxBatch %d must be non-negative", o.MaxBatch)
-	}
-	if o.MaxAttrs < 0 {
-		return bad("MaxAttrs %d must be non-negative", o.MaxAttrs)
-	}
-	if o.MaxPayloadBytes < 0 {
-		return bad("MaxPayloadBytes %d must be non-negative", o.MaxPayloadBytes)
 	}
 	return nil
 }

@@ -2,11 +2,16 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"net"
+	"net/http"
 	"testing"
 	"time"
 
 	"selest/internal/core"
+	"selest/internal/errcode"
+	"selest/internal/wire"
 )
 
 // TestOptionsValidate pins the typed-rejection contract (ISSUE satellite
@@ -16,7 +21,7 @@ func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{QuotaRate: 10, QuotaBurst: 100},
-		{QueueCap: 1, MaxBatch: 1, MaxAttrs: 1, MaxInflight: 1, MaxPayloadBytes: 1024},
+		{QueueCap: 1, MaxBatch: 1, MaxInflight: 1},
 		{DefaultTimeout: time.Second, DegradeDeadline: time.Millisecond},
 	}
 	for i, o := range good {
@@ -39,8 +44,6 @@ func TestOptionsValidate(t *testing.T) {
 		{DegradeDeadline: -time.Millisecond},
 		{MaxInflight: -1},
 		{MaxBatch: -1},
-		{MaxAttrs: -1},
-		{MaxPayloadBytes: -1},
 	}
 	for i, o := range bad {
 		err := o.Validate()
@@ -65,7 +68,51 @@ func TestNewServerDefaults(t *testing.T) {
 	}
 	if s.cfg.QueueCap != 8192 || s.cfg.DefaultTimeout != 5*time.Second ||
 		s.cfg.DegradeDeadline != 25*time.Millisecond || s.cfg.MaxInflight != 1024 ||
-		s.cfg.MaxBatch != 4096 || s.cfg.MaxAttrs != 4096 || s.cfg.MaxPayloadBytes != 16<<20 {
+		s.cfg.MaxBatch != 4096 {
 		t.Fatalf("defaults wrong: %+v", s.cfg)
+	}
+}
+
+// TestAttrLimitOverQuota pins the attribute limit on both transports:
+// once maxAttrs attributes exist, the next create_attr is over_quota
+// over HTTP and over selestwire alike.
+func TestAttrLimitOverQuota(t *testing.T) {
+	s := mustServer(t, Options{})
+	for i := 0; i < maxAttrs; i++ {
+		if err := s.CreateAttr("acme", fmt.Sprint("a", i), testAttrCfg()); err != nil {
+			t.Fatalf("attribute %d of %d: %v", i+1, maxAttrs, err)
+		}
+	}
+	const cfg = `{"domain_lo":0,"domain_hi":1}`
+
+	w := do(t, s.Handler(), "POST", "/v1/attrs", `{"tenant":"acme","attr":"over","config":`+cfg+`}`, nil)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("HTTP create past the limit: status %d: %s", w.Code, w.Body.String())
+	}
+	if code := decodeErrorBody(t, w).Code; code != errcode.CodeOverQuota.String() {
+		t.Fatalf("HTTP create past the limit: code %q, want over_quota", code)
+	}
+
+	_, addr := startWireServer(t, s)
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	req := wire.CreateAttrReq{Tenant: "acme", Attr: "over", Config: []byte(cfg)}.Append(nil)
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Op: wire.OpCreateAttr, ID: 1, Payload: req})); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := wire.ReadFrame(conn, wire.MaxPayload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Op != wire.OpError {
+		t.Fatalf("wire create past the limit answered %s", f.Op)
+	}
+	er, err := wire.DecodeErrorRes(f.Payload)
+	if err != nil || errcode.Code(er.Code) != errcode.CodeOverQuota {
+		t.Fatalf("wire create past the limit: %+v, %v (want over_quota)", er, err)
 	}
 }

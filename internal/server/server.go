@@ -276,8 +276,8 @@ func (s *Server) create(tenantName, attrName string, cfg AttrConfig) error {
 		}
 		return fmt.Errorf("%w: %s/%s", ErrConflict, tenantName, attrName)
 	}
-	if s.nAttrs >= s.cfg.MaxAttrs {
-		return fmt.Errorf("%w: attribute limit %d reached", ErrOverQuota, s.cfg.MaxAttrs)
+	if s.nAttrs >= maxAttrs {
+		return fmt.Errorf("%w: attribute limit %d reached", ErrOverQuota, maxAttrs)
 	}
 	a := &attribute{
 		tenant: tenantName,

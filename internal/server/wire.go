@@ -6,24 +6,21 @@
 // envelope differs: a binary frame instead of an HTTP response.
 //
 // Concurrency model (DESIGN.md §16): one reader goroutine per
-// connection decodes each frame once and serves the read-only requests
-// that cannot block — pings, non-fresh estimates, small non-fresh
-// batches — *inline*, with every buffer reused across frames, so the
-// steady-state estimate round trip spawns no goroutine, copies no
-// payload, and allocates nothing. Everything else runs on a goroutine of
-// its own (bounded per connection): fresh estimates, which may wait on a
-// refit; snapshot fetches, which walk the whole service; batches past
-// inlineBatchMax, which would hold up the frames behind them; and, by
-// choice, the writes. An ingest's push never waits and a create_attr
-// allocates no reservoir, but Shutdown waits only for these goroutines,
-// so keeping the writes among them keeps what a drain waits for.
-// Responses are written under a per-connection mutex and may interleave
-// in any order — the request id is the correlation, exactly as
-// DESIGN.md §13 specifies. One flush rule covers them all: the reader
-// flushes every buffered reply before it waits, for the next frame or
-// for a pipelining slot, so a burst of K pipelined requests is answered
-// with one write syscall and no reply waits behind another request; a
-// goroutine's reply flushes at once.
+// connection owns every request it reads, and the connection closes
+// only after all of them have been answered. The reader decodes each
+// frame once and answers it *inline*, with every buffer reused across
+// frames, so the steady-state estimate round trip spawns no goroutine,
+// copies no payload, and allocates nothing. Only a request that can
+// wait runs on a goroutine of its own (bounded per connection): a fresh
+// estimate, which may wait on a refit; a snapshot fetch, which walks the
+// whole service; and a batch past inlineBatchMax, which would hold up
+// the frames behind it. Responses are written under a per-connection
+// mutex and may interleave in any order — the request id is the
+// correlation, exactly as DESIGN.md §13 specifies. One flush rule covers
+// them all: the reader flushes every buffered reply before it waits, for
+// the next frame or for a pipelining slot, so a burst of K pipelined
+// requests is answered with one write syscall and no reply waits behind
+// another request; a goroutine's reply flushes at once.
 //
 // Failure posture mirrors the HTTP transport: a malformed payload inside
 // a well-framed request is a typed error response on that request alone;
@@ -56,6 +53,9 @@ import (
 // goroutines without bound.
 const maxConnPipelined = 128
 
+// lingerMax bounds how long closeConn discards what a peer still sends.
+const lingerMax = time.Second
+
 // WireServer serves the binary protocol over a Server. Create one with
 // Server.NewWireServer, hand it listeners via Serve, and stop it with
 // Shutdown (the wire twin of http.Server.Shutdown).
@@ -65,7 +65,7 @@ type WireServer struct {
 	mu      sync.Mutex
 	lns     map[net.Listener]struct{}
 	conns   map[net.Conn]struct{}
-	reqs    sync.WaitGroup
+	readers sync.WaitGroup // one per registered connection's reader
 	closing atomic.Bool
 }
 
@@ -103,49 +103,56 @@ func (ws *WireServer) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		ws.mu.Lock()
-		if ws.closing.Load() {
-			ws.mu.Unlock()
+		if !ws.register(c) {
 			c.Close()
 			return nil
 		}
-		ws.conns[c] = struct{}{}
-		ws.mu.Unlock()
 		go ws.serveConn(c)
 	}
 }
 
-// Shutdown stops the wire transport gracefully: close every listener
-// (no new connections), wait — bounded by ctx — for requests already
-// dispatched to finish and their responses to flush, then close the
-// connections. Requests arriving while the Server is draining receive
-// typed draining errors rather than dropped connections, so a client
-// sees the same contract as HTTP's 503-during-drain.
-func (ws *WireServer) Shutdown(ctx context.Context) error {
-	ws.closing.Store(true)
+// register admits c to the connection map, the readers Shutdown waits
+// for, and the gauge, unless Shutdown has begun.
+func (ws *WireServer) register(c net.Conn) bool {
 	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.closing.Load() {
+		return false
+	}
+	ws.conns[c] = struct{}{}
+	ws.readers.Add(1)
+	srvWireConns.Set(float64(len(ws.conns)))
+	return true
+}
+
+// Shutdown stops the wire transport gracefully: it closes every
+// listener, then stops every reader between frames. A reader answers
+// what it has read, the frames it has buffered included, and closes its
+// connection; frames unread when Shutdown starts are not read. Shutdown
+// waits for the readers, bounded by ctx, and closes whatever is left.
+func (ws *WireServer) Shutdown(ctx context.Context) error {
+	ws.mu.Lock()
+	ws.closing.Store(true)
 	for ln := range ws.lns {
 		ln.Close()
+	}
+	for c := range ws.conns {
+		_ = c.SetReadDeadline(time.Now())
 	}
 	ws.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
-		ws.reqs.Wait()
+		ws.readers.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = fmt.Errorf("server: wire shutdown abandoned in-flight requests: %w", ctx.Err())
+		ws.CloseConns()
+		return fmt.Errorf("server: wire shutdown abandoned open connections: %w", ctx.Err())
 	}
-	ws.mu.Lock()
-	for c := range ws.conns {
-		c.Close()
-	}
-	ws.mu.Unlock()
-	return err
 }
 
 // CloseConns forcibly closes every live connection without touching the
@@ -199,40 +206,48 @@ func (cw *connWriter) write(b []byte, flush bool) {
 // flush pushes every buffered frame to the socket.
 func (cw *connWriter) flush() { cw.write(nil, true) }
 
+// serveConn is c's reader. A goroutine-path request holds one of c's
+// pipelining slots until its reply is written, and the teardown takes
+// every slot before it closes c, however the reader stopped.
 func (ws *WireServer) serveConn(c net.Conn) {
-	srvWireConns.Set(float64(ws.wireConnCount(c, +1)))
 	cw := &connWriter{bw: bufio.NewWriterSize(c, 64<<10), c: c}
+	sem := make(chan struct{}, maxConnPipelined)
 	defer func() {
-		srvWireConns.Set(float64(ws.wireConnCount(c, -1)))
-		// A client that pipelined requests and half-closed its write
-		// side still gets every response.
 		cw.flush()
-		c.Close()
+		for range maxConnPipelined {
+			sem <- struct{}{}
+		}
+		closeConn(c)
+		ws.mu.Lock()
+		delete(ws.conns, c)
+		srvWireConns.Set(float64(len(ws.conns)))
+		ws.mu.Unlock()
+		ws.readers.Done()
 	}()
 
 	br := bufio.NewReaderSize(c, 64<<10)
 	fp := &fastPath{ws: ws, cw: cw}
-	sem := make(chan struct{}, maxConnPipelined)
 	var buf []byte
 	for {
 		// The flush rule: the reader flushes before it waits — here for
-		// the next frame, below for a pipelining slot — so the inline
-		// replies to a pipelined burst leave in one write, and none waits
-		// behind a request still being served.
+		// the next frame, below for a pipelining slot, and in the
+		// teardown for its goroutines — so the inline replies to a
+		// pipelined burst leave in one write, and none waits behind a
+		// request still being served.
 		if br.Buffered() == 0 {
 			cw.flush()
 		}
 		var f wire.Frame
 		var err error
-		f, buf, err = wire.ReadFrame(br, uint32(ws.s.cfg.MaxPayloadBytes), buf)
+		f, buf, err = wire.ReadFrame(br, wire.MaxPayload, buf)
 		if err != nil {
 			if errors.Is(err, wire.ErrProtocol) {
 				// The stream is corrupt: answer once (id 0 — after a
 				// framing error no id is trustworthy) and hang up.
 				srvWireProtoErrors.Inc()
 				cw.write(wire.AppendFrame(nil, errorFrame(0, fmt.Errorf("%w: %v", ErrBadValue, err), 0)), false)
-			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				srvWireReadErrors.Inc()
+			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) && !ws.closing.Load() {
+				srvWireReadErrors.Inc() // Shutdown's read deadline is no failure
 			}
 			return
 		}
@@ -247,8 +262,8 @@ func (ws *WireServer) serveConn(c net.Conn) {
 			}
 			continue
 		}
-		// Everything else gets its own goroutine, with its own copy of
-		// what the call borrows from the read buffer.
+		// A request that can wait gets its own goroutine and slot, with
+		// its own copy of what the call borrows from the read buffer.
 		id, req, start := f.ID, fp.c.own(), fp.start
 		select {
 		case sem <- struct{}{}:
@@ -256,12 +271,22 @@ func (ws *WireServer) serveConn(c net.Conn) {
 			cw.flush()
 			sem <- struct{}{}
 		}
-		ws.reqs.Add(1)
 		go func() {
-			defer func() { <-sem; ws.reqs.Done() }()
+			defer func() { <-sem }()
 			ws.respond(cw, id, req, start)
 		}()
 	}
+}
+
+// closeConn closes c without a reset, which would make the peer's kernel
+// drop replies already sent: it half-closes c, then discards what the
+// peer still sends until the peer closes too or lingerMax passes.
+func closeConn(c net.Conn) {
+	if hc, ok := c.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+		_ = c.SetReadDeadline(time.Now().Add(lingerMax))
+		_, _ = io.Copy(io.Discard, c)
+	}
+	_ = c.Close()
 }
 
 // inlineBatchMax bounds the estimate_batch size served inline on the
@@ -271,9 +296,8 @@ func (ws *WireServer) serveConn(c net.Conn) {
 const inlineBatchMax = 64
 
 // fastPath is the reader goroutine's per-connection dispatcher. Every
-// frame is decoded once, here, with the view decoders. Ops that cannot
-// block — pings, non-fresh estimates, non-fresh batches up to
-// inlineBatchMax — then run through the request core and are encoded on
+// frame is decoded once, here, with the view decoders. Every request
+// that cannot wait then runs through the request core and is encoded on
 // the reader goroutine itself, with every buffer reused across frames:
 // no goroutine handoff, no payload copy (the frame is consumed before
 // the next ReadFrame reuses its buffer), no context, and no
@@ -295,7 +319,7 @@ type fastPath struct {
 }
 
 // serve decodes one request frame into fp.c and answers it inline when
-// it cannot block, reporting whether it did. The reply is buffered, not
+// it cannot wait, reporting whether it did. The reply is buffered, not
 // flushed: the reader flushes before it waits. A declined frame's call
 // stays in fp.c for the reader to copy and hand to a goroutine.
 func (fp *fastPath) serve(op wire.Op, id uint64, payload []byte) bool {
@@ -317,9 +341,9 @@ func (fp *fastPath) serve(op wire.Op, id uint64, payload []byte) bool {
 	return true
 }
 
-// decode fills fp.c from a request frame. Tenant and attr alias the
-// payload; an ingest's values and a create_attr's config, which always
-// go to a goroutine, are decoded into memory of their own.
+// decode fills fp.c from a request frame. An estimate's or batch's
+// tenant and attr alias the payload; an ingest and a create_attr are
+// decoded into memory of their own.
 func (fp *fastPath) decode(op wire.Op, payload []byte) {
 	s := fp.ws.s
 	c := &fp.c
@@ -367,18 +391,17 @@ func (fp *fastPath) decode(op wire.Op, payload []byte) {
 	c.deadline = s.deadline(op, fp.start, int64(meta.TimeoutMs))
 }
 
-// inline reports whether c may be answered on the reader goroutine: the
-// ops that cannot block, and estimates or batches that failed to decode.
+// inline reports whether c may be answered on the reader goroutine:
+// every request except one that can wait — a fresh read, a snapshot
+// fetch, or a batch past inlineBatchMax — and any that failed to decode.
 func (c *call) inline() bool {
-	switch c.op {
-	case wire.OpPing:
+	switch {
+	case c.bad != nil || c.over:
 		return true
-	case wire.OpEstimate:
-		return c.bad != nil || !c.fresh
-	case wire.OpEstimateBatch:
-		return c.bad != nil || c.over || !c.fresh && len(c.queries) <= inlineBatchMax
+	case c.op == wire.OpSnapshotFetch:
+		return false
 	}
-	return false
+	return !c.fresh && len(c.queries) <= inlineBatchMax
 }
 
 // own copies what c borrows from the frame buffer, so c can outlive the
@@ -393,12 +416,14 @@ func (c *call) own() *call {
 
 // respond runs a dispatched call through the request core on its
 // goroutine and writes its one response, encoded into a buffer of its
-// own and flushed at once.
+// own (the one copy of a fetch's envelope) and flushed at once.
 func (ws *WireServer) respond(cw *connWriter, id uint64, c *call, start time.Time) {
 	var r reply
 	f := wire.Frame{Op: c.op | wire.RespFlag, ID: id}
 	if err := ws.s.serve(c, &r); err != nil {
 		f = errorFrame(id, err, r.retryAfter)
+	} else if c.op == wire.OpSnapshotFetch {
+		f.Payload = r.snapshot
 	} else {
 		f.Payload = r.appendWire(nil, c.op)
 	}
@@ -407,8 +432,7 @@ func (ws *WireServer) respond(cw *connWriter, id uint64, c *call, start time.Tim
 }
 
 // appendWire encodes r as op's response payload onto dst. Pings and
-// create_attr answer with an empty payload; a snapshot fetch with the
-// SELS envelope verbatim.
+// create_attr answer with an empty payload.
 func (r *reply) appendWire(dst []byte, op wire.Op) []byte {
 	switch op {
 	case wire.OpEstimate:
@@ -422,23 +446,8 @@ func (r *reply) appendWire(dst []byte, op wire.Op) []byte {
 		return dst
 	case wire.OpIngest:
 		return wire.IngestRes{Queued: uint32(r.ingest.Queued), Shed: uint32(r.ingest.Shed)}.Append(dst)
-	case wire.OpSnapshotFetch:
-		return append(dst, r.snapshot...)
 	}
 	return dst
-}
-
-// wireConnCount registers or unregisters a connection and returns the
-// new count for the gauge.
-func (ws *WireServer) wireConnCount(c net.Conn, delta int) int {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if delta > 0 {
-		// Serve already registered the conn; nothing to add.
-	} else {
-		delete(ws.conns, c)
-	}
-	return len(ws.conns)
 }
 
 // errorFrame builds the OpError response for err, carrying the stable

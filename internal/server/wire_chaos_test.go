@@ -6,8 +6,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -214,6 +217,201 @@ func TestWireChaosShutdownConservation(t *testing.T) {
 	if inserted != accepted.Load()-shed.Load() {
 		t.Fatalf("wire shutdown dropped accepted values untracked: %d accepted, %d shed, %d reached the reservoir (want accepted-shed)",
 			accepted.Load(), shed.Load(), inserted)
+	}
+}
+
+// pipeline keeps up to window requests in flight on a raw connection,
+// hands every reply to onReply, and closes the connection once the
+// server has closed its side. It returns nil on the server's clean EOF
+// and the first other error otherwise.
+func pipeline(conn net.Conn, window int, req func(id uint64) wire.Frame, onReply func(wire.Frame) error) error {
+	slots := make(chan struct{}, window)
+	stop := make(chan struct{})
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		var out []byte
+		for id := uint64(1); ; id++ {
+			select {
+			case slots <- struct{}{}:
+			case <-stop:
+				return
+			}
+			out = wire.AppendFrame(out[:0], req(id))
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		conn.Close()
+		<-written
+	}()
+	br := bufio.NewReader(conn)
+	var buf []byte
+	for {
+		var f wire.Frame
+		var err error
+		f, buf, err = wire.ReadFrame(br, wire.MaxPayload, buf)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := onReply(f); err != nil {
+			return err
+		}
+		<-slots
+	}
+}
+
+// allAtLeast reports whether every count has reached n.
+func allAtLeast(counts []atomic.Int64, n int64) bool {
+	for i := range counts {
+		if counts[i].Load() < n {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWireShutdownUnderPipelinedFreshReads pins that Shutdown stops the
+// readers instead of counting requests: with four connections keeping
+// fresh reads in flight, which take the goroutine path, it returns nil
+// long before its context expires, and every connection ends with the
+// server's clean EOF.
+func TestWireShutdownUnderPipelinedFreshReads(t *testing.T) {
+	const n = 1 << 16
+	s := mustServer(t, Options{MaxBatch: n, QueueCap: n})
+	cfg := testAttrCfg()
+	cfg.ReservoirSize, cfg.RefitEvery = n, -1
+	if err := s.CreateAttr("acme", "price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Every fresh read refits all of these, so the reads queue up on the
+	// attribute's one refit slot and some are always in flight.
+	if _, err := s.Ingest("acme", "price", seq(n)); err != nil {
+		t.Fatal(err)
+	}
+	waitInserted(t, s, "acme", "price", n)
+	ws, addr := startWireServer(t, s)
+	fresh := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0.1, Hi: 0.9, Fresh: true}.Append(nil)
+
+	const conns = 4
+	var replies [conns]atomic.Int64
+	errs := make(chan error, conns)
+	for i := range replies {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+		go func() {
+			errs <- pipeline(conn, 16, func(id uint64) wire.Frame {
+				return wire.Frame{Op: wire.OpEstimate, ID: id, Payload: fresh}
+			}, func(f wire.Frame) error {
+				if f.Op != wire.OpEstimate|wire.RespFlag {
+					return fmt.Errorf("fresh read answered %s", f.Op)
+				}
+				replies[i].Add(1)
+				return nil
+			})
+		}()
+	}
+	waitCond(t, "fresh reads to flow on every connection", 10*time.Second, func() bool {
+		return allAtLeast(replies[:], 16)
+	})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := ws.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown under pipelined fresh reads: %v after %v", err, time.Since(start))
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("shutdown took %v, want under 2s", took)
+	}
+	for i := 0; i < conns; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("connection %d: %v", i, err)
+		}
+	}
+}
+
+// TestWireShutdownAcknowledgesEveryAcceptedValue pins the conservation
+// law across a mid-stream Shutdown, on raw connections that read every
+// reply the server sends: the values the server accepted equal the
+// values its replies told the clients were queued, minus those shed. A
+// reply lost to a connection reset, or an ingest accepted after its
+// connection closed, breaks the equality.
+func TestWireShutdownAcknowledgesEveryAcceptedValue(t *testing.T) {
+	ingest := wire.IngestReq{Tenant: "acme", Attr: "price", Values: []float64{0.25, 0.75}}.Append(nil)
+	for round := 0; round < 20; round++ {
+		s := mustServer(t, Options{QueueCap: 1 << 20})
+		if err := s.CreateAttr("acme", "price", testAttrCfg()); err != nil {
+			t.Fatal(err)
+		}
+		ws, addr := startWireServer(t, s)
+
+		const conns = 4
+		var queued, shed atomic.Int64
+		var replies [conns]atomic.Int64
+		errs := make(chan error, conns)
+		for i := range replies {
+			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+			go func() {
+				errs <- pipeline(conn, 64, func(id uint64) wire.Frame {
+					return wire.Frame{Op: wire.OpIngest, ID: id, Payload: ingest}
+				}, func(f wire.Frame) error {
+					if f.Op != wire.OpIngest|wire.RespFlag {
+						return fmt.Errorf("ingest answered %s", f.Op)
+					}
+					res, err := wire.DecodeIngestRes(f.Payload)
+					if err != nil {
+						return err
+					}
+					queued.Add(int64(res.Queued))
+					shed.Add(int64(res.Shed))
+					replies[i].Add(1)
+					return nil
+				})
+			}()
+		}
+		// Every connection is past accept: one still in the listener's
+		// backlog is reset when Shutdown closes the listener.
+		waitCond(t, "ingests to flow on every connection", 10*time.Second, func() bool {
+			return allAtLeast(replies[:], 64)
+		})
+
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := ws.Shutdown(ctx); err != nil {
+			cancel()
+			t.Fatalf("round %d: shutdown mid-stream: %v", round, err)
+		}
+		for i := 0; i < conns; i++ {
+			if err := <-errs; err != nil {
+				t.Errorf("round %d connection %d: %v", round, i, err)
+			}
+		}
+		if err := s.Close(ctx, ""); err != nil {
+			cancel()
+			t.Fatalf("round %d: drain: %v", round, err)
+		}
+		cancel()
+		a, err := s.attr("acme", "price")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inserted := int64(a.est.Inserts()); inserted != queued.Load()-shed.Load() {
+			t.Fatalf("round %d: %d values reached the reservoir, but replies acknowledged %d queued and %d shed",
+				round, inserted, queued.Load(), shed.Load())
+		}
 	}
 }
 

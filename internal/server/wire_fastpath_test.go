@@ -208,26 +208,46 @@ func TestWireFastPathPingAndBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWireFastPathDeclines pins the dispatch rules: anything that may
-// block must fall through to the goroutine path.
+// TestWireFastPathDeclines pins the dispatch rules: the reader answers
+// every request inline except one that can wait — a fresh read, a
+// snapshot fetch, or a batch past inlineBatchMax — which falls through
+// to the goroutine path.
 func TestWireFastPathDeclines(t *testing.T) {
 	s := primedServer(t)
-	fp, _, _ := newMemFastPath(s)
+	fp, mc, cw := newMemFastPath(s)
+
+	ingest := wire.IngestReq{Tenant: "acme", Attr: "price", Values: seq(4)}.Append(nil)
+	if !fp.serve(wire.OpIngest, 1, ingest) {
+		t.Fatal("ingest not served inline")
+	}
+	create := wire.CreateAttrReq{Tenant: "acme", Attr: "weight", Config: []byte(`{"domain_lo":0,"domain_hi":1}`)}.Append(nil)
+	if !fp.serve(wire.OpCreateAttr, 2, create) {
+		t.Fatal("create_attr not served inline")
+	}
+	cw.flush()
+	br := bytes.NewReader(mc.buf.Bytes())
+	for _, want := range []wire.Op{wire.OpIngest, wire.OpCreateAttr} {
+		f, _, err := wire.ReadFrame(br, wire.MaxPayload, nil)
+		if err != nil || f.Op != want|wire.RespFlag {
+			t.Fatalf("inline %s answered %s, %v", want, f.Op, err)
+		}
+	}
 
 	fresh := wire.EstimateReq{Tenant: "acme", Attr: "price", Lo: 0, Hi: 1, Fresh: true}.Append(nil)
-	if fp.serve(wire.OpEstimate, 1, fresh) {
+	if fp.serve(wire.OpEstimate, 3, fresh) {
 		t.Fatal("fresh estimate served inline; it may block on a refit flush")
+	}
+	freshBatch := wire.EstimateBatchReq{Tenant: "acme", Attr: "price", Fresh: true,
+		Queries: []wire.Range{{Lo: 0, Hi: 1}}}.Append(nil)
+	if fp.serve(wire.OpEstimateBatch, 4, freshBatch) {
+		t.Fatal("fresh batch served inline; it may block on a refit flush")
 	}
 	big := wire.EstimateBatchReq{Tenant: "acme", Attr: "price",
 		Queries: make([]wire.Range, inlineBatchMax+1)}.Append(nil)
-	if fp.serve(wire.OpEstimateBatch, 2, big) {
+	if fp.serve(wire.OpEstimateBatch, 5, big) {
 		t.Fatal("oversized batch served inline")
 	}
-	ingest := wire.IngestReq{Tenant: "acme", Attr: "price", Values: seq(4)}.Append(nil)
-	if fp.serve(wire.OpIngest, 3, ingest) {
-		t.Fatal("ingest served inline")
-	}
-	if fp.serve(wire.OpSnapshotFetch, 4, wire.SnapshotFetchReq{}.Append(nil)) {
+	if fp.serve(wire.OpSnapshotFetch, 6, wire.SnapshotFetchReq{}.Append(nil)) {
 		t.Fatal("snapshot_fetch served inline")
 	}
 }
@@ -342,6 +362,60 @@ func TestWireNoReplyHeldBehindBlockedRequest(t *testing.T) {
 				delete(fetches, f.ID)
 			}
 		})
+	}
+}
+
+// TestWireHalfCloseGetsEveryReply pins the connection lifetime: a
+// connection closes only after every request its reader read has been
+// answered. The client pipelines a snapshot fetch, blocked on tenant b's
+// lock the test holds, and an estimate, then half-closes its write
+// side; the reader sees EOF with the fetch still in flight. The
+// estimate's reply arrives at once, and the fetch's after the lock is
+// released, before the server's EOF.
+func TestWireHalfCloseGetsEveryReply(t *testing.T) {
+	s := mustServer(t, Options{})
+	for _, tenant := range []string{"a", "b"} {
+		if err := s.CreateAttr(tenant, "x", testAttrCfg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, addr := startWireServer(t, s)
+	tn := s.tenantNamed([]byte("b"))
+	tn.mu.Lock()
+	release := sync.OnceFunc(tn.mu.Unlock)
+	defer release()
+
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	out := wire.AppendFrame(nil, wire.Frame{Op: wire.OpSnapshotFetch, ID: 1, Payload: wire.SnapshotFetchReq{}.Append(nil)})
+	out = wire.AppendFrame(out, wire.Frame{Op: wire.OpEstimate, ID: 2, Payload: wire.EstimateReq{
+		Tenant: "a", Attr: "x", Lo: 0.25, Hi: 0.75}.Append(nil)})
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+
+	br := bufio.NewReader(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f, rbuf, err := wire.ReadFrame(br, wire.MaxPayload, nil)
+	if err != nil || f.ID != 2 || f.Op != wire.OpEstimate|wire.RespFlag {
+		t.Fatalf("first reply id %d op %s, %v: want the estimate's while the fetch blocks", f.ID, f.Op, err)
+	}
+	release()
+	f, rbuf, err = wire.ReadFrame(br, wire.MaxPayload, rbuf)
+	if err != nil {
+		t.Fatalf("the fetch's reply is lost: %v", err)
+	}
+	if f.ID != 1 || f.Op != wire.OpSnapshotFetch|wire.RespFlag {
+		t.Fatalf("second reply id %d op %s, want the fetch's", f.ID, f.Op)
+	}
+	if _, _, err = wire.ReadFrame(br, wire.MaxPayload, rbuf); err != io.EOF {
+		t.Fatalf("after every reply: %v, want EOF", err)
 	}
 }
 

@@ -75,19 +75,9 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the p-quantile of xs using linear interpolation between
-// order statistics (Hyndman–Fan type 7, the R and NumPy default). The input
-// need not be sorted; a sorted copy is made. Empty input yields NaN.
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	fsort.Float64s(sorted)
-	return QuantileSorted(sorted, p)
-}
-
-// QuantileSorted is Quantile for already-sorted input, avoiding the copy.
+// QuantileSorted returns the p-quantile of a sample sorted ascending,
+// using linear interpolation between order statistics (Hyndman–Fan type
+// 7, the R and NumPy default). Empty input yields NaN.
 func QuantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -108,18 +98,8 @@ func QuantileSorted(sorted []float64, p float64) float64 {
 	return sorted[i] + frac*(sorted[i+1]-sorted[i])
 }
 
-// IQR returns the interquartile range Q(0.75) − Q(0.25).
-func IQR(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	fsort.Float64s(sorted)
-	return iqrSorted(sorted)
-}
-
-// iqrSorted is IQR for already-sorted input, avoiding the copy (NaN for
-// empty input, through QuantileSorted).
+// iqrSorted returns the interquartile range Q(0.75) − Q(0.25) of a
+// sample sorted ascending (NaN for empty input, through QuantileSorted).
 func iqrSorted(sorted []float64) float64 {
 	return QuantileSorted(sorted, 0.75) - QuantileSorted(sorted, 0.25)
 }

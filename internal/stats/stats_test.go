@@ -56,24 +56,28 @@ func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := map[float64]float64{0: 1, 0.25: 2, 0.5: 3, 0.75: 4, 1: 5}
 	for p, want := range cases {
-		if got := Quantile(xs, p); got != want {
-			t.Fatalf("Quantile(%v) = %v, want %v", p, got, want)
+		if got := QuantileSorted(xs, p); got != want {
+			t.Fatalf("QuantileSorted(%v) = %v, want %v", p, got, want)
 		}
 	}
 	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.5); got != 5 {
+	if got := QuantileSorted([]float64{0, 10}, 0.5); got != 5 {
 		t.Fatalf("interpolated median = %v, want 5", got)
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("Quantile(nil) should be NaN")
+	if !math.IsNaN(QuantileSorted(nil, 0.5)) {
+		t.Fatal("QuantileSorted(nil) should be NaN")
 	}
 }
 
+// TestQuantileDoesNotMutate: Summarize takes its quantiles from a sorted
+// copy, never by sorting the caller's slice.
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
+	if s := Summarize(xs); s.Q50 != 2 {
+		t.Fatalf("median = %v, want 2", s.Q50)
+	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Quantile mutated its input")
+		t.Fatal("Summarize mutated its input")
 	}
 }
 
@@ -84,7 +88,8 @@ func TestIQRNormalConsistency(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Normal()
 	}
-	if got := IQR(xs) / 1.348; math.Abs(got-1) > 0.02 {
+	sort.Float64s(xs)
+	if got := iqrSorted(xs) / 1.348; math.Abs(got-1) > 0.02 {
 		t.Fatalf("IQR/1.348 on N(0,1) = %v, want ~1", got)
 	}
 }
@@ -180,9 +185,8 @@ func TestRadixSortedStatsBitIdentical(t *testing.T) {
 				t.Fatalf("n=%d %s = %v, comparison-sort reference %v", n, what, got, want)
 			}
 		}
-		same("Quantile", Quantile(xs, 0.37), QuantileSorted(ref, 0.37))
 		iqr := QuantileSorted(ref, 0.75) - QuantileSorted(ref, 0.25)
-		same("IQR", IQR(xs), iqr)
+		same("Summarize.IQR", Summarize(xs).IQR, iqr)
 		same("iqrSorted", iqrSorted(ref), iqr)
 		same("ScaleSorted", ScaleSorted(ref), combineScale(StdDev(ref), iqr/iqrToSigma))
 		same("Summarize.ScaleEst", Summarize(xs).ScaleEst, combineScale(StdDev(xs), iqr/iqrToSigma))

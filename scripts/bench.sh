@@ -23,9 +23,9 @@ GO=${GO:-go}
 # smoke flags. The first smoke flag is the -benchtime a diff run reuses,
 # with the full run's flags so its rows pair with the baseline's.
 #
-#   query      Θ(n) linear, edge-scan, prefix-moment and batch-sweep
-#              kernel queries at n up to 1e6, and queries spread over
-#              pools of estimators
+#   query      Θ(n) linear, edge-scan and prefix-moment kernel queries
+#              at n up to 1e6, and queries spread over pools of
+#              estimators
 #   fit        the fit-path engine against the seed implementations: DPI,
 #              LSCV, oracle search, hybrid build, radix sort
 #   hotpath    frame codec and the server's inline fast path, alone and

@@ -2,6 +2,7 @@ package selest
 
 import (
 	"selest/internal/catalog"
+	"selest/internal/core"
 	"selest/internal/feedback"
 	"selest/internal/online"
 )
@@ -35,11 +36,13 @@ type Online = online.Estimator
 // applies the paper's 2,000-record sample size.
 type OnlineConfig = online.Config
 
-// NewOnline returns an online estimator that refits by calling Build with
-// the given options over the current reservoir sample.
+// NewOnline returns an online estimator that refits with the given
+// options over the reservoir's sorted view, in place: each refit gives
+// the answers Build gives over the same sample without copying or
+// sorting it again.
 func NewOnline(opts Options, cfg OnlineConfig) (*Online, error) {
-	return online.New(func(samples []float64) (online.Fitted, error) {
-		return Build(samples, opts)
+	return online.New(func(sorted []float64) (online.Fitted, error) {
+		return core.BuildSorted(sorted, opts)
 	}, cfg)
 }
 

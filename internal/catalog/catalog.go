@@ -306,7 +306,7 @@ func WriteEntries(w io.Writer, entries []*Entry) error {
 				return fmt.Errorf("catalog: %w", err)
 			}
 		}
-		if err := binary.Write(cw, binary.LittleEndian, e.Samples); err != nil {
+		if err := dataset.WriteFloats(cw, e.Samples); err != nil {
 			return fmt.Errorf("catalog: %w", err)
 		}
 	}

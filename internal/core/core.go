@@ -166,9 +166,10 @@ func Build(samples []float64, opts Options) (Estimator, error) {
 
 // BuildSorted is Build over samples sorted ascending that the caller
 // never modifies afterwards, such as an online reservoir's sorted view:
-// it skips Build's copy and sort, and the kernel and beta-kernel fits
-// alias the samples. The answers are bit-identical to Build's over the
-// same samples. Unsorted input is an error wrapping ErrBadOption.
+// it skips Build's copy and sort, every builder reads the samples in
+// place, and the fits that keep a sample (sampling, the kernel methods,
+// the hybrid) alias them. The answers are bit-identical to Build's over
+// the same samples. Unsorted input is an error wrapping ErrBadOption.
 func BuildSorted(sorted []float64, opts Options) (Estimator, error) {
 	// The kernel methods' fit context checks the order of what it
 	// aliases; every other method is checked here, so each view is read
@@ -235,65 +236,66 @@ func Ladder(opts Options, below []Method) []Options {
 	return rungs
 }
 
-// dispatch routes the validated option set to the method's builder.
-func dispatch(samples []float64, opts Options, method Method) (Estimator, error) {
+// dispatch routes the validated option set to the method's builder, each
+// of which reads the sorted sample in place.
+func dispatch(sorted []float64, opts Options, method Method) (Estimator, error) {
 	if err := faultinject.Check("core.build." + string(method)); err != nil {
 		return nil, fmt.Errorf("core: build %s: %w", method, err)
 	}
 	switch method {
 	case Sampling:
-		return sample.NewPureEstimator(samples), nil
+		return sample.NewPureEstimator(sorted), nil
 	case Uniform:
-		return histogram.BuildUniform(samples, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildUniform(sorted, opts.DomainLo, opts.DomainHi)
 	case EquiWidth:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildEquiWidth(samples, k, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildEquiWidth(sorted, k, opts.DomainLo, opts.DomainHi)
 	case EquiDepth:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildEquiDepthSorted(samples, k)
+		return histogram.BuildEquiDepth(sorted, k)
 	case MaxDiff:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildMaxDiff(samples, k)
+		return histogram.BuildMaxDiff(sorted, k)
 	case VOptimal:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildVOptimal(samples, k, 0)
+		return histogram.BuildVOptimal(sorted, k, 0)
 	case EndBiased:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildEndBiased(samples, singletons, k, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildEndBiased(sorted, singletons, k, opts.DomainLo, opts.DomainHi)
 	case Wavelet:
-		return wavelet.New(samples, wavelet.Config{DomainLo: opts.DomainLo, DomainHi: opts.DomainHi})
+		return wavelet.New(sorted, wavelet.Config{DomainLo: opts.DomainLo, DomainHi: opts.DomainHi})
 	case ASH:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildASH(samples, k, ashShifts, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildASH(sorted, k, ashShifts, opts.DomainLo, opts.DomainHi)
 	case FrequencyPolygon:
-		k, err := binCount(samples, opts, method)
+		k, err := binCount(sorted, opts, method)
 		if err != nil {
 			return nil, err
 		}
-		return histogram.BuildFrequencyPolygon(samples, k, opts.DomainLo, opts.DomainHi)
+		return histogram.BuildFrequencyPolygon(sorted, k, opts.DomainLo, opts.DomainHi)
 	case Kernel:
 		// One fit context serves the bandwidth rule (every DPI pilot, every
 		// LSCV grid point) and the final estimator: the sample is
 		// moment-indexed exactly once per build.
-		ctx, err := kde.NewFitContextSorted(samples)
+		ctx, err := kde.NewFitContextSorted(sorted)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +313,7 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		// Same shared-context discipline as Kernel: one moment index
 		// serves the closed-form rule and the estimator. The default rule
 		// here is BetaClosedForm — the rule the method exists for.
-		ctx, err := kde.NewFitContextSorted(samples)
+		ctx, err := kde.NewFitContextSorted(sorted)
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +331,7 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 			DomainHi:  opts.DomainHi,
 		})
 	case VariableKernel:
-		ctx, err := kde.NewFitContextSorted(samples)
+		ctx, err := kde.NewFitContextSorted(sorted)
 		if err != nil {
 			return nil, err
 		}
@@ -337,14 +339,14 @@ func dispatch(samples []float64, opts Options, method Method) (Estimator, error)
 		if err != nil {
 			return nil, err
 		}
-		return kde.NewVariable(samples, kde.VariableConfig{
+		return ctx.NewVariableEstimator(kde.VariableConfig{
 			PilotBandwidth: h,
 			Reflect:        opts.Boundary != kde.BoundaryNone,
 			DomainLo:       opts.DomainLo,
 			DomainHi:       opts.DomainHi,
 		})
 	case Hybrid:
-		return hybrid.New(samples, opts.DomainLo, opts.DomainHi, hybrid.Config{})
+		return hybrid.New(sorted, opts.DomainLo, opts.DomainHi, hybrid.Config{})
 	default:
 		return nil, fmt.Errorf("core: unknown method %q (valid: %s): %w", method, methodNames(), ErrBadOption)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"selest/internal/fsort"
@@ -171,6 +172,30 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestBuildSortedUsesSampleInPlace: the sampling fit and the histogram
+// fits that keep no sample read the sorted sample BuildSorted is handed
+// where it lies, so a fit over 2^16 values allocates less than one copy
+// of them.
+func TestBuildSortedUsesSampleInPlace(t *testing.T) {
+	const n, fits = 1 << 16, 4
+	sorted := testSamples(n, 17)
+	fsort.Float64s(sorted)
+	for _, m := range []Method{Sampling, Uniform, EquiWidth, ASH, FrequencyPolygon} {
+		opts := Options{Method: m, DomainLo: 0, DomainHi: 1000}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < fits; i++ {
+			if _, err := BuildSorted(sorted, opts); err != nil {
+				t.Fatalf("%s: %v", m, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / fits; per >= 8*n {
+			t.Errorf("%s: a fit allocated %d bytes, not under the %d of one copy of its sample", m, per, 8*n)
+		}
+	}
+}
+
 // TestSortsAvoidedCounter pins what selest_fit_sorts_avoided_total
 // counts on the build path: a fit that reuses a sort it did not pay for.
 // Build pays its own sort, so only the estimators it fits from its fit
@@ -189,6 +214,7 @@ func TestSortsAvoidedCounter(t *testing.T) {
 		{Options{Method: EquiDepth, Rule: DPI}, false, 2}, // the two pilots
 		{Options{Method: Kernel}, false, 1},               // the estimator
 		{Options{Method: Kernel}, true, 2},
+		{Options{Method: VariableKernel}, false, 1}, // the estimator; its pilot shares the context
 	} {
 		c.opts.DomainLo, c.opts.DomainHi = 0, 1000
 		before := fitSortsAvoided.Value()

@@ -90,7 +90,7 @@ func TestEquiDepthBuildMatchesTwoSortPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: width: %v", c.name, rule, err)
 			}
-			want, err := histogram.BuildEquiDepthSorted(sortedCopy(c.samples), bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
+			want, err := histogram.BuildEquiDepth(sortedCopy(c.samples), bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
 			if err != nil {
 				t.Fatalf("%s/%s: two-sort build: %v", c.name, rule, err)
 			}
@@ -150,7 +150,7 @@ func TestEquiDepthBuildSortedInput(t *testing.T) {
 			s = q
 		}
 		width := math.Cbrt(24*math.SqrtPi) * s * math.Pow(float64(len(c.samples)), -1.0/3.0)
-		want, err := histogram.BuildEquiDepthSorted(sorted, bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
+		want, err := histogram.BuildEquiDepth(sorted, bandwidth.BinsForWidth(width, c.lo, c.hi, 8192))
 		if err != nil {
 			t.Fatalf("%s: caller-order width: %v", c.name, err)
 		}

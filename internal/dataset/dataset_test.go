@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -236,5 +238,37 @@ func TestFileString(t *testing.T) {
 	s := f.String()
 	if s == "" || !bytes.Contains([]byte(s), []byte("u(15)")) {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestWriteFloatsMatchesBinaryWrite: WriteFloats writes the bytes
+// binary.Write writes, at lengths around its chunk size and for signed
+// zeros, infinities and NaN, and ReadFloats reads them back bit for bit.
+func TestWriteFloatsMatchesBinaryWrite(t *testing.T) {
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 3*1024 + 5} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i)*1.5 - 700
+		}
+		if n > 4 {
+			xs[0], xs[1], xs[2], xs[3] = math.Copysign(0, -1), math.Inf(1), math.NaN(), math.Inf(-1)
+		}
+		var got, want bytes.Buffer
+		if err := WriteFloats(&got, xs); err != nil {
+			t.Fatal(err)
+		}
+		if err := binary.Write(&want, binary.LittleEndian, xs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: WriteFloats bytes differ from binary.Write", n)
+		}
+		back, err := ReadFloats(&got, uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(back, xs, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("n=%d: round trip changed the values", n)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func (f *File) Save(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(f.Records))); err != nil {
 		return fmt.Errorf("dataset: write count: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, f.Records); err != nil {
+	if err := WriteFloats(bw, f.Records); err != nil {
 		return fmt.Errorf("dataset: write records: %w", err)
 	}
 	return bw.Flush()

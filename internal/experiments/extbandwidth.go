@@ -167,15 +167,18 @@ func extBandwidthDrift(env *Env, rep *Report) error {
 	)
 	seed := env.Config().Seed ^ 0xbeefcafe
 
-	dpiBuilder := func(samples []float64) (online.Fitted, error) {
-		return core.Build(samples, core.Options{Method: core.Kernel, Rule: core.DPI, Boundary: kde.BoundaryKernels, DomainLo: domainLo, DomainHi: domainHi})
-	}
 	engines := []struct {
 		name  string
 		build online.Builder
 	}{
-		{"dpi under drift", dpiBuilder},
-		{"beta-closed-form under drift", online.ClosedFormBuilder(0, 0)},
+		{"dpi under drift", func(sorted []float64) (online.Fitted, error) {
+			return core.BuildSorted(sorted, core.Options{Method: core.Kernel, Rule: core.DPI, Boundary: kde.BoundaryKernels, DomainLo: domainLo, DomainHi: domainHi})
+		}},
+		// Each refit's sample hull is the domain: a fixed one would
+		// eventually reject the drifting reservoir.
+		{"beta-closed-form under drift", func(sorted []float64) (online.Fitted, error) {
+			return core.BuildSorted(sorted, core.Options{Method: core.BetaKernel, DomainLo: sorted[0], DomainHi: sorted[len(sorted)-1]})
+		}},
 	}
 
 	series := make([]Series, len(engines))

@@ -10,6 +10,7 @@ import (
 	"selest/internal/distinct"
 	"selest/internal/errmetrics"
 	"selest/internal/feedback"
+	"selest/internal/fsort"
 	"selest/internal/histogram"
 	"selest/internal/join"
 	"selest/internal/kde"
@@ -61,6 +62,7 @@ func ExtRates(env *Env) (*Report, error) {
 			for i := range samples {
 				samples[i] = truth.Sample(rng)
 			}
+			fsort.Float64s(samples)
 			hK := bandwidth.OptimalBandwidth(n, kernel.Epanechnikov{}, r2)
 			est, err := kde.New(samples, kde.Config{Bandwidth: hK})
 			if err != nil {
@@ -195,7 +197,7 @@ func ExtSketch(env *Env) (*Report, error) {
 			return nil, err
 		}
 		bins := max(bandwidth.BinsForWidth(width, lo, hi, 8192), 10)
-		sampled, err := histogram.BuildEquiDepthSorted(sorted, bins)
+		sampled, err := histogram.BuildEquiDepth(sorted, bins)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +205,7 @@ func ExtSketch(env *Env) (*Report, error) {
 
 		// Exact equi-depth over the full file: the reference the sketch
 		// approximates.
-		exact, err := histogram.BuildEquiDepthSorted(sortedCopy(f.Records), bins)
+		exact, err := histogram.BuildEquiDepth(sortedCopy(f.Records), bins)
 		if err != nil {
 			return nil, err
 		}

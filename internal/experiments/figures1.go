@@ -110,9 +110,10 @@ func ewhMRECurve(env *Env, file string, size float64) (Series, error) {
 		return Series{}, err
 	}
 	lo, hi := f.Domain()
+	sorted := sortedCopy(samples)
 	s := Series{Name: "equi-width " + file}
 	for _, k := range binGrid() {
-		h, err := histogram.BuildEquiWidth(samples, k, lo, hi)
+		h, err := histogram.BuildEquiWidth(sorted, k, lo, hi)
 		if err != nil {
 			return Series{}, err
 		}
@@ -141,7 +142,7 @@ func Fig4(env *Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sampMRE, _ := errmetrics.MRE(sample.NewPureEstimator(samples), w)
+	sampMRE, _ := errmetrics.MRE(sample.NewPureEstimator(sortedCopy(samples)), w)
 	flat := Series{Name: "pure sampling"}
 	for _, x := range curve.X {
 		flat.X = append(flat.X, x)
@@ -201,11 +202,12 @@ func Fig6(env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		mreS, _ := errmetrics.MRE(sample.NewPureEstimator(samples), w)
+		sorted := sortedCopy(samples)
+		mreS, _ := errmetrics.MRE(sample.NewPureEstimator(sorted), w)
 		sampling.X = append(sampling.X, float64(n))
 		sampling.Y = append(sampling.Y, mreS)
 
-		he, err := core.Build(samples, core.Options{Method: core.EquiWidth, DomainLo: lo, DomainHi: hi})
+		he, err := core.BuildSorted(sorted, core.Options{Method: core.EquiWidth, DomainLo: lo, DomainHi: hi})
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +215,7 @@ func Fig6(env *Env) (*Report, error) {
 		ewh.X = append(ewh.X, float64(n))
 		ewh.Y = append(ewh.Y, mreH)
 
-		ke, err := core.Build(samples, core.Options{Method: core.Kernel, Boundary: kde.BoundaryKernels, DomainLo: lo, DomainHi: hi})
+		ke, err := core.BuildSorted(sorted, core.Options{Method: core.Kernel, Boundary: kde.BoundaryKernels, DomainLo: lo, DomainHi: hi})
 		if err != nil {
 			return nil, err
 		}

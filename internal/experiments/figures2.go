@@ -77,18 +77,18 @@ func Fig8(env *Env) (*Report, error) {
 			return mre
 		}
 
-		ewh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
-			return histogram.BuildEquiWidth(samples, k, lo, hi)
-		})
 		sorted := sortedCopy(samples)
+		ewh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
+			return histogram.BuildEquiWidth(sorted, k, lo, hi)
+		})
 		edh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
-			return histogram.BuildEquiDepthSorted(sorted, k)
+			return histogram.BuildEquiDepth(sorted, k)
 		})
 		mdh := mreAtOptimum(func(k int) (errmetrics.Estimator, error) {
-			return histogram.BuildMaxDiff(samples, k)
+			return histogram.BuildMaxDiff(sorted, k)
 		})
-		sampMRE, _ := errmetrics.MRE(sample.NewPureEstimator(samples), w)
-		uni, err := histogram.BuildUniform(samples, lo, hi)
+		sampMRE, _ := errmetrics.MRE(sample.NewPureEstimator(sorted), w)
+		uni, err := histogram.BuildUniform(sorted, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -133,8 +133,9 @@ func Fig9(env *Env) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		sorted := sortedCopy(samples)
 		build := func(k int) (errmetrics.Estimator, error) {
-			return histogram.BuildEquiWidth(samples, k, lo, hi)
+			return histogram.BuildEquiWidth(sorted, k, lo, hi)
 		}
 		kOpt, err := oracleBinsFor(build, w)
 		if err != nil {
@@ -146,7 +147,7 @@ func Fig9(env *Env) (*Report, error) {
 		}
 		mreOpt, _ := errmetrics.MRE(hOpt, w)
 
-		width, err := bandwidth.NormalScaleBinWidthSorted(sortedCopy(samples))
+		width, err := bandwidth.NormalScaleBinWidthSorted(sorted)
 		if err != nil {
 			return nil, err
 		}
@@ -312,21 +313,22 @@ func Fig12(env *Env) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		ewh, err := core.Build(samples, core.Options{Method: core.EquiWidth, DomainLo: lo, DomainHi: hi})
+		sorted := sortedCopy(samples)
+		ewh, err := core.BuildSorted(sorted, core.Options{Method: core.EquiWidth, DomainLo: lo, DomainHi: hi})
 		if err != nil {
 			return err
 		}
-		kern, err := core.Build(samples, core.Options{
+		kern, err := core.BuildSorted(sorted, core.Options{
 			Method: core.Kernel, Boundary: kde.BoundaryKernels, Rule: core.DPI, DomainLo: lo, DomainHi: hi,
 		})
 		if err != nil {
 			return err
 		}
-		hyb, err := hybrid.New(samples, lo, hi, hybrid.Config{})
+		hyb, err := hybrid.New(sorted, lo, hi, hybrid.Config{})
 		if err != nil {
 			return err
 		}
-		ash, err := core.Build(samples, core.Options{Method: core.ASH, DomainLo: lo, DomainHi: hi})
+		ash, err := core.BuildSorted(sorted, core.Options{Method: core.ASH, DomainLo: lo, DomainHi: hi})
 		if err != nil {
 			return err
 		}

@@ -13,8 +13,8 @@ type ASH struct {
 }
 
 // BuildASH builds an average shifted histogram over [lo, hi] with k bins
-// per shift and m shifts.
-func BuildASH(samples []float64, k, m int, lo, hi float64) (*ASH, error) {
+// per shift and m shifts from a sample sorted ascending.
+func BuildASH(sorted []float64, k, m int, lo, hi float64) (*ASH, error) {
 	if k < 1 || m < 1 {
 		return nil, fmt.Errorf("histogram: ASH needs k >= 1 bins and m >= 1 shifts, got k=%d m=%d", k, m)
 	}
@@ -22,7 +22,6 @@ func BuildASH(samples []float64, k, m int, lo, hi float64) (*ASH, error) {
 		return nil, fmt.Errorf("histogram: domain [%v, %v] is empty", lo, hi)
 	}
 	width := (hi - lo) / float64(k)
-	sorted := sortedCopy(samples)
 	a := &ASH{lo: lo, hi: hi, shifts: make([]*Histogram, 0, m)}
 	for s := 0; s < m; s++ {
 		offset := width * float64(s) / float64(m)

@@ -25,58 +25,55 @@ type EndBiased struct {
 type singleton struct{ v, mass float64 }
 
 // BuildEndBiased builds an end-biased histogram with k singleton buckets
-// and restBins equi-width bins for the remainder over [lo, hi].
-func BuildEndBiased(samples []float64, k, restBins int, lo, hi float64) (*EndBiased, error) {
+// and restBins equi-width bins for the remainder over [lo, hi] from a
+// sample sorted ascending; the remainder keeps that order.
+func BuildEndBiased(sorted []float64, k, restBins int, lo, hi float64) (*EndBiased, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histogram: singleton count must be >= 1, got %d", k)
 	}
 	if restBins < 1 {
 		return nil, fmt.Errorf("histogram: rest bin count must be >= 1, got %d", restBins)
 	}
-	if len(samples) == 0 {
+	if len(sorted) == 0 {
 		return nil, fmt.Errorf("histogram: end-biased needs samples")
 	}
 	if !(hi > lo) {
 		return nil, fmt.Errorf("histogram: domain [%v, %v] is empty", lo, hi)
 	}
 
-	freq := make(map[float64]int, len(samples))
-	for _, v := range samples {
-		freq[v]++
-	}
+	// Each run of equal values is one candidate, in ascending value
+	// order, which the stable sort keeps among equal counts: ties go to
+	// the smaller value.
 	type vc struct {
 		v float64
 		c int
 	}
-	byCount := make([]vc, 0, len(freq))
-	for v, c := range freq {
-		byCount = append(byCount, vc{v, c})
-	}
-	sort.Slice(byCount, func(i, j int) bool {
-		if byCount[i].c != byCount[j].c {
-			return byCount[i].c > byCount[j].c
+	var byCount []vc
+	for i, j := 0, 0; i < len(sorted); i = j {
+		for j = i + 1; j < len(sorted) && sorted[j] == sorted[i]; j++ {
 		}
-		return byCount[i].v < byCount[j].v // deterministic ties
-	})
+		byCount = append(byCount, vc{sorted[i], j - i})
+	}
+	sort.SliceStable(byCount, func(i, j int) bool { return byCount[i].c > byCount[j].c })
 	if k > len(byCount) {
 		k = len(byCount)
 	}
 
 	top := byCount[:k]
 	sort.Slice(top, func(i, j int) bool { return top[i].v < top[j].v })
-	e := &EndBiased{singles: make([]singleton, k), n: len(samples)}
+	e := &EndBiased{singles: make([]singleton, k), n: len(sorted)}
 	isSingle := make(map[float64]bool, k)
 	for i, t := range top {
-		e.singles[i] = singleton{t.v, float64(t.c) / float64(len(samples))}
+		e.singles[i] = singleton{t.v, float64(t.c) / float64(len(sorted))}
 		isSingle[t.v] = true
 	}
 	var rest []float64
-	for _, v := range samples {
+	for _, v := range sorted {
 		if !isSingle[v] {
 			rest = append(rest, v)
 		}
 	}
-	e.restPor = float64(len(rest)) / float64(len(samples))
+	e.restPor = float64(len(rest)) / float64(len(sorted))
 	if len(rest) > 0 {
 		h, err := BuildEquiWidth(rest, restBins, lo, hi)
 		if err != nil {

@@ -2,14 +2,16 @@ package histogram
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"selest/internal/xmath"
 	"selest/internal/xrand"
 )
 
-// duplicateHeavy builds a sample where value 100 holds 50% of the mass,
-// value 200 holds 25%, and the rest is uniform on [0, 1000].
+// duplicateHeavy builds a sample, sorted ascending, where value 100 holds
+// 50% of the mass, value 200 holds 25%, and the rest is uniform on
+// [0, 1000].
 func duplicateHeavy(n int, seed uint64) []float64 {
 	r := xrand.New(seed)
 	out := make([]float64, n)
@@ -24,6 +26,7 @@ func duplicateHeavy(n int, seed uint64) []float64 {
 			out[i] = math.Floor(r.Float64() * 1000)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -139,7 +142,7 @@ func TestEndBiasedAccessors(t *testing.T) {
 func TestEndBiasedDeterministicTies(t *testing.T) {
 	// Equal frequencies: the singleton choice must be deterministic
 	// (smallest values win ties).
-	samples := []float64{3, 3, 1, 1, 2, 2, 9}
+	samples := []float64{1, 1, 2, 2, 3, 3, 9}
 	a, err := BuildEndBiased(samples, 2, 4, 0, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -6,14 +6,14 @@
 // All histograms share one representation: bin boundaries c₀ < … < c_k and
 // per-bin sample counts n_i. Selectivity follows paper eq. 4 under the
 // uniform-spread assumption inside each bin.
+//
+// Every builder takes the sample sorted ascending and reads it in place.
 package histogram
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"selest/internal/fsort"
 )
 
 // Histogram is a bucketised density estimate over samples. Construct with
@@ -136,8 +136,9 @@ func (h *Histogram) Density(x float64) float64 {
 }
 
 // BuildEquiWidth builds an equi-width histogram with k bins over the
-// domain [lo, hi]. Samples outside the domain are ignored.
-func BuildEquiWidth(samples []float64, k int, lo, hi float64) (*Histogram, error) {
+// domain [lo, hi] from a sample sorted ascending. Samples outside the
+// domain are ignored.
+func BuildEquiWidth(sorted []float64, k int, lo, hi float64) (*Histogram, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histogram: bin count must be >= 1, got %d", k)
 	}
@@ -150,14 +151,14 @@ func BuildEquiWidth(samples []float64, k int, lo, hi float64) (*Histogram, error
 		bounds[i] = lo + float64(i)*width
 	}
 	bounds[k] = hi
-	sorted := sortedCopy(samples)
 	return newHistogram("equi-width", bounds, sorted)
 }
 
 // BuildUniform builds the one-bin "uniform assumption" estimator over
-// [lo, hi] — System R's model, the paper's worst-case baseline.
-func BuildUniform(samples []float64, lo, hi float64) (*Histogram, error) {
-	h, err := BuildEquiWidth(samples, 1, lo, hi)
+// [lo, hi] from a sample sorted ascending — System R's model, the paper's
+// worst-case baseline.
+func BuildUniform(sorted []float64, lo, hi float64) (*Histogram, error) {
+	h, err := BuildEquiWidth(sorted, 1, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -165,13 +166,12 @@ func BuildUniform(samples []float64, lo, hi float64) (*Histogram, error) {
 	return h, nil
 }
 
-// BuildEquiDepthSorted builds an equi-depth histogram with (up to) k
-// bins from a sample sorted ascending: bin boundaries sit at the sample
-// quantiles so every bin holds about the same number of samples.
-// Duplicate quantiles (heavy duplicate values) collapse, so the result may
-// have fewer than k bins. The histogram keeps bin counts, not samples, so
-// sorted is only read during the build.
-func BuildEquiDepthSorted(sorted []float64, k int) (*Histogram, error) {
+// BuildEquiDepth builds an equi-depth histogram with (up to) k bins from
+// a sample sorted ascending: bin boundaries sit at the sample quantiles
+// so every bin holds about the same number of samples. Duplicate
+// quantiles (heavy duplicate values) collapse, so the result may have
+// fewer than k bins.
+func BuildEquiDepth(sorted []float64, k int) (*Histogram, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histogram: bin count must be >= 1, got %d", k)
 	}
@@ -198,17 +198,17 @@ func BuildEquiDepthSorted(sorted []float64, k int) (*Histogram, error) {
 	return newHistogram("equi-depth", bounds, sorted)
 }
 
-// BuildMaxDiff builds a max-diff histogram with (up to) k bins: the k−1
-// largest gaps between adjacent distinct sample values become bin
-// boundaries (paper §3.1, following Poosala et al.).
-func BuildMaxDiff(samples []float64, k int) (*Histogram, error) {
+// BuildMaxDiff builds a max-diff histogram with (up to) k bins from a
+// sample sorted ascending: the k−1 largest gaps between adjacent distinct
+// sample values become bin boundaries (paper §3.1, following Poosala et
+// al.).
+func BuildMaxDiff(sorted []float64, k int) (*Histogram, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histogram: bin count must be >= 1, got %d", k)
 	}
-	if len(samples) == 0 {
+	if len(sorted) == 0 {
 		return nil, fmt.Errorf("histogram: max-diff needs samples")
 	}
-	sorted := sortedCopy(samples)
 	if sorted[0] == sorted[len(sorted)-1] {
 		return nil, fmt.Errorf("histogram: all samples identical; no interval structure")
 	}
@@ -241,14 +241,6 @@ func BuildMaxDiff(samples []float64, k int) (*Histogram, error) {
 		return nil, fmt.Errorf("histogram: degenerate max-diff boundaries")
 	}
 	return newHistogram("max-diff", bounds, sorted)
-}
-
-// sortedCopy returns the samples sorted ascending without mutating the
-// input.
-func sortedCopy(samples []float64) []float64 {
-	s := append([]float64(nil), samples...)
-	fsort.Float64s(s)
-	return s
 }
 
 // quantileSorted is the type-7 quantile on sorted data (shared with the

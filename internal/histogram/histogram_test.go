@@ -78,6 +78,7 @@ func TestDensityIntegratesToOne(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Float64() * 10
 	}
+	slices.Sort(samples)
 	h, err := BuildEquiWidth(samples, 13, 0, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +95,7 @@ func TestSelectivityMatchesDensityIntegral(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Normal()*2 + 5
 	}
+	slices.Sort(samples)
 	h, err := BuildEquiWidth(samples, 10, 0, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func TestEquiDepthBalancedCounts(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Normal()
 	}
-	h, err := BuildEquiDepthSorted(sortedCopy(samples), 10)
+	h, err := BuildEquiDepth(ascending(samples), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestEquiDepthHeavyDuplicates(t *testing.T) {
 			samples[i] = float64(i)
 		}
 	}
-	h, err := BuildEquiDepthSorted(sortedCopy(samples), 10)
+	h, err := BuildEquiDepth(ascending(samples), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +157,10 @@ func TestEquiDepthHeavyDuplicates(t *testing.T) {
 }
 
 func TestEquiDepthDegenerate(t *testing.T) {
-	if _, err := BuildEquiDepthSorted([]float64{7, 7, 7}, 4); err == nil {
+	if _, err := BuildEquiDepth([]float64{7, 7, 7}, 4); err == nil {
 		t.Fatal("constant sample should error")
 	}
-	if _, err := BuildEquiDepthSorted(nil, 4); err == nil {
+	if _, err := BuildEquiDepth(nil, 4); err == nil {
 		t.Fatal("empty sample should error")
 	}
 }
@@ -213,6 +215,7 @@ func TestASH(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Float64() * 100
 	}
+	slices.Sort(samples)
 	a, err := BuildASH(samples, 20, 10, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +257,7 @@ func TestASHSmootherThanSingleHistogram(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Normal()*10 + 50
 	}
+	slices.Sort(samples)
 	h, err := BuildEquiWidth(samples, 15, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +295,7 @@ func TestVOptimal(t *testing.T) {
 			samples[i] = 9 + r.Float64()
 		}
 	}
+	slices.Sort(samples)
 	h, err := BuildVOptimal(samples, 4, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +332,7 @@ func TestQuickHistogramInvariants(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Normal()*15 + 50
 	}
+	slices.Sort(samples)
 	builders := map[string]func() (interface {
 		Selectivity(a, b float64) float64
 	}, error){
@@ -338,7 +344,7 @@ func TestQuickHistogramInvariants(t *testing.T) {
 		"equi-depth": func() (interface {
 			Selectivity(a, b float64) float64
 		}, error) {
-			return BuildEquiDepthSorted(sortedCopy(samples), 17)
+			return BuildEquiDepth(samples, 17)
 		},
 		"max-diff": func() (interface {
 			Selectivity(a, b float64) float64
@@ -373,6 +379,14 @@ func TestQuickHistogramInvariants(t *testing.T) {
 	}
 }
 
+// ascending returns xs sorted ascending in a fresh slice, the order
+// every builder takes.
+func ascending(xs []float64) []float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s
+}
+
 // binOfCounts is the per-sample reference for newHistogram's counts:
 // each sample's bin by binOf, and samples outside [c0, ck] in none.
 func binOfCounts(h *Histogram, sorted []float64) []int {
@@ -397,6 +411,7 @@ func TestCountsMatchBinOf(t *testing.T) {
 		samples[i] = math.Floor(r.Normal()*15 + 50)
 	}
 	samples = append(samples, -5, 0, 100, 105)
+	slices.Sort(samples)
 	must := func(h *Histogram, err error) []*Histogram {
 		if err != nil {
 			t.Fatal(err)
@@ -410,23 +425,22 @@ func TestCountsMatchBinOf(t *testing.T) {
 	builds := map[string][]*Histogram{
 		"equi-width": must(BuildEquiWidth(samples, 25, 0, 100)),
 		"uniform":    must(BuildUniform(samples, 0, 100)),
-		"equi-depth": must(BuildEquiDepthSorted(sortedCopy(samples), 17)),
+		"equi-depth": must(BuildEquiDepth(samples, 17)),
 		"max-diff":   must(BuildMaxDiff(samples, 17)),
 		"v-optimal":  must(BuildVOptimal(samples, 12, 0)),
 		"ash":        ash.shifts,
 	}
 	for name, hs := range builds {
 		for _, h := range hs {
-			sorted := sortedCopy(samples)
-			if got, want := h.counts, binOfCounts(h, sorted); !slices.Equal(got, want) {
+			if got, want := h.counts, binOfCounts(h, samples); !slices.Equal(got, want) {
 				t.Fatalf("%s: counts %v, binOf reference %v", name, got, want)
 			}
-			probe := append([]float64(nil), sorted...)
+			probe := slices.Clone(samples)
 			for _, c := range h.bounds {
 				probe = append(probe, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
 			}
 			probe = append(probe, h.bounds[0]-1, h.bounds[len(h.bounds)-1]+1, math.Inf(-1), math.Inf(1))
-			probe = sortedCopy(probe)
+			probe = ascending(probe)
 			want := binOfCounts(h, probe)
 			re, err := newHistogram(h.kind, h.bounds, probe)
 			if err != nil {

@@ -20,9 +20,9 @@ type FrequencyPolygon struct {
 }
 
 // BuildFrequencyPolygon builds the polygon over an equi-width histogram
-// with k bins on [lo, hi].
-func BuildFrequencyPolygon(samples []float64, k int, lo, hi float64) (*FrequencyPolygon, error) {
-	h, err := BuildEquiWidth(samples, k, lo, hi)
+// with k bins on [lo, hi] from a sample sorted ascending.
+func BuildFrequencyPolygon(sorted []float64, k int, lo, hi float64) (*FrequencyPolygon, error) {
+	h, err := BuildEquiWidth(sorted, k, lo, hi)
 	if err != nil {
 		return nil, err
 	}

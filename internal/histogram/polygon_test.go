@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +25,7 @@ func TestPolygonDensityContinuous(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.NormalMeanStd(500, 100)
 	}
+	slices.Sort(samples)
 	fp, err := BuildFrequencyPolygon(samples, 20, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +58,7 @@ func TestPolygonUnitMass(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Float64() * 100
 	}
+	slices.Sort(samples)
 	fp, err := BuildFrequencyPolygon(samples, 10, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +81,7 @@ func TestPolygonSelectivityMatchesDensityIntegral(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Exponential(0.05)
 	}
+	slices.Sort(samples)
 	fp, err := BuildFrequencyPolygon(samples, 15, 0, 120)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +113,7 @@ func TestPolygonMoreAccurateThanHistogramOnSmoothData(t *testing.T) {
 			return d * d
 		}, 100, 900, 4000)
 	}
+	slices.Sort(samples)
 	fp, err := BuildFrequencyPolygon(samples, 25, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +150,7 @@ func TestQuickPolygonInvariants(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Float64() * 100
 	}
+	slices.Sort(samples)
 	fp, err := BuildFrequencyPolygon(samples, 12, 0, 100)
 	if err != nil {
 		t.Fatal(err)

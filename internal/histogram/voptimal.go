@@ -15,18 +15,18 @@ import (
 // The DP runs on the distinct sorted values with their multiplicities and
 // costs O(v²·k) for v distinct values; to keep construction tractable on
 // large samples the values are first coalesced onto a grid of at most
-// maxCells cells (a standard approximation).
-func BuildVOptimal(samples []float64, k int, maxCells int) (*Histogram, error) {
+// maxCells cells (a standard approximation). The sample is sorted
+// ascending.
+func BuildVOptimal(sorted []float64, k int, maxCells int) (*Histogram, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("histogram: bin count must be >= 1, got %d", k)
 	}
-	if len(samples) == 0 {
+	if len(sorted) == 0 {
 		return nil, fmt.Errorf("histogram: v-optimal needs samples")
 	}
 	if maxCells < k {
 		maxCells = 4 * k
 	}
-	sorted := sortedCopy(samples)
 	if sorted[0] == sorted[len(sorted)-1] {
 		return nil, fmt.Errorf("histogram: all samples identical; no interval structure")
 	}

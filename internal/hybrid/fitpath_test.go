@@ -3,12 +3,15 @@ package hybrid
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"selest/internal/errs"
 	"selest/internal/xrand"
 )
 
+// clustered draws a three-cluster sample of n points, sorted ascending as
+// New takes them.
 func clustered(t testing.TB, n int, seed uint64) []float64 {
 	t.Helper()
 	r := xrand.New(seed)
@@ -23,6 +26,7 @@ func clustered(t testing.TB, n int, seed uint64) []float64 {
 			xs[i] = 700 + r.Float64()*200
 		}
 	}
+	slices.Sort(xs)
 	return xs
 }
 

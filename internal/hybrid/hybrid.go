@@ -20,7 +20,6 @@ import (
 	"selest/internal/bandwidth"
 	"selest/internal/errs"
 	"selest/internal/faultinject"
-	"selest/internal/fsort"
 	"selest/internal/kde"
 	"selest/internal/kernel"
 	"selest/internal/parallel"
@@ -111,12 +110,14 @@ type Estimator struct {
 	points []float64 // accepted change points, for diagnostics
 }
 
-// New builds a hybrid estimator over the domain [lo, hi] from a sample set.
-func New(samples []float64, lo, hi float64, cfg Config) (*Estimator, error) {
+// New builds a hybrid estimator over the domain [lo, hi] from a sample
+// sorted ascending, which it reads in place and never modifies; unsorted
+// input is an error wrapping errs.ErrBadOption.
+func New(sorted []float64, lo, hi float64, cfg Config) (*Estimator, error) {
 	if err := faultinject.Check("hybrid.build"); err != nil {
 		return nil, err
 	}
-	if len(samples) == 0 {
+	if len(sorted) == 0 {
 		return nil, fmt.Errorf("hybrid: empty sample set")
 	}
 	if !(hi > lo) {
@@ -126,15 +127,13 @@ func New(samples []float64, lo, hi float64, cfg Config) (*Estimator, error) {
 		return nil, err
 	}
 
-	// One sort for the whole build. The fit context carries it (and the
-	// prefix-moment index) through the change-point pilot; every bin's
-	// local estimator then gets its own zero-copy context over a disjoint
-	// sub-slice of the same array.
-	sorted := append([]float64(nil), samples...)
-	fsort.Float64s(sorted)
 	if sorted[0] < lo || sorted[len(sorted)-1] > hi {
 		return nil, fmt.Errorf("hybrid: samples fall outside the domain [%v, %v]", lo, hi)
 	}
+	// The fit context aliases the sorted sample (rejecting unsorted
+	// input) and carries its prefix-moment index through the change-point
+	// pilot; every bin's local estimator then gets its own zero-copy
+	// context over a disjoint sub-slice of the same array.
 	ctx, err := kde.NewFitContextSorted(sorted)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)

@@ -1,18 +1,22 @@
 package hybrid
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"selest/internal/errs"
 	"selest/internal/kde"
 	"selest/internal/xmath"
 	"selest/internal/xrand"
 )
 
-// stepSample draws n points from a density with a hard jump: 80% uniform
-// mass on [0, 300], 20% on [700, 1000].
+// stepSample draws n points, sorted ascending as New takes them, from a
+// density with a hard jump: 80% uniform mass on [0, 300], 20% on
+// [700, 1000].
 func stepSample(n int, seed uint64) []float64 {
 	r := xrand.New(seed)
 	xs := make([]float64, n)
@@ -23,6 +27,7 @@ func stepSample(n int, seed uint64) []float64 {
 			xs[i] = 700 + r.Float64()*300
 		}
 	}
+	slices.Sort(xs)
 	return xs
 }
 
@@ -35,6 +40,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]float64{10}, 0, 1, Config{}); err == nil {
 		t.Fatal("samples outside domain should error")
+	}
+	if _, err := New([]float64{1, 3, 2, 4}, 0, 5, Config{}); !errors.Is(err, errs.ErrBadOption) {
+		t.Fatalf("unsorted samples: err = %v, want errs.ErrBadOption", err)
 	}
 }
 
@@ -136,6 +144,7 @@ func TestSmoothDataSingleOrFewBins(t *testing.T) {
 	for i := range samples {
 		samples[i] = xmath.Clamp(r.NormalMeanStd(500, 100), 0, 1000)
 	}
+	slices.Sort(samples)
 	e, err := New(samples, 0, 1000, Config{})
 	if err != nil {
 		t.Fatal(err)

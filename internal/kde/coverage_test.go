@@ -94,7 +94,7 @@ func TestEstimator2DInvertedAndOutOfDomain(t *testing.T) {
 
 func TestVariableSelectivityClipping(t *testing.T) {
 	samples := uniformSamples(t, 200, 0, 10, 53)
-	e, err := NewVariable(samples, VariableConfig{PilotBandwidth: 1, Reflect: true, DomainLo: 0, DomainHi: 10})
+	e, err := fitVariable(samples, VariableConfig{PilotBandwidth: 1, Reflect: true, DomainLo: 0, DomainHi: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"selest/internal/fsort"
 	"selest/internal/kernel"
 	"selest/internal/telemetry"
 )
@@ -110,8 +111,9 @@ type Estimator struct {
 	strips      *stripLogs
 }
 
-// New builds an estimator from a sample set (copied). The sample set must
-// be non-empty and the bandwidth positive. For boundary treatments the
+// New builds an estimator from a sample set (copied, then sorted by
+// internal/fsort, the fit path's one sort). The sample set must be
+// non-empty and the bandwidth positive. For boundary treatments the
 // domain must be a proper interval containing the samples.
 //
 // Callers fitting many estimators over one sample set (bandwidth-rule
@@ -122,7 +124,7 @@ func New(samples []float64, cfg Config) (*Estimator, error) {
 		return nil, fmt.Errorf("kde: empty sample set")
 	}
 	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
+	fsort.Float64s(sorted)
 	return newSorted(sorted, cfg, nil)
 }
 

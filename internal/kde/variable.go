@@ -5,8 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"selest/internal/fsort"
 	"selest/internal/kernel"
+	"selest/internal/telemetry"
 )
 
 // VariableEstimator is a sample-point adaptive kernel estimator
@@ -51,11 +51,11 @@ type VariableConfig struct {
 	DomainLo, DomainHi float64
 }
 
-// NewVariable builds a variable-bandwidth estimator from a sample set.
-func NewVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("kde: empty sample set")
-	}
+// NewVariableEstimator fits a variable-bandwidth estimator from the
+// context. It aliases the context's sorted sample, and its pilot reuses
+// the context's prefix-moment index, so the fit copies, sorts and indexes
+// nothing again. It is the variable kernel's one constructor.
+func (c *FitContext) NewVariableEstimator(cfg VariableConfig) (*VariableEstimator, error) {
 	if cfg.PilotBandwidth <= 0 || math.IsNaN(cfg.PilotBandwidth) || math.IsInf(cfg.PilotBandwidth, 0) {
 		return nil, fmt.Errorf("kde: pilot bandwidth must be positive and finite, got %v", cfg.PilotBandwidth)
 	}
@@ -69,17 +69,19 @@ func NewVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, err
 	if cfg.Reflect && !(cfg.DomainHi > cfg.DomainLo) {
 		return nil, fmt.Errorf("kde: reflection needs a proper domain, got [%v, %v]", cfg.DomainLo, cfg.DomainHi)
 	}
+	if telemetry.Enabled() {
+		fitSortsAvoided.Inc()
+	}
 
 	e := &VariableEstimator{
-		sorted:      append([]float64(nil), samples...),
-		n:           len(samples),
+		sorted:      c.sorted,
+		n:           len(c.sorted),
 		lo:          cfg.DomainLo,
 		hi:          cfg.DomainHi,
 		reflect:     cfg.Reflect,
 		baseH:       cfg.PilotBandwidth,
 		sensitivity: alpha,
 	}
-	fsort.Float64s(e.sorted)
 	if cfg.Reflect && (e.sorted[0] < cfg.DomainLo || e.sorted[e.n-1] > cfg.DomainHi) {
 		return nil, fmt.Errorf("kde: samples fall outside the domain [%v, %v]", cfg.DomainLo, cfg.DomainHi)
 	}
@@ -90,7 +92,7 @@ func NewVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, err
 		pilotCfg.Boundary = BoundaryReflect
 		pilotCfg.DomainLo, pilotCfg.DomainHi = cfg.DomainLo, cfg.DomainHi
 	}
-	pilot, err := New(e.sorted, pilotCfg)
+	pilot, err := newSorted(c.sorted, pilotCfg, c.moments)
 	if err != nil {
 		return nil, err
 	}

@@ -29,27 +29,37 @@ func clusteredSamples(n int, seed uint64) []float64 {
 	return out
 }
 
+// fitVariable fits a variable-bandwidth estimator through a fit context
+// over samples, the one way to build one.
+func fitVariable(samples []float64, cfg VariableConfig) (*VariableEstimator, error) {
+	ctx, err := NewFitContext(samples)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.NewVariableEstimator(cfg)
+}
+
 func TestNewVariableValidation(t *testing.T) {
-	if _, err := NewVariable(nil, VariableConfig{PilotBandwidth: 1}); err == nil {
+	if _, err := fitVariable(nil, VariableConfig{PilotBandwidth: 1}); err == nil {
 		t.Fatal("empty samples should error")
 	}
-	if _, err := NewVariable([]float64{1}, VariableConfig{PilotBandwidth: 0}); err == nil {
+	if _, err := fitVariable([]float64{1}, VariableConfig{PilotBandwidth: 0}); err == nil {
 		t.Fatal("zero pilot bandwidth should error")
 	}
-	if _, err := NewVariable([]float64{1}, VariableConfig{PilotBandwidth: 1, Sensitivity: 2}); err == nil {
+	if _, err := fitVariable([]float64{1}, VariableConfig{PilotBandwidth: 1, Sensitivity: 2}); err == nil {
 		t.Fatal("sensitivity > 1 should error")
 	}
-	if _, err := NewVariable([]float64{1}, VariableConfig{PilotBandwidth: 1, Reflect: true}); err == nil {
+	if _, err := fitVariable([]float64{1}, VariableConfig{PilotBandwidth: 1, Reflect: true}); err == nil {
 		t.Fatal("reflection without domain should error")
 	}
-	if _, err := NewVariable([]float64{5}, VariableConfig{PilotBandwidth: 1, Reflect: true, DomainLo: 0, DomainHi: 1}); err == nil {
+	if _, err := fitVariable([]float64{5}, VariableConfig{PilotBandwidth: 1, Reflect: true, DomainLo: 0, DomainHi: 1}); err == nil {
 		t.Fatal("samples outside domain should error")
 	}
 }
 
 func TestVariableBandwidthsAdapt(t *testing.T) {
 	samples := clusteredSamples(2000, 1)
-	e, err := NewVariable(samples, VariableConfig{PilotBandwidth: 30})
+	e, err := fitVariable(samples, VariableConfig{PilotBandwidth: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +90,7 @@ func TestVariableBandwidthsAdapt(t *testing.T) {
 func TestVariableDensityIntegratesToOne(t *testing.T) {
 	samples := clusteredSamples(800, 2)
 	for _, reflect := range []bool{false, true} {
-		e, err := NewVariable(samples, VariableConfig{
+		e, err := fitVariable(samples, VariableConfig{
 			PilotBandwidth: 25, Reflect: reflect, DomainLo: 0, DomainHi: 1000,
 		})
 		if err != nil {
@@ -99,7 +109,7 @@ func TestVariableDensityIntegratesToOne(t *testing.T) {
 
 func TestVariableSelectivityMatchesDensityIntegral(t *testing.T) {
 	samples := clusteredSamples(500, 3)
-	e, err := NewVariable(samples, VariableConfig{PilotBandwidth: 25, Reflect: true, DomainLo: 0, DomainHi: 1000})
+	e, err := fitVariable(samples, VariableConfig{PilotBandwidth: 25, Reflect: true, DomainLo: 0, DomainHi: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +126,7 @@ func TestVariableZeroSensitivityMatchesFixed(t *testing.T) {
 	// α→0 recovers the fixed-bandwidth estimator exactly. The config
 	// treats 0 as "default", so probe with a tiny α instead.
 	samples := clusteredSamples(400, 4)
-	v, err := NewVariable(samples, VariableConfig{PilotBandwidth: 30, Sensitivity: 1e-12})
+	v, err := fitVariable(samples, VariableConfig{PilotBandwidth: 30, Sensitivity: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +155,7 @@ func TestVariableBeatsFixedOnMixedScales(t *testing.T) {
 		return float64(hi-lo) / float64(len(ref))
 	}
 
-	v, err := NewVariable(train, VariableConfig{PilotBandwidth: 30, Reflect: true, DomainLo: 0, DomainHi: 1000})
+	v, err := fitVariable(train, VariableConfig{PilotBandwidth: 30, Reflect: true, DomainLo: 0, DomainHi: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestVariableBeatsFixedOnMixedScales(t *testing.T) {
 }
 
 func TestVariableAccessors(t *testing.T) {
-	e, err := NewVariable([]float64{1, 2, 3}, VariableConfig{PilotBandwidth: 1})
+	e, err := fitVariable([]float64{1, 2, 3}, VariableConfig{PilotBandwidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestVariableAccessors(t *testing.T) {
 
 func TestVariableConstantSample(t *testing.T) {
 	// All duplicates: the pilot density floor must keep bandwidths finite.
-	e, err := NewVariable([]float64{5, 5, 5, 5}, VariableConfig{PilotBandwidth: 1})
+	e, err := fitVariable([]float64{5, 5, 5, 5}, VariableConfig{PilotBandwidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +210,7 @@ func TestVariableConstantSample(t *testing.T) {
 // Property: selectivity ∈ [0,1], monotone under widening, additive.
 func TestQuickVariableInvariants(t *testing.T) {
 	samples := clusteredSamples(500, 7)
-	e, err := NewVariable(samples, VariableConfig{PilotBandwidth: 30, Reflect: true, DomainLo: 0, DomainHi: 1000})
+	e, err := fitVariable(samples, VariableConfig{PilotBandwidth: 30, Reflect: true, DomainLo: 0, DomainHi: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

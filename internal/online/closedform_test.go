@@ -1,53 +1,19 @@
 package online
 
 import (
-	"math"
 	"sync"
 	"testing"
 
-	"selest/internal/fsort"
-	"selest/internal/kde"
+	"selest/internal/core"
 	"selest/internal/xrand"
 )
 
-// TestClosedFormBuilderFits pins the builder's contract: a fit over the
-// sorted sample it is handed, which it leaves as it was, correct
-// selectivities, and hull-domain defaulting.
-func TestClosedFormBuilderFits(t *testing.T) {
-	r := xrand.New(17)
-	xs := make([]float64, 4000)
-	for i := range xs {
-		xs[i] = r.Float64() * 1000
-	}
-	fsort.Float64s(xs)
-	orig := append([]float64(nil), xs...)
-	fit, err := ClosedFormBuilder(0, 0)(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
-			t.Fatalf("builder modified its sample at %d", i)
-		}
-	}
-	if _, ok := fit.(*kde.BetaEstimator); !ok {
-		t.Fatalf("builder fitted %T, want *kde.BetaEstimator", fit)
-	}
-	if s := fit.Selectivity(0, 500); math.Abs(s-0.5) > 0.05 {
-		t.Fatalf("Selectivity(0, 500) = %v, want ≈0.5", s)
-	}
-	// A fixed domain is honoured too: the upper half holds no data, so
-	// only the one-bandwidth kernel spill past the hull lands there.
-	fit, err = ClosedFormBuilder(0, 2000)(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := fit.Selectivity(1000, 2000); s > 0.05 {
-		t.Fatalf("empty upper half has selectivity %v", s)
-	}
-	if s := fit.Selectivity(1200, 2000); s != 0 {
-		t.Fatalf("region beyond kernel reach has selectivity %v", s)
-	}
+// hullBeta is the closed-form refit path: the beta-kernel fit under its
+// closed-form rule, whose whole fit is the moment index over the sorted
+// view plus O(1) arithmetic, with each refit's sample hull as the domain
+// (the drift experiment's engine).
+func hullBeta(sorted []float64) (Fitted, error) {
+	return core.BuildSorted(sorted, core.Options{Method: core.BetaKernel, DomainLo: sorted[0], DomainHi: sorted[len(sorted)-1]})
 }
 
 // TestClosedFormShardDeterminism pins the closed-form refit as a pure
@@ -69,7 +35,7 @@ func TestClosedFormShardDeterminism(t *testing.T) {
 
 	var want []float64
 	for run := 0; run < 3; run++ {
-		e, err := New(ClosedFormBuilder(0, 0), Config{
+		e, err := New(hullBeta, Config{
 			ReservoirSize: K, RefitEvery: -1, Seed: 7,
 		})
 		if err != nil {

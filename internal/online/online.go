@@ -505,6 +505,13 @@ func (e *Estimator) ReservoirValues() []float64 {
 	return e.reservoir.Snapshot()
 }
 
+// ReservoirSorted returns the reservoir's contents in sorted order: the
+// view a refit fits, made as sample.Reservoir.Sorted makes it, so when
+// few records changed since the last view it merges them into that view
+// instead of copying and sorting every record. The slice is shared with
+// the reservoir and must not be modified.
+func (e *Estimator) ReservoirSorted() []float64 { return e.reservoir.Sorted().Values }
+
 // ReservoirLen returns how many records the reservoir currently holds.
 func (e *Estimator) ReservoirLen() int { return e.reservoir.Len() }
 

@@ -57,11 +57,11 @@ func fillRefitBench(r *xrand.RNG, xs []float64) {
 var refitSizes = []int{10_000, 100_000, 1_000_000}
 
 // refitBuilders are the rules a refit can run under, each as the Builder
-// the serving engine would invoke. The core-built rows go through
+// the serving engine would invoke. Every row goes through
 // core.BuildSorted (rule + estimator over the sorted view, as selestd's
-// attributes fit), the closed-form row through ClosedFormBuilder (O(1)
-// rule + estimator). The equi-depth row runs the normal-scale bin-width
-// rule.
+// attributes fit); the closed-form row is hullBeta (O(1) rule +
+// estimator over the sample hull). The equi-depth row runs the
+// normal-scale bin-width rule.
 func refitBuilders() []struct {
 	name string
 	mk   Builder
@@ -75,7 +75,7 @@ func refitBuilders() []struct {
 		name string
 		mk   Builder
 	}{
-		{"beta-closed-form", ClosedFormBuilder(0, 0)},
+		{"beta-closed-form", hullBeta},
 		{"exact-mise", coreBuilder(core.Options{Method: core.BetaKernel, Rule: core.ExactMISE, DomainLo: 0, DomainHi: 1e6})},
 		{"normal-scale", coreBuilder(core.Options{Method: core.Kernel, Rule: core.NormalScale, Boundary: kde.BoundaryKernels, DomainLo: 0, DomainHi: 1e6})},
 		{"dpi", coreBuilder(core.Options{Method: core.Kernel, Rule: core.DPI, Boundary: kde.BoundaryKernels, DomainLo: 0, DomainHi: 1e6})},
@@ -204,7 +204,7 @@ func BenchmarkRefitSortBaseline(b *testing.B) {
 func BenchmarkRefitQuery(b *testing.B) {
 	samples := refitBenchSamples(100_000)
 	fsort.Float64s(samples)
-	fit, err := ClosedFormBuilder(0, 0)(samples)
+	fit, err := hullBeta(samples)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"selest/internal/fsort"
+	"selest/internal/core"
 	"selest/internal/sample"
 	"selest/internal/xrand"
 )
@@ -84,20 +84,22 @@ func TestSnapshotMatchesLockedBitForBit(t *testing.T) {
 	randomRuns := func() int { return 1 + rl.Intn(700) }
 
 	probes := []struct{ a, b float64 }{{0, 1000}, {100, 250}, {400, 401}, {900, 1000}, {0, 0}}
-	sampling := func(samples []float64) (Fitted, error) { return sample.NewPureEstimator(samples), nil }
+	// The engine's builders fit the sorted view in place through
+	// core.BuildSorted; the reference's sort their reservoir-order copy
+	// through core.Build.
+	through := func(opts core.Options) (engine, reference Builder) {
+		return func(samples []float64) (Fitted, error) { return core.BuildSorted(samples, opts) },
+			func(samples []float64) (Fitted, error) { return core.Build(samples, opts) }
+	}
+	beta, betaRef := through(core.Options{Method: core.BetaKernel, Rule: core.BetaClosedForm, DomainLo: 0, DomainHi: 1000})
+	sampling, samplingRef := through(core.Options{Method: core.Sampling, DomainLo: 0, DomainHi: 1000})
 	for _, bld := range []struct {
 		suffix            string // of the subtest names; the kernel's are the bare mode names
 		engine, reference Builder
 	}{
 		{"", kernelBuilder, kernelBuilder},
-		// The closed-form builder sorted its private reservoir copy in
-		// place before it was handed sorted samples; the reference does
-		// the same.
-		{"-beta-closed-form", ClosedFormBuilder(0, 1000), func(samples []float64) (Fitted, error) {
-			fsort.Float64s(samples)
-			return ClosedFormBuilder(0, 1000)(samples)
-		}},
-		{"-sampling", sampling, sampling},
+		{"-beta-closed-form", beta, betaRef},
+		{"-sampling", sampling, samplingRef},
 	} {
 		for _, mode := range []struct {
 			name string

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"selest/internal/core"
+	"selest/internal/fsort"
 	"selest/internal/kde"
 )
 
@@ -266,28 +267,29 @@ func isRecovered(err error) bool {
 	return ok
 }
 
-// safeBuild runs core.Build with panic containment: a panic in any fit
-// stage becomes an error and therefore a failed rung, not a crashed
-// caller.
-func safeBuild(samples []float64, opts core.Options) (est core.Estimator, err error) {
+// safeBuild runs core.BuildSorted over the sanitized, sorted sample with
+// panic containment: a panic in any fit stage becomes an error and
+// therefore a failed rung, not a crashed caller.
+func safeBuild(sorted []float64, opts core.Options) (est core.Estimator, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			est = nil
 			err = recoveredError{fmt.Errorf("panic: %v", r)}
 		}
 	}()
-	est, err = core.Build(samples, opts)
+	est, err = core.BuildSorted(sorted, opts)
 	if err == nil && est == nil {
 		err = fmt.Errorf("robust: builder returned no estimator")
 	}
 	return est, err
 }
 
-// sanitize scrubs the sample set and resolves the effective domain:
-// non-finite values are dropped; with a proper caller domain, finite
-// out-of-domain values are clamped onto the nearest boundary; without
-// one, the domain is derived from the surviving sample hull. A constant
-// result sets rep.Constant (the point-mass short circuit).
+// sanitize scrubs the sample set into a sorted copy, which every rung of
+// the ladder fits in place, and resolves the effective domain: non-finite
+// values are dropped; with a proper caller domain, finite out-of-domain
+// values are clamped onto the nearest boundary; without one, the domain
+// is derived from the surviving sample hull. A constant result sets
+// rep.Constant (the point-mass short circuit).
 func sanitize(samples []float64, lo, hi float64, rep *SanitizeReport) ([]float64, float64, float64, error) {
 	rep.Total = len(samples)
 	haveDomain := hi > lo && !math.IsInf(lo, 0) && !math.IsInf(hi, 0) && !math.IsNaN(lo) && !math.IsNaN(hi)
@@ -314,15 +316,8 @@ func sanitize(samples []float64, lo, hi float64, rep *SanitizeReport) ([]float64
 		return nil, 0, 0, fmt.Errorf("robust: no finite samples (of %d offered): %w", rep.Total, core.ErrEmptySample)
 	}
 
-	min, max := clean[0], clean[0]
-	for _, v := range clean[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
+	fsort.Float64s(clean)
+	min, max := clean[0], clean[len(clean)-1]
 	if !haveDomain {
 		lo, hi = min, max
 	}

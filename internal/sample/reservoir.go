@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -253,7 +254,7 @@ func (rv *Reservoir) Sorted() View {
 	}
 	start := time.Now()
 	rv.mu.Lock()
-	out := append(make([]float64, 0, len(rv.items)), rv.items...)
+	out := slices.Clone(rv.items)
 	rv.restartLog()
 	rv.mu.Unlock()
 	capture += time.Since(start)

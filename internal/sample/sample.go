@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 
-	"selest/internal/fsort"
 	"selest/internal/xrand"
 )
 
@@ -46,11 +45,10 @@ type PureEstimator struct {
 	sorted []float64
 }
 
-// NewPureEstimator builds the estimator from a sample set (copied, sorted).
-func NewPureEstimator(samples []float64) *PureEstimator {
-	s := append([]float64(nil), samples...)
-	fsort.Float64s(s)
-	return &PureEstimator{sorted: s}
+// NewPureEstimator builds the estimator over a sample sorted ascending,
+// which it aliases: the caller must not modify it afterwards.
+func NewPureEstimator(sorted []float64) *PureEstimator {
+	return &PureEstimator{sorted: sorted}
 }
 
 // Selectivity returns the estimated selectivity σ̂(a,b) ∈ [0,1].

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -224,6 +225,7 @@ func TestPureEstimatorConverges(t *testing.T) {
 		const reps = 30
 		for rep := 0; rep < reps; rep++ {
 			s, _ = WithoutReplacement(r, pop, n)
+			slices.Sort(s)
 			total += math.Abs(NewPureEstimator(s).Selectivity(0.3, 0.4) - trueSel)
 		}
 		return total / reps
@@ -242,6 +244,7 @@ func TestQuickPureEstimatorBounds(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Normal()
 	}
+	slices.Sort(samples)
 	p := NewPureEstimator(samples)
 	prop := func(seed uint8) bool {
 		a := float64(seed)/32 - 4

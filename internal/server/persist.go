@@ -15,10 +15,13 @@
 // reads these files.
 //
 // Determinism is a design requirement, not an accident: attributes are
-// serialised in sorted (tenant, attr) order and reservoir samples are
-// sorted before persisting, so saving, restarting, and saving again
-// yields bit-identical files — the property the chaos suite's
-// kill-and-restart check pins.
+// serialised in sorted (tenant, attr) order and each reservoir's sample
+// is written as its sorted view (radix-key order, −0 before +0), so
+// saving, restarting, and saving again yields bit-identical files — the
+// property the chaos suite's kill-and-restart check pins. The view is
+// the one the next refit fits: a save merges the records replaced since
+// the last view into it, or sorts the reservoir once, and copies
+// nothing.
 package server
 
 import (
@@ -31,7 +34,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 
 	"selest/internal/catalog"
 	"selest/internal/core"
@@ -98,13 +100,12 @@ func (s *Server) writeSnapshot(w io.Writer, attrs []*attribute) error {
 			Rows:   rows,
 			Seen:   int64(a.est.Seen()),
 		})
-		smp := a.est.ReservoirValues()
-		if len(smp) == 0 {
+		if a.est.ReservoirLen() == 0 {
 			// Cold attribute: config survives via the manifest; there is
 			// no sample to store.
 			continue
 		}
-		sort.Float64s(smp) // canonical order: re-saves are bit-identical
+		smp := a.est.ReservoirSorted()
 		entries = append(entries, &catalog.Entry{
 			Table:    a.tenant,
 			Column:   a.name,

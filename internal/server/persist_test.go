@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"selest/internal/catalog"
 	"selest/internal/core"
@@ -153,6 +156,123 @@ func TestSnapshotsFitNothing(t *testing.T) {
 		if g := a.est.Generation(); g != 1 {
 			t.Fatalf("%s: generation %d after recovery, want 1", m, g)
 		}
+	}
+}
+
+// TestSaveSnapshotCopiesNothing: a save writes each reservoir's sorted
+// view in place, so a second save of an unchanged server with eight
+// reservoirs of 2^16 values (4 MiB of samples) allocates under 1 MiB.
+func TestSaveSnapshotCopiesNothing(t *testing.T) {
+	const attrs, n = 8, 1 << 16
+	s := mustServer(t, Options{})
+	values := seq(n)
+	for i := 0; i < attrs; i++ {
+		cfg := testAttrCfg()
+		cfg.ReservoirSize, cfg.RefitEvery = n, -1 // only the fill refit
+		name := fmt.Sprintf("a%d", i)
+		if err := s.CreateAttr("big", name, cfg); err != nil {
+			t.Fatal(err)
+		}
+		ingestAll(t, s, "big", name, values)
+		waitGeneration(t, s, "big", name, 1)
+	}
+	path := filepath.Join(t.TempDir(), "snap.selest")
+	if err := s.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a save of %d reservoirs of %d values allocated %d bytes, want under 1 MiB", attrs, n, got)
+	}
+}
+
+// TestSnapshotsDuringRefits saves while ingests refit the same
+// reservoir, so a save and a refit ask for its sorted view at once (run
+// under -race). Every saved sample is sorted, as many as its reservoir
+// holds, and the reservoir's own view at the end matches the last save.
+func TestSnapshotsDuringRefits(t *testing.T) {
+	s := mustServer(t, Options{})
+	cfg := testAttrCfg()
+	cfg.ReservoirSize, cfg.RefitEvery = 512, 96 // replaces under an eighth between refits
+	if err := s.CreateAttr("acme", "price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		values := seq(4096)
+		for i := 0; i < len(values); i += 64 {
+			if _, err := s.Ingest("acme", "price", values[i:i+64]); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Estimate(context.Background(), "acme", "price", 0.2, 0.4, true); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func(b []byte) []float64 {
+		t.Helper()
+		man, entries, err := readSnapshot(bytes.NewReader(b))
+		if err != nil || len(man) != 1 {
+			t.Fatalf("snapshot: %d attributes, %v", len(man), err)
+		}
+		e := entries[[2]string{"acme", "price"}]
+		if e == nil {
+			return nil // saved before the first value arrived
+		}
+		if !slices.IsSorted(e.Samples) || len(e.Samples) > cfg.ReservoirSize {
+			t.Fatalf("saved sample of %d values is not a sorted reservoir", len(e.Samples))
+		}
+		return e.Samples
+	}
+	for saving := true; saving; {
+		select {
+		case <-done:
+			saving = false
+		default:
+		}
+		b, err := s.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(b)
+	}
+	waitInserted(t, s, "acme", "price", 4096)
+	b, err := s.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.attr("acme", "price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := check(b), a.est.ReservoirSorted(); !slices.Equal(got, want) {
+		t.Fatalf("last save holds %d values, the reservoir's view %d", len(got), len(want))
+	}
+}
+
+// waitGeneration polls until the attribute serves a fit of at least the
+// given generation: the fill refit runs on the drainer after the values
+// it fits count as inserted.
+func waitGeneration(t *testing.T, s *Server, tenant, attr string, gen uint64) {
+	t.Helper()
+	a, err := s.attr(tenant, attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for a.est.Generation() < gen {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s/%s: generation %d, want %d", tenant, attr, a.est.Generation(), gen)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"selest/internal/faultinject"
 	"selest/internal/kde"
 	"selest/internal/online"
-	"selest/internal/sample"
 	"selest/internal/wire"
 )
 
@@ -198,9 +197,9 @@ type Server struct {
 // each simpler and harder to break than the one above. core.Ladder
 // steps down as robust.Build does: it skips a rung repeating the primary
 // method and gives the equi-depth rung the normal-scale rule in place of
-// a kernel-only one. The primary and equi-depth rungs fit the reservoir's
-// sorted view through core.BuildSorted, which aliases it instead of
-// copying and sorting it again. The primary rung carries the
+// a kernel-only one. Every rung fits the reservoir's sorted view through
+// core.BuildSorted, which reads it in place instead of copying and
+// sorting it again. The primary rung carries the
 // FaultRefitPrimary injection site so the chaos suite can break it on
 // demand.
 func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Builder) {
@@ -214,12 +213,6 @@ func (c *AttrConfig) builders() (primary online.Builder, fallbacks []online.Buil
 		return core.BuildSorted(samples, rungs[0])
 	}
 	for _, o := range rungs[1:] {
-		if o.Method == core.Sampling {
-			fallbacks = append(fallbacks, func(samples []float64) (online.Fitted, error) {
-				return sample.NewPureEstimator(samples), nil
-			})
-			continue
-		}
 		fallbacks = append(fallbacks, func(samples []float64) (online.Fitted, error) {
 			return core.BuildSorted(samples, o)
 		})
@@ -637,10 +630,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close shuts the service down gracefully: stop admitting new work,
 // close every ingest queue and wait (bounded by ctx) for the drainers to
-// move every accepted value into its reservoir, flush each estimator
-// (abandoning, not awaiting, any build the deadline cuts off), and — when
-// snapshotPath is non-empty — persist a crash-safe snapshot. Close is
-// idempotent; concurrent calls after the first return immediately.
+// move every accepted value into its reservoir, and — when snapshotPath
+// is non-empty — persist a crash-safe snapshot. Close fits nothing: the
+// snapshot stores samples, not fits, and recovery refits each attribute
+// once, so a final refit would be thrown away. Close is idempotent;
+// concurrent calls after the first return immediately.
 func (s *Server) Close(ctx context.Context, snapshotPath string) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -659,14 +653,6 @@ func (s *Server) Close(ctx context.Context, snapshotPath string) error {
 	case <-drained:
 	case <-ctx.Done():
 		firstErr = fmt.Errorf("server: shutdown drain abandoned: %w", ctx.Err())
-	}
-	for _, a := range attrs {
-		if a.est.ReservoirLen() == 0 {
-			continue
-		}
-		if err := a.est.FlushContext(ctx); err != nil && firstErr == nil && ctx.Err() != nil {
-			firstErr = fmt.Errorf("server: shutdown flush %s/%s: %w", a.tenant, a.name, err)
-		}
 	}
 	if snapshotPath != "" {
 		if err := s.SaveSnapshot(snapshotPath); err != nil && firstErr == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -341,6 +342,32 @@ func TestCloseIdempotentAndRefusesNewWork(t *testing.T) {
 	// Queries still answer: shutdown stops ingest, not reads.
 	if _, err := s.Estimate(context.Background(), "acme", "price", 0, 1, false); err != nil {
 		t.Fatalf("estimate after Close errored: %v", err)
+	}
+}
+
+// TestCloseFitsNothing: shutdown drains and saves but refits no
+// attribute, so each keeps the generation it served before Close. The
+// snapshot stores samples, and recovery fits each attribute once.
+func TestCloseFitsNothing(t *testing.T) {
+	s := mustServer(t, Options{})
+	cfg := testAttrCfg()
+	cfg.RefitEvery = -1 // only the fill refit
+	if err := s.CreateAttr("acme", "price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, s, "acme", "price", seq(200))
+	waitGeneration(t, s, "acme", "price", 1)
+	a, err := s.attr("acme", "price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Close(ctx, filepath.Join(t.TempDir(), "snap.selest")); err != nil {
+		t.Fatal(err)
+	}
+	if g := a.est.Generation(); g != 1 {
+		t.Fatalf("generation %d after Close, want 1: shutdown refitted", g)
 	}
 }
 

@@ -420,8 +420,8 @@ func TestWireHalfCloseGetsEveryReply(t *testing.T) {
 }
 
 // TestWirePipeliningMixedInlineGoroutine is the -race pipelining pin:
-// deep bursts mixing inline ops (estimates, pings) with goroutine ops
-// (ingests, fresh estimates) on several concurrent connections. Every
+// deep bursts mixing inline ops (estimates, pings, ingests) with the
+// goroutine op (fresh estimates) on several concurrent connections. Every
 // request id is answered exactly once with its own op; inline responses
 // arrive in request order relative to each other (goroutine responses
 // may interleave anywhere — the id is the correlation); and no response
@@ -492,7 +492,7 @@ func drivePipelinedConn(addr string, bursts, burstLen int) error {
 	const (
 		kindEstimate = iota // inline
 		kindPing            // inline
-		kindIngest          // goroutine
+		kindIngest          // inline
 		kindFresh           // goroutine (fresh estimate)
 	)
 	var (
@@ -533,7 +533,7 @@ func drivePipelinedConn(addr string, bursts, burstLen int) error {
 				f = wire.Frame{Op: wire.OpEstimate, ID: id, Payload: wire.EstimateReq{
 					Tenant: "acme", Attr: "price", Lo: 0.1, Hi: 0.9, Fresh: true}.Append(nil)}
 			}
-			if kind == kindEstimate || kind == kindPing {
+			if kind != kindFresh {
 				inlineOrder = append(inlineOrder, id)
 			}
 			out = wire.AppendFrame(out, f)
@@ -570,7 +570,7 @@ func drivePipelinedConn(addr string, bursts, burstLen int) error {
 			if f.Op != wantOp {
 				return fmt.Errorf("burst %d id %d: op %s, want %s", b, f.ID, f.Op, wantOp)
 			}
-			if kind == kindEstimate || kind == kindPing {
+			if kind != kindFresh {
 				inlineSeen = append(inlineSeen, f.ID)
 			}
 			if kind == kindEstimate {
